@@ -1,0 +1,70 @@
+"""The one codec for machine-read run artifacts.
+
+An artifact is `<prefix>.json` (its metadata) plus one
+`<prefix>_<name>.npy` per array.  `.npy` files hold no timestamps, so
+rewriting the same arrays gives the same bytes.
+
+Loaders name the arrays they expect together with a symbolic shape: an int
+dimension must match exactly, a str dimension is taken from the metadata
+when it holds that key and otherwise from the first array that uses it, so
+every array sharing a symbol must agree on its length.
+"""
+
+from __future__ import annotations
+
+import json
+from pathlib import Path
+
+import numpy as np
+
+from .errors import ConfigurationError
+
+Shape = tuple[int | str, ...]
+
+
+def save_arrays(
+    directory: str | Path, prefix: str, meta: dict, **arrays: np.ndarray
+) -> list[Path]:
+    """Write the metadata and every array; returns the paths written."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    meta_path = directory / f"{prefix}.json"
+    meta_path.write_text(json.dumps(meta, indent=2))
+    paths = [meta_path]
+    for name, array in arrays.items():
+        path = directory / f"{prefix}_{name}.npy"
+        np.save(path, np.asarray(array), allow_pickle=False)
+        paths.append(path)
+    return paths
+
+
+def load_arrays(
+    directory: str | Path, prefix: str, names: dict[str, Shape]
+) -> tuple[dict, dict[str, np.ndarray]]:
+    """(metadata, arrays) of one artifact; `names` maps each expected array
+    to its shape.  A missing or unreadable file, or an array whose shape
+    does not match, raises ConfigurationError naming the file."""
+    directory = Path(directory)
+    meta_path = directory / f"{prefix}.json"
+    try:
+        meta = json.loads(meta_path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"artifact {meta_path.name} cannot be read: {exc}") from exc
+    dims = {k: v for k, v in meta.items() if isinstance(v, int)}
+    arrays = {}
+    for name, shape in names.items():
+        path = directory / f"{prefix}_{name}.npy"
+        try:
+            array = np.load(path, allow_pickle=False)
+        except (OSError, ValueError, EOFError) as exc:
+            raise ConfigurationError(f"artifact {path.name} cannot be read: {exc}") from exc
+        if array.ndim != len(shape) or any(
+            size != (dims.setdefault(want, size) if isinstance(want, str) else want)
+            for size, want in zip(array.shape, shape)
+        ):
+            expected = ", ".join(f"{s}={dims[s]}" if s in dims else str(s) for s in shape)
+            raise ConfigurationError(
+                f"artifact {path.name} has shape {array.shape}, expected ({expected})"
+            )
+        arrays[name] = array
+    return meta, arrays

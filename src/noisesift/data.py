@@ -7,13 +7,12 @@ the class will be made to learn, n how noisy its labels will become.
 
 from __future__ import annotations
 
-import csv
-import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_arrays, save_arrays
 from .errors import ConfigurationError
 
 
@@ -216,15 +215,12 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
     return train, test
 
 
-def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> None:
-    """Write <prefix>.json manifest and <prefix>.csv sample table.
+_COLUMNS = ("ids", "y_true", "y_assigned", "h", "n", "base_id")
 
-    Floats are written with repr (shortest round-trip representation) so a
-    load reproduces the arrays bit-exactly.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
+
+def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[Path]:
+    """Write <prefix>.json (sizes and cell map) and one .npy per column."""
+    meta = {
         "K": dataset.K,
         "d": dataset.d,
         "L": dataset.levels,
@@ -232,57 +228,20 @@ def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> None:
         "kind": dataset.kind,
         "class_cells": {str(c): list(hn) for c, hn in sorted(dataset.class_cells.items())},
     }
-    (directory / f"{prefix}.json").write_text(json.dumps(manifest, indent=2))
-    with open(directory / f"{prefix}.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["id", "y_true", "y_assigned", "h", "n", "base_id"]
-            + [f"x_{j}" for j in range(dataset.d)]
-        )
-        for i in range(len(dataset)):
-            w.writerow(
-                [
-                    int(dataset.ids[i]),
-                    int(dataset.y_true[i]),
-                    int(dataset.y_assigned[i]),
-                    int(dataset.h[i]),
-                    int(dataset.n[i]),
-                    int(dataset.base_id[i]),
-                ]
-                + [repr(float(v)) for v in dataset.X[i]]
-            )
+    columns = {c: getattr(dataset, c) for c in _COLUMNS}
+    return save_arrays(directory, prefix, meta, X=dataset.X, **columns)
 
 
 def load_dataset(directory: str | Path, prefix: str) -> Dataset:
-    directory = Path(directory)
-    manifest = json.loads((directory / f"{prefix}.json").read_text())
-    with open(directory / f"{prefix}.csv", newline="") as f:
-        rows = list(csv.reader(f))
-    header, rows = rows[0], rows[1:]
-    d = manifest["d"]
-    N = len(rows)
-    ids = np.empty(N, dtype=np.int64)
-    y_true = np.empty(N, dtype=np.int64)
-    y_assigned = np.empty(N, dtype=np.int64)
-    h = np.empty(N, dtype=np.int64)
-    n = np.empty(N, dtype=np.int64)
-    base_id = np.empty(N, dtype=np.int64)
-    X = np.empty((N, d))
-    for i, r in enumerate(rows):
-        ids[i], y_true[i], y_assigned[i], h[i], n[i], base_id[i] = map(int, r[:6])
-        X[i] = [float(v) for v in r[6 : 6 + d]]
+    meta, arrays = load_arrays(
+        directory, prefix, {"X": ("N", "d"), **{c: ("N",) for c in _COLUMNS}}
+    )
     return Dataset(
-        ids=ids,
-        X=X,
-        y_true=y_true,
-        y_assigned=y_assigned,
-        h=h,
-        n=n,
-        base_id=base_id,
-        K=manifest["K"],
-        d=d,
-        levels=manifest["L"],
-        classes_per_cell=manifest["P"],
-        class_cells={int(c): tuple(hn) for c, hn in manifest["class_cells"].items()},
-        kind=manifest["kind"],
+        **arrays,
+        K=meta["K"],
+        d=meta["d"],
+        levels=meta["L"],
+        classes_per_cell=meta["P"],
+        class_cells={int(c): tuple(hn) for c, hn in meta["class_cells"].items()},
+        kind=meta["kind"],
     )

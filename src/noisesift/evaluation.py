@@ -3,7 +3,7 @@ the retrain-on-filtered harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import special
@@ -162,15 +162,7 @@ def retrain_on_subset(
         model = init_model(
             dataset.d, list(hidden_sizes), feature_width, dataset.K, seed=seed
         )
-        cfg = TrainConfig(
-            epochs=train_cfg.epochs,
-            batch_size=train_cfg.batch_size,
-            learning_rate=train_cfg.learning_rate,
-            momentum=train_cfg.momentum,
-            weight_decay=train_cfg.weight_decay,
-            seed=seed,
-        )
-        model, _ = train_with_tracing(model, subset, cfg)
+        model, _ = train_with_tracing(model, subset, replace(train_cfg, seed=seed))
         acc, loss = evaluate(model, test_set)
         accs.append(acc)
         losses.append(loss)

@@ -8,9 +8,7 @@ several restarts kept by final log-likelihood.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -73,18 +71,6 @@ class GmmModel:
             "standardize_mean": self.standardize_mean.tolist(),
             "standardize_std": self.standardize_std.tolist(),
         }
-
-    @staticmethod
-    def from_json(data: dict) -> "GmmModel":
-        return GmmModel(
-            weights=np.asarray(data["weights"]),
-            means=np.asarray(data["means"]),
-            covariances=np.asarray(data["covariances"]),
-            log_likelihood=data["log_likelihood"],
-            n_iter=data["n_iter"],
-            standardize_mean=np.asarray(data["standardize_mean"]),
-            standardize_std=np.asarray(data["standardize_std"]),
-        )
 
 
 def _as_2d(points: np.ndarray) -> np.ndarray:
@@ -252,11 +238,3 @@ def log_likelihood(model: GmmModel, points: np.ndarray) -> float:
     pts = (pts - model.standardize_mean) / model.standardize_std
     joint = _component_logpdf(model.means, model.covariances, model.weights, pts)
     return float(np.atleast_1d(_logsumexp(joint, axis=1)).sum())
-
-
-def save_gmm(model: GmmModel, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(model.to_json(), indent=2))
-
-
-def load_gmm(path: str | Path) -> GmmModel:
-    return GmmModel.from_json(json.loads(Path(path).read_text()))

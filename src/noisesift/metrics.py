@@ -84,15 +84,6 @@ def jensen_shannon_onehot(probs: np.ndarray, assigned: np.ndarray) -> np.ndarray
     return 0.5 * (kl_p + kl_q)
 
 
-def end_of_training_metrics(
-    traces: TraceStore,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(loss_end, confidence_end, jsd) per sample, all at epoch T."""
-    raise_if_missing(traces)
-    T = traces.T
-    return traces.loss[T - 1], traces.p_pred[T - 1], traces_jsd(traces)
-
-
 def traces_jsd(traces: TraceStore) -> np.ndarray:
     """JSD at epoch T from stored per-sample probabilities.
 
@@ -205,18 +196,18 @@ def compute_metric_table(
     acd_variant: CentroidVariant = ACD_VARIANT,
     scd_variant: CentroidVariant = SCD_VARIANT,
 ) -> MetricTable:
-    loss_end, confidence_end, jsd = end_of_training_metrics(traces)
+    raise_if_missing(traces)
     first, acc, aul, aum = trajectory_metrics(traces, aum_literal=aum_literal)
     acd = centroid_distance_from_traces(traces, acd_variant)
     scd = centroid_distance_from_traces(traces, scd_variant)
     values = {
-        "loss_end": loss_end,
-        "confidence_end": confidence_end,
+        "loss_end": traces.loss[traces.T - 1],
+        "confidence_end": traces.p_pred[traces.T - 1],
         "first_pred_epoch": first.astype(float),
         "acc_over_training": acc,
         "aul": aul,
         "aum": aum,
-        "jsd": jsd,
+        "jsd": traces_jsd(traces),
         "acd": acd,
         "scd": scd,
     }
@@ -230,11 +221,16 @@ def compute_metric_table(
     return MetricTable(ids=traces.ids.copy(), values=values, params=params)
 
 
-def save_metric_table(table: MetricTable, directory: str | Path, prefix: str = "metrics") -> None:
+def save_metric_table(
+    table: MetricTable, directory: str | Path, prefix: str = "metrics"
+) -> list[Path]:
+    """Write <prefix>.json (variant parameters) and the <prefix>.csv table."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{prefix}.json").write_text(json.dumps(table.params, indent=2))
-    with open(directory / f"{prefix}.csv", "w", newline="") as f:
+    params_path = directory / f"{prefix}.json"
+    params_path.write_text(json.dumps(table.params, indent=2))
+    csv_path = directory / f"{prefix}.csv"
+    with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id"] + list(COLUMNS))
         for i in range(len(table.ids)):
@@ -242,6 +238,7 @@ def save_metric_table(table: MetricTable, directory: str | Path, prefix: str = "
                 [int(table.ids[i])]
                 + [repr(float(table.values[c][i])) for c in COLUMNS]
             )
+    return [csv_path, params_path]
 
 
 def load_metric_table(directory: str | Path, prefix: str = "metrics") -> MetricTable:

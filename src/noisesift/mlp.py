@@ -10,14 +10,13 @@ given the seed.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_arrays, save_arrays
 from .data import Dataset
 from .errors import ConfigurationError, TrainingDivergedError
 
@@ -307,25 +306,37 @@ def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
     return acc, float(np.mean(-np.log(p)))
 
 
-def save_model(model: Model, path: str | Path) -> None:
+def save_model(model: Model, path: str | Path) -> list[Path]:
+    """Write <path>.json and <path>_w<i>.npy / <path>_b<i>.npy per layer."""
     path = Path(path)
-    meta = {"hidden_count": model.hidden_count, "d": model.d, "m": model.m, "K": model.K}
+    meta = {
+        "hidden_count": model.hidden_count,
+        "d": model.d,
+        "m": model.m,
+        "K": model.K,
+        "layers": len(model.weights),
+    }
     arrays = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    np.savez(path.with_suffix(".npz"), **arrays)
-    path.with_suffix(".json").write_text(json.dumps(meta))
+    return save_arrays(path.parent, path.name, meta, **arrays)
 
 
 def load_model(path: str | Path) -> Model:
     path = Path(path)
-    meta = json.loads(path.with_suffix(".json").read_text())
-    data = np.load(path.with_suffix(".npz"))
-    n_layers = len([k for k in data.files if k.startswith("w")])
+    meta, _ = load_arrays(path.parent, path.name, {})
+    layers = meta["layers"]
+    # Layer i maps width n<i> to n<i+1>; the chain starts at d and ends at K.
+    dims = ["d"] + [f"n{i}" for i in range(1, layers)] + ["K"]
+    shapes = {}
+    for i in range(layers):
+        shapes[f"w{i}"] = (dims[i], dims[i + 1])
+        shapes[f"b{i}"] = (dims[i + 1],)
+    meta, arrays = load_arrays(path.parent, path.name, shapes)
     return Model(
-        weights=[data[f"w{i}"] for i in range(n_layers)],
-        biases=[data[f"b{i}"] for i in range(n_layers)],
+        weights=[arrays[f"w{i}"] for i in range(layers)],
+        biases=[arrays[f"b{i}"] for i in range(layers)],
         hidden_count=meta["hidden_count"],
         d=meta["d"],
         m=meta["m"],
@@ -333,88 +344,29 @@ def load_model(path: str | Path) -> Model:
     )
 
 
-def save_traces(traces: TraceStore, directory: str | Path, prefix: str = "traces") -> None:
-    """Records CSV + two snapshot CSVs + JSON header."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    header = {"T": traces.T, "N": traces.N, "m": traces.m, "mid_epoch": traces.mid_epoch}
-    (directory / f"{prefix}.json").write_text(json.dumps(header))
-    with open(directory / f"{prefix}_records.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(
-            ["epoch", "id", "loss", "pred_class", "p_pred", "p_assigned",
-             "p_runner_up", "p_max_other_than_assigned"]
-        )
-        for t in range(traces.T):
-            for i in range(traces.N):
-                w.writerow(
-                    [t + 1, int(traces.ids[i]), repr(float(traces.loss[t, i])),
-                     int(traces.pred[t, i]), repr(float(traces.p_pred[t, i])),
-                     repr(float(traces.p_assigned[t, i])),
-                     repr(float(traces.p_runner_up[t, i])),
-                     repr(float(traces.p_max_other[t, i]))]
-                )
-    for name, snap in (("mid", traces.features_mid), ("end", traces.features_end)):
-        with open(directory / f"{prefix}_features_{name}.csv", "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(["id"] + [f"f_{j}" for j in range(traces.m)])
-            for i in range(traces.N):
-                w.writerow([int(traces.ids[i])] + [repr(float(v)) for v in snap[i]])
-    np.save(directory / f"{prefix}_train_acc.npy", traces.train_acc)
-    np.save(directory / f"{prefix}_y_assigned.npy", traces.y_assigned)
+# Shape of every TraceStore array: T epochs, N samples, m feature width.
+_TRACE_SHAPES = {
+    "ids": ("N",),
+    "y_assigned": ("N",),
+    "loss": ("T", "N"),
+    "pred": ("T", "N"),
+    "p_pred": ("T", "N"),
+    "p_assigned": ("T", "N"),
+    "p_runner_up": ("T", "N"),
+    "p_max_other": ("T", "N"),
+    "train_acc": ("T",),
+    "features_mid": ("N", "m"),
+    "features_end": ("N", "m"),
+}
+
+
+def save_traces(traces: TraceStore, directory: str | Path, prefix: str = "traces") -> list[Path]:
+    """Write <prefix>.json (T, N, m, mid_epoch) and one .npy per array."""
+    meta = {"T": traces.T, "N": traces.N, "m": traces.m, "mid_epoch": traces.mid_epoch}
+    arrays = {name: getattr(traces, name) for name in _TRACE_SHAPES}
+    return save_arrays(directory, prefix, meta, **arrays)
 
 
 def load_traces(directory: str | Path, prefix: str = "traces") -> TraceStore:
-    directory = Path(directory)
-    header = json.loads((directory / f"{prefix}.json").read_text())
-    T, N, m = header["T"], header["N"], header["m"]
-    ids = np.empty(N, dtype=np.int64)
-    loss = np.empty((T, N))
-    pred = np.empty((T, N), dtype=np.int64)
-    p_pred = np.empty((T, N))
-    p_assigned = np.empty((T, N))
-    p_runner_up = np.empty((T, N))
-    p_max_other = np.empty((T, N))
-    with open(directory / f"{prefix}_records.csv", newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        row_in_epoch = 0
-        epoch = 0
-        for rec in r:
-            t = int(rec[0]) - 1
-            if t != epoch:
-                epoch, row_in_epoch = t, 0
-            i = row_in_epoch
-            if t == 0:
-                ids[i] = int(rec[1])
-            loss[t, i] = float(rec[2])
-            pred[t, i] = int(rec[3])
-            p_pred[t, i] = float(rec[4])
-            p_assigned[t, i] = float(rec[5])
-            p_runner_up[t, i] = float(rec[6])
-            p_max_other[t, i] = float(rec[7])
-            row_in_epoch += 1
-
-    def _load_snap(name: str) -> np.ndarray:
-        snap = np.empty((N, m))
-        with open(directory / f"{prefix}_features_{name}.csv", newline="") as f:
-            r = csv.reader(f)
-            next(r)
-            for i, rec in enumerate(r):
-                snap[i] = [float(v) for v in rec[1 : 1 + m]]
-        return snap
-
-    return TraceStore(
-        ids=ids,
-        y_assigned=np.load(directory / f"{prefix}_y_assigned.npy"),
-        loss=loss,
-        pred=pred,
-        p_pred=p_pred,
-        p_assigned=p_assigned,
-        p_runner_up=p_runner_up,
-        p_max_other=p_max_other,
-        train_acc=np.load(directory / f"{prefix}_train_acc.npy"),
-        features_mid=_load_snap("mid"),
-        features_end=_load_snap("end"),
-        mid_epoch=header["mid_epoch"],
-    )
+    meta, arrays = load_arrays(directory, prefix, _TRACE_SHAPES)
+    return TraceStore(**arrays, mid_epoch=meta["mid_epoch"])

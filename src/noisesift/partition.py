@@ -8,14 +8,13 @@ plus the centroid-distance ablation variants.
 
 from __future__ import annotations
 
-import csv
-import json
 import warnings
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_arrays, save_arrays
 from .errors import ConfigurationError, DegenerateDataError, UnknownMethodError
 from .gmm import GmmConfig, fit_gmm, responsibilities
 from .metrics import ACD_VARIANT, SCD_VARIANT, CentroidVariant
@@ -183,74 +182,75 @@ def partition_gmm2d(
     )
 
 
-def _wjsd_note() -> str:
-    return "jsd-substituted"
+WJSD_NOTE = "jsd-substituted"
+
+_ACD_MID = replace(ACD_VARIANT, epoch="mid")
+_ACD_MID_NORM = replace(ACD_VARIANT, epoch="mid", distance="euclidean")
+_ACD_MID_STATIC = replace(ACD_VARIANT, epoch="mid", centroid="static")
+
+# The standard comparison rows.
+TABLE1_METHODS = (
+    MethodSpec("Thres_Loss", "threshold", "loss_end", polarity_x=HIGH_IS_NOISY),
+    MethodSpec(
+        "Thres_acc-over-training", "threshold", "acc_over_training",
+        polarity_x=LOW_IS_NOISY,
+    ),
+    MethodSpec("Thres_AUM", "threshold", "aum", polarity_x=LOW_IS_NOISY),
+    MethodSpec("1d-GMM_Loss", "gmm1d", "loss_end", polarity_x=HIGH_IS_NOISY),
+    MethodSpec("1d-GMM_AUL", "gmm1d", "aul", polarity_x=HIGH_IS_NOISY),
+    MethodSpec(
+        "2d-GMM_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT,
+        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM_acc-SCD", "gmm2d", "acc_over_training", SCD_VARIANT,
+        polarity_x=LOW_IS_NOISY, clusters=3,
+    ),
+)
+
+# The centroid-distance ablations.
+ABLATION_METHODS = (
+    MethodSpec(
+        "2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID,
+        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM,
+        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC,
+        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT,
+        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID,
+        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM,
+        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC,
+        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+    ),
+    MethodSpec(
+        "2d-GMM-3clusters_acc-ACD", "gmm2d", "acc_over_training", ACD_VARIANT,
+        polarity_x=LOW_IS_NOISY, clusters=3,
+    ),
+)
+
+TABLE1_METHOD_NAMES = tuple(m.name for m in TABLE1_METHODS)
+ABLATION_METHOD_NAMES = tuple(m.name for m in ABLATION_METHODS)
 
 
 def builtin_methods() -> list[MethodSpec]:
     """The standard comparison rows plus the centroid-distance ablations."""
-    acd = ACD_VARIANT
-    scd = SCD_VARIANT
-    acd_mid = replace(acd, epoch="mid")
-    acd_mid_norm = replace(acd, epoch="mid", distance="euclidean")
-    acd_mid_static = replace(acd, epoch="mid", centroid="static")
-    table1 = [
-        MethodSpec("Thres_Loss", "threshold", "loss_end", polarity_x=HIGH_IS_NOISY),
-        MethodSpec(
-            "Thres_acc-over-training", "threshold", "acc_over_training",
-            polarity_x=LOW_IS_NOISY,
-        ),
-        MethodSpec("Thres_AUM", "threshold", "aum", polarity_x=LOW_IS_NOISY),
-        MethodSpec("1d-GMM_Loss", "gmm1d", "loss_end", polarity_x=HIGH_IS_NOISY),
-        MethodSpec("1d-GMM_AUL", "gmm1d", "aul", polarity_x=HIGH_IS_NOISY),
-        MethodSpec(
-            "2d-GMM_WJSD-ACD", "gmm2d", "jsd", acd,
-            polarity_x=HIGH_IS_NOISY, clusters=2, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM_acc-SCD", "gmm2d", "acc_over_training", scd,
-            polarity_x=LOW_IS_NOISY, clusters=3,
-        ),
-    ]
-    ablation = [
-        MethodSpec(
-            "2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", acd_mid,
-            polarity_x=HIGH_IS_NOISY, clusters=2, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", acd_mid_norm,
-            polarity_x=HIGH_IS_NOISY, clusters=2, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM_WJSD-ACD_mid-static", "gmm2d", "jsd", acd_mid_static,
-            polarity_x=HIGH_IS_NOISY, clusters=2, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", acd,
-            polarity_x=HIGH_IS_NOISY, clusters=3, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", acd_mid,
-            polarity_x=HIGH_IS_NOISY, clusters=3, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm2d", "jsd", acd_mid_norm,
-            polarity_x=HIGH_IS_NOISY, clusters=3, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm2d", "jsd", acd_mid_static,
-            polarity_x=HIGH_IS_NOISY, clusters=3, notes=_wjsd_note(),
-        ),
-        MethodSpec(
-            "2d-GMM-3clusters_acc-ACD", "gmm2d", "acc_over_training", acd,
-            polarity_x=LOW_IS_NOISY, clusters=3,
-        ),
-    ]
-    return table1 + ablation
-
-
-ABLATION_METHOD_NAMES = tuple(m.name for m in builtin_methods()[7:])
-TABLE1_METHOD_NAMES = tuple(m.name for m in builtin_methods()[:7])
+    return [*TABLE1_METHODS, *ABLATION_METHODS]
 
 
 def lookup_method(name: str) -> MethodSpec:
@@ -299,38 +299,31 @@ def run_method(
     return part
 
 
-def save_partition(part: Partition, directory: str | Path, prefix: str) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{prefix}.json").write_text(
-        json.dumps({"method_name": part.method_name, "parameters": part.parameters}, indent=2)
+def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[Path]:
+    """Write <prefix>.json (name and parameters) and, over the sorted ids,
+    the noisy flag and the cluster label (-1 where there is none)."""
+    ids = np.array(sorted(part.clean_ids | part.noisy_ids), dtype=np.int64)
+    labels = part.cluster_labels or {}
+    return save_arrays(
+        directory,
+        prefix,
+        {"method_name": part.method_name, "parameters": part.parameters},
+        ids=ids,
+        noisy=np.array([i in part.noisy_ids for i in ids.tolist()], dtype=bool),
+        cluster_label=np.array([labels.get(i, -1) for i in ids.tolist()], dtype=np.int64),
     )
-    all_ids = sorted(part.clean_ids | part.noisy_ids)
-    with open(directory / f"{prefix}.csv", "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id", "subset", "cluster_label"])
-        for i in all_ids:
-            label = "" if part.cluster_labels is None else part.cluster_labels.get(i, "")
-            w.writerow([i, part.subset_of(i), label])
 
 
 def load_partition(directory: str | Path, prefix: str) -> Partition:
-    directory = Path(directory)
-    meta = json.loads((directory / f"{prefix}.json").read_text())
-    clean, noisy = set(), set()
-    labels: dict[int, int] = {}
-    with open(directory / f"{prefix}.csv", newline="") as f:
-        r = csv.reader(f)
-        next(r)
-        for rec in r:
-            i = int(rec[0])
-            (noisy if rec[1] == "noisy" else clean).add(i)
-            if rec[2] != "":
-                labels[i] = int(rec[2])
+    meta, arrays = load_arrays(
+        directory, prefix, {"ids": ("N",), "noisy": ("N",), "cluster_label": ("N",)}
+    )
+    ids, noisy, label = arrays["ids"], arrays["noisy"], arrays["cluster_label"]
+    has_label = label >= 0
     return Partition(
-        clean_ids=clean,
-        noisy_ids=noisy,
+        clean_ids=set(ids[~noisy].tolist()),
+        noisy_ids=set(ids[noisy].tolist()),
         method_name=meta["method_name"],
         parameters=meta["parameters"],
-        cluster_labels=labels or None,
+        cluster_labels=dict(zip(ids[has_label].tolist(), label[has_label].tolist())) or None,
     )

@@ -8,7 +8,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +22,6 @@ from .metrics import compute_metric_table, load_metric_table, save_metric_table
 from .mlp import (
     TrainConfig,
     init_model,
-    load_model,
     load_traces,
     save_model,
     save_traces,
@@ -59,6 +58,25 @@ DEFAULT_CONFIG = {
 }
 
 
+# Keys a config may hold: those of DEFAULT_CONFIG, the GridSpec fields
+# (the seed is the top-level one) and the optional hardness schedule.
+_ALLOWED_KEYS = {
+    **DEFAULT_CONFIG,
+    "grid": {f.name: None for f in fields(GridSpec) if f.name != "seed"},
+    "hardness": {**DEFAULT_CONFIG["hardness"], "eps_by_h": None},
+}
+
+
+def _check_keys(cfg: dict, allowed: dict, where: str = "") -> None:
+    for key, value in cfg.items():
+        if key not in allowed:
+            raise ConfigurationError(f"unknown config key {where + key!r}")
+        if isinstance(allowed[key], dict):
+            if not isinstance(value, dict):
+                raise ConfigurationError(f"config key {where + key!r} must be an object")
+            _check_keys(value, allowed[key], f"{where}{key}.")
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     out = dict(base)
     for k, v in override.items():
@@ -79,6 +97,7 @@ def load_config(path: str | Path, seed_override: int | None = None) -> dict:
 
 
 def validate_config(cfg: dict) -> None:
+    _check_keys(cfg, _ALLOWED_KEYS)
     h = cfg["hardness"]
     if h["type"] not in HARDNESS_TYPES:
         raise ConfigurationError(f"unknown hardness type {h['type']!r}")
@@ -110,6 +129,12 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _write_atomic(path: Path, text: str) -> None:
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    tmp.replace(path)
+
+
 @dataclass
 class Run:
     """A run directory with its config and manifest."""
@@ -120,36 +145,40 @@ class Run:
 
     @staticmethod
     def open(directory: str | Path, config: dict | None = None) -> "Run":
+        """Open a run directory; with `config`, create it or check that it
+        holds the same config before writing anything."""
         directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
         cfg_path = directory / "config.json"
-        if config is not None:
-            cfg_path.write_text(json.dumps(config, indent=2, sort_keys=True))
-        elif cfg_path.exists():
-            config = json.loads(cfg_path.read_text())
-        else:
+        stored = json.loads(cfg_path.read_text()) if cfg_path.exists() else None
+        config = stored if config is None else config
+        if config is None:
             raise StageError("init", f"no config in {directory}")
+        digest = config_digest(config)
         man_path = directory / "manifest.json"
         if man_path.exists():
             manifest = json.loads(man_path.read_text())
-            if manifest.get("config_digest") != config_digest(config):
+            if manifest.get("config_digest") != digest:
                 raise StageError("init", "run directory holds a different config")
         else:
             manifest = {
-                "run_id": config_digest(config)[:12],
-                "config_digest": config_digest(config),
+                "run_id": digest[:12],
+                "config_digest": digest,
                 "seed": config["seed"],
                 "stages": {},
                 "timestamps": {},
             }
+        if config != stored:
+            directory.mkdir(parents=True, exist_ok=True)
+            _write_atomic(cfg_path, json.dumps(config, indent=2, sort_keys=True))
         return Run(directory=directory, config=config, manifest=manifest)
 
     # -- manifest bookkeeping -------------------------------------------------
 
     def _write_manifest(self) -> None:
-        tmp = self.directory / "manifest.json.tmp"
-        tmp.write_text(json.dumps(self.manifest, indent=2, sort_keys=True))
-        tmp.replace(self.directory / "manifest.json")
+        _write_atomic(
+            self.directory / "manifest.json",
+            json.dumps(self.manifest, indent=2, sort_keys=True),
+        )
 
     def stage_complete(self, stage: str) -> bool:
         return self.manifest["stages"].get(stage, {}).get("complete", False)
@@ -226,18 +255,10 @@ def stage_gen(run: Run) -> None:
             {"transform": "diversification", "jitter_std": jitter, "seed": seed + 1}
         )
     elif htype == "boundary":
-        oracle_cfg = TrainConfig(
-            epochs=cfg["oracle"].get("epochs", 30),
-            batch_size=cfg["train"]["batch_size"],
-            learning_rate=cfg["train"]["learning_rate"],
-            momentum=cfg["train"]["momentum"],
-            weight_decay=cfg["train"]["weight_decay"],
-            seed=seed + 7,
-        )
+        oracle_cfg = run.train_config(seed=seed + 7, epochs=cfg["oracle"].get("epochs", 30))
         oracle = run._model_for(train, seed=seed + 7)
         oracle, _ = train_with_tracing(oracle, train, oracle_cfg)
-        save_model(oracle, run.directory / "oracle")
-        files += [run.directory / "oracle.npz", run.directory / "oracle.json"]
+        files += save_model(oracle, run.directory / "oracle")
         if "eps_by_h" in cfg["hardness"]:
             schedule = transforms.EpsSchedule(tuple(cfg["hardness"]["eps_by_h"]))
         else:
@@ -254,9 +275,10 @@ def stage_gen(run: Run) -> None:
     provenance.append({"transform": "noise", "delta": noise.delta, "seed": seed + 2})
 
     gt = transforms.ground_truth_partition(train, cfg["eval"].get("h_threshold", 4))
-    save_dataset(train, run.directory, "train")
-    save_dataset(test, run.directory, "test")
-    (run.directory / "ground_truth.json").write_text(
+    files += save_dataset(train, run.directory, "train")
+    files += save_dataset(test, run.directory, "test")
+    gt_path = run.directory / "ground_truth.json"
+    gt_path.write_text(
         json.dumps(
             {
                 "noisy_ids": sorted(gt.noisy_ids),
@@ -267,14 +289,7 @@ def stage_gen(run: Run) -> None:
         )
     )
     run.manifest["provenance"] = provenance
-    files += [
-        run.directory / "train.csv",
-        run.directory / "train.json",
-        run.directory / "test.csv",
-        run.directory / "test.json",
-        run.directory / "ground_truth.json",
-    ]
-    run.mark_complete("gen", files)
+    run.mark_complete("gen", files + [gt_path])
 
 
 def stage_train(run: Run) -> None:
@@ -282,31 +297,15 @@ def stage_train(run: Run) -> None:
     train = load_dataset(run.directory, "train")
     model = run._model_for(train, seed=run.config["seed"])
     model, traces = train_with_tracing(model, train, run.train_config())
-    save_model(model, run.directory / "model")
-    save_traces(traces, run.directory)
-    run.mark_complete(
-        "train",
-        [
-            run.directory / "model.npz",
-            run.directory / "model.json",
-            run.directory / "traces.json",
-            run.directory / "traces_records.csv",
-            run.directory / "traces_features_mid.csv",
-            run.directory / "traces_features_end.csv",
-            run.directory / "traces_train_acc.npy",
-            run.directory / "traces_y_assigned.npy",
-        ],
-    )
+    files = save_model(model, run.directory / "model") + save_traces(traces, run.directory)
+    run.mark_complete("train", files)
 
 
 def stage_metrics(run: Run) -> None:
     run.require_stage("train", "metrics")
     traces = load_traces(run.directory)
     table = compute_metric_table(traces)
-    save_metric_table(table, run.directory)
-    run.mark_complete(
-        "metrics", [run.directory / "metrics.csv", run.directory / "metrics.json"]
-    )
+    run.mark_complete("metrics", save_metric_table(table, run.directory))
 
 
 def stage_partition(run: Run) -> None:
@@ -318,9 +317,7 @@ def stage_partition(run: Run) -> None:
     for name in run.config["methods"]:
         spec = lookup_method(name)
         part = run_method(spec, table, traces, gmm_cfg)
-        prefix = run._partition_prefix(name)
-        save_partition(part, run.directory, prefix)
-        files += [run.directory / f"{prefix}.csv", run.directory / f"{prefix}.json"]
+        files += save_partition(part, run.directory, run._partition_prefix(name))
     run.mark_complete("partition", files)
 
 

@@ -1,12 +1,11 @@
 """EM mixture fitting: likelihood monotonicity, parameter recovery,
-responsibilities, and persistence."""
+and responsibilities."""
 
 import numpy as np
 import pytest
 
 from noisesift import GmmConfig, fit_gmm, log_likelihood, responsibilities
 from noisesift.errors import ConfigurationError, DegenerateDataError
-from noisesift.gmm import load_gmm, save_gmm
 
 
 def _two_component_1d(rng, n=5000, w0=0.35):
@@ -102,13 +101,3 @@ def test_covariance_floor_keeps_fits_finite(rng):
     assert np.isfinite(model.log_likelihood)
     for cov in model.covariances:
         assert np.all(np.linalg.eigvalsh(cov) >= 1e-7)
-
-
-def test_gmm_save_load_roundtrip(tmp_path, rng):
-    pts, _, _ = _two_component_1d(rng, n=300)
-    model = fit_gmm(pts, GmmConfig(k=2, seed=0))
-    save_gmm(model, tmp_path / "gmm.json")
-    loaded = load_gmm(tmp_path / "gmm.json")
-    np.testing.assert_array_equal(loaded.means, model.means)
-    np.testing.assert_array_equal(loaded.weights, model.weights)
-    np.testing.assert_array_equal(loaded.covariances, model.covariances)

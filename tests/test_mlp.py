@@ -229,6 +229,20 @@ def test_traces_save_load_roundtrip(tmp_path, small_train):
     assert loaded.mid_epoch == traces.mid_epoch
 
 
+def test_load_traces_rejects_a_misshapen_or_missing_array(tmp_path, small_train):
+    cfg = TrainConfig(epochs=3, seed=0)
+    model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
+    _, traces = train_with_tracing(model, small_train, cfg)
+    save_traces(traces, tmp_path)
+    np.save(tmp_path / "traces_loss.npy", traces.loss[:, :-1])  # (T, N-1)
+    with pytest.raises(ConfigurationError, match="traces_loss.npy"):
+        load_traces(tmp_path)
+    save_traces(traces, tmp_path)
+    (tmp_path / "traces_pred.npy").unlink()
+    with pytest.raises(ConfigurationError, match="traces_pred.npy"):
+        load_traces(tmp_path)
+
+
 def test_init_model_rejects_bad_shapes():
     with pytest.raises(ConfigurationError):
         init_model(4, [0], 2, 3)

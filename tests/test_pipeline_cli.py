@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from noisesift.cli import main
-from noisesift.errors import StageError
+from noisesift.errors import ConfigurationError, StageError
 from noisesift.pipeline import (
     DEFAULT_CONFIG,
     Run,
@@ -42,14 +42,14 @@ def _small_config(tmp_path, **overrides):
 EXPECTED_ARTIFACTS = (
     "config.json",
     "manifest.json",
-    "train.csv",
-    "test.csv",
+    "train_X.npy",
+    "test_X.npy",
     "ground_truth.json",
-    "model.npz",
-    "traces_records.csv",
+    "model_w0.npy",
+    "traces_loss.npy",
     "metrics.csv",
-    "partition_Thres_Loss.csv",
-    "partition_2d-GMM_acc-SCD.csv",
+    "partition_Thres_Loss_noisy.npy",
+    "partition_2d-GMM_acc-SCD_noisy.npy",
     "eval.json",
     "report.csv",
     "report.md",
@@ -73,7 +73,10 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     cfg_path = _small_config(tmp_path)
     d1 = run_pipeline(cfg_path, tmp_path / "a")
     d2 = run_pipeline(cfg_path, tmp_path / "b")
-    for name in ("report.csv", "cells.csv", "metrics.csv", "train.csv"):
+    for name in (
+        "report.csv", "cells.csv", "metrics.csv",
+        "train_X.npy", "traces_loss.npy", "model_w0.npy",
+    ):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
@@ -101,8 +104,8 @@ def test_checksum_guard_detects_tampering(tmp_path):
     run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
     run_pipeline(cfg_path, run_dir, stage="train")
     # Corrupt an upstream artifact and demand the next stage.
-    with open(run_dir / "traces_records.csv", "a") as f:
-        f.write("tampered\n")
+    with open(run_dir / "traces_loss.npy", "ab") as f:
+        f.write(b"tampered\n")
     with pytest.raises(StageError):
         run_pipeline(cfg_path, run_dir, stage="metrics")
 
@@ -111,16 +114,42 @@ def test_seed_override_changes_the_data(tmp_path):
     cfg_path = _small_config(tmp_path)
     d1 = run_pipeline(cfg_path, tmp_path / "a", stage="gen")
     d2 = run_pipeline(cfg_path, tmp_path / "b", seed=99, stage="gen")
-    assert (d1 / "train.csv").read_bytes() != (d2 / "train.csv").read_bytes()
+    assert (d1 / "train_X.npy").read_bytes() != (d2 / "train_X.npy").read_bytes()
 
 
 def test_run_directory_rejects_foreign_config(tmp_path):
     cfg_path = _small_config(tmp_path)
     run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
+    config_before = (run_dir / "config.json").read_bytes()
     (tmp_path / "other").mkdir(exist_ok=True)
     other = _small_config(tmp_path / "other", seed=5)
     with pytest.raises(StageError):
         run_pipeline(other, run_dir, stage="gen")
+    # The refused config left the directory untouched and usable.
+    assert (run_dir / "config.json").read_bytes() == config_before
+    assert Run.open(run_dir).config == load_config(cfg_path)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"train": {"epoch": 3}},
+        {"grid": {"seed": 4}},
+        {"bogus": 1},
+        {"grid": {"level": 3}},
+        {"grid": 3},
+    ],
+)
+def test_load_config_rejects_unknown_keys(tmp_path, raw):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigurationError):
+        load_config(path)
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(path), "--out", str(tmp_path / "run")]
+    )
+    assert result.exit_code == 1
+    assert "error:" in result.output
 
 
 def test_default_config_is_valid():
@@ -185,9 +214,8 @@ def test_boundary_pipeline_runs(tmp_path):
         oracle={"epochs": 8},
     )
     run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
-    assert (run_dir / "oracle.npz").exists()
-    train_rows = (run_dir / "train.csv").read_text().strip().splitlines()
-    assert len(train_rows) > 1
+    assert (run_dir / "oracle_w0.npy").exists()
+    assert len(np.load(run_dir / "train_X.npy")) > 0
 
 
 def test_retrain_eval_columns(tmp_path):
