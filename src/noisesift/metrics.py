@@ -242,13 +242,30 @@ def save_metric_table(
 
 
 def load_metric_table(directory: str | Path, prefix: str = "metrics") -> MetricTable:
+    """Read a table written by save_metric_table.  A header other than
+    `id` plus COLUMNS, a row of another width, or a field that is not a
+    number raises ConfigurationError naming the file."""
     directory = Path(directory)
     params = json.loads((directory / f"{prefix}.json").read_text())
-    with open(directory / f"{prefix}.csv", newline="") as f:
+    csv_path = directory / f"{prefix}.csv"
+    with open(csv_path, newline="") as f:
         rows = list(csv.reader(f))
+    header = ["id", *COLUMNS]
+    if not rows or rows[0] != header:
+        raise ConfigurationError(
+            f"artifact {csv_path.name} does not start with the header {','.join(header)}"
+        )
     rows = rows[1:]
-    ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-    values = {
-        c: np.array([float(r[j + 1]) for r in rows]) for j, c in enumerate(COLUMNS)
-    }
+    for line, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigurationError(
+                f"artifact {csv_path.name} line {line} has {len(row)} fields, expected {len(header)}"
+            )
+    try:
+        ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
+        values = {
+            c: np.array([float(r[j + 1]) for r in rows]) for j, c in enumerate(COLUMNS)
+        }
+    except ValueError as exc:
+        raise ConfigurationError(f"artifact {csv_path.name} cannot be read: {exc}") from exc
     return MetricTable(ids=ids, values=values, params=params)

@@ -303,14 +303,23 @@ def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[
     """Write <prefix>.json (name and parameters) and, over the sorted ids,
     the noisy flag and the cluster label (-1 where there is none)."""
     ids = np.array(sorted(part.clean_ids | part.noisy_ids), dtype=np.int64)
+    noisy = np.zeros(len(ids), dtype=bool)
+    noisy[np.searchsorted(ids, np.fromiter(part.noisy_ids, np.int64, len(part.noisy_ids)))] = True
+    # A label for an id outside the partition is dropped.
     labels = part.cluster_labels or {}
+    labelled = np.fromiter(labels, np.int64, len(labels))
+    pos = np.searchsorted(ids, labelled)
+    hit = pos < len(ids)
+    hit[hit] = ids[pos[hit]] == labelled[hit]
+    cluster_label = np.full(len(ids), -1, dtype=np.int64)
+    cluster_label[pos[hit]] = np.fromiter(labels.values(), np.int64, len(labels))[hit]
     return save_arrays(
         directory,
         prefix,
         {"method_name": part.method_name, "parameters": part.parameters},
         ids=ids,
-        noisy=np.array([i in part.noisy_ids for i in ids.tolist()], dtype=bool),
-        cluster_label=np.array([labels.get(i, -1) for i in ids.tolist()], dtype=np.int64),
+        noisy=noisy,
+        cluster_label=cluster_label,
     )
 
 

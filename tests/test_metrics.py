@@ -216,6 +216,25 @@ def test_metric_table_roundtrip(tmp_path):
     assert loaded.params == table.params
 
 
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text[: text.rindex(",")],              # truncated last row
+        lambda text: text.replace("aum", "margin", 1),      # foreign header
+        lambda text: text.split("\n", 1)[1],                # header missing
+        lambda text: "",                                    # empty file
+        lambda text: text.rstrip().rsplit(",", 1)[0] + ",abc\n",  # not a number
+    ],
+    ids=["truncated-row", "foreign-header", "no-header", "empty", "not-a-number"],
+)
+def test_load_metric_table_rejects_a_damaged_csv(tmp_path, corrupt):
+    save_metric_table(compute_metric_table(_toy_traces()), tmp_path)
+    path = tmp_path / "metrics.csv"
+    path.write_text(corrupt(path.read_text()))
+    with pytest.raises(ConfigurationError, match="metrics.csv"):
+        load_metric_table(tmp_path)
+
+
 def test_first_pred_epoch_sentinel_recorded():
     traces = _toy_traces()
     table = compute_metric_table(traces)

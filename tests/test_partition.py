@@ -17,6 +17,7 @@ from noisesift.partition import (
     HIGH_IS_NOISY,
     LOW_IS_NOISY,
     TABLE1_METHOD_NAMES,
+    Partition,
     load_partition,
     save_partition,
 )
@@ -155,3 +156,24 @@ def test_partition_with_cluster_labels_roundtrip(tmp_path, rng):
     loaded = load_partition(tmp_path, "p2")
     assert loaded.cluster_labels == part.cluster_labels
     assert loaded.noisy_ids == part.noisy_ids
+
+
+@pytest.mark.parametrize(
+    "part",
+    [
+        Partition({40, 7, 300}, {2, 99}, "m", {}, {7: 1, 99: 0, 5: 2, 1000: 1}),
+        Partition({3}, set(), "m", {}, None),
+        Partition(set(), set(), "m", {}, {4: 0}),
+    ],
+)
+def test_save_partition_arrays_match_per_id_lookup(tmp_path, part):
+    save_partition(part, tmp_path, "p")
+    ids = sorted(part.clean_ids | part.noisy_ids)
+    labels = part.cluster_labels or {}
+    np.testing.assert_array_equal(np.load(tmp_path / "p_ids.npy"), ids)
+    np.testing.assert_array_equal(
+        np.load(tmp_path / "p_noisy.npy"), [i in part.noisy_ids for i in ids]
+    )
+    np.testing.assert_array_equal(
+        np.load(tmp_path / "p_cluster_label.npy"), [labels.get(i, -1) for i in ids]
+    )
