@@ -84,25 +84,9 @@ class Dataset:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def copy(self) -> "Dataset":
-        return Dataset(
-            ids=self.ids.copy(),
-            X=self.X.copy(),
-            y_true=self.y_true.copy(),
-            y_assigned=self.y_assigned.copy(),
-            h=self.h.copy(),
-            n=self.n.copy(),
-            base_id=self.base_id.copy(),
-            K=self.K,
-            d=self.d,
-            levels=self.levels,
-            classes_per_cell=self.classes_per_cell,
-            class_cells=dict(self.class_cells),
-            kind=self.kind,
-        )
-
-    def take(self, mask_or_index: np.ndarray) -> "Dataset":
-        """New Dataset restricted to the given boolean mask or index array."""
+    def take(self, mask_or_index: np.ndarray | slice) -> "Dataset":
+        """New Dataset restricted to the given boolean mask, index array or
+        slice; `take(slice(None))` is a full copy."""
         sel = mask_or_index
         return Dataset(
             ids=self.ids[sel].copy(),

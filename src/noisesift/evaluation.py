@@ -43,35 +43,35 @@ class EvalReport:
         }
 
 
+def _require_aligned(ids: np.ndarray, dataset: Dataset, what: str) -> None:
+    """Masks over `ids` apply to the dataset rows only when the ids are the
+    dataset's, in the same order."""
+    if not np.array_equal(ids, dataset.ids):
+        raise ConfigurationError(f"{what} ids do not match the dataset")
+
+
 def score_partition(
     partition: Partition, ground_truth: GroundTruthPartition, dataset: Dataset
 ) -> EvalReport:
     """Precision/recall of the noisy subset, recall of hard samples kept
     clean, correct-label fraction of the clean subset, and estimated
     label-noise level 1 - |clean|/|all|."""
-    all_ids = set(dataset.ids.tolist())
-    part_ids = partition.clean_ids | partition.noisy_ids
-    if part_ids != all_ids:
-        raise ConfigurationError("partition ids do not match the dataset")
-    if ground_truth.all_ids() != all_ids:
-        raise ConfigurationError("ground truth ids do not match the dataset")
-    s_n, s_h = ground_truth.noisy_ids, ground_truth.hard_ids
-    est_n, est_c = partition.noisy_ids, partition.clean_ids
-    caught = len(est_n & s_n)
-    precision_n = caught / len(est_n) if est_n else None
-    recall_n = caught / len(s_n) if s_n else None
-    recall_h = len(est_c & s_h) / len(s_h) if s_h else None
+    _require_aligned(partition.ids, dataset, "partition")
+    _require_aligned(ground_truth.ids, dataset, "ground truth")
+    est_n, s_n, s_h = partition.noisy, ground_truth.noisy, ground_truth.hard
+    est_c = ~est_n
+    n_est, n_noisy, n_hard = int(est_n.sum()), int(s_n.sum()), int(s_h.sum())
+    clean_size = len(dataset) - n_est
+    caught = int((est_n & s_n).sum())
     correct = dataset.y_assigned == dataset.y_true
-    clean_mask = np.isin(dataset.ids, np.fromiter(est_c, dtype=np.int64, count=len(est_c)))
-    correct_frac = float(correct[clean_mask].mean()) if est_c else 0.0
     return EvalReport(
         method_name=partition.method_name,
-        clean_size=len(est_c),
-        correct_label_fraction=correct_frac,
-        precision_n=precision_n,
-        recall_n=recall_n,
-        recall_h=recall_h,
-        estimated_lnl=1.0 - len(est_c) / len(all_ids),
+        clean_size=clean_size,
+        correct_label_fraction=float(correct[est_c].mean()) if clean_size else 0.0,
+        precision_n=caught / n_est if n_est else None,
+        recall_n=caught / n_noisy if n_noisy else None,
+        recall_h=int((est_c & s_h).sum()) / n_hard if n_hard else None,
+        estimated_lnl=1.0 - clean_size / len(dataset),
     )
 
 
@@ -150,13 +150,10 @@ def retrain_on_subset(
 ) -> tuple[float, float, float]:
     """Train fresh models on the estimated clean subset, one per seed, and
     report (mean test accuracy, std, mean test loss) on the clean test set."""
-    if not partition.clean_ids:
+    _require_aligned(partition.ids, dataset, "partition")
+    if partition.noisy.all():
         raise ConfigurationError("estimated clean subset is empty")
-    mask = np.isin(
-        dataset.ids,
-        np.fromiter(partition.clean_ids, dtype=np.int64, count=len(partition.clean_ids)),
-    )
-    subset = dataset.take(mask)
+    subset = dataset.take(~partition.noisy)
     accs, losses = [], []
     for seed in seeds:
         model = init_model(

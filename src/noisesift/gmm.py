@@ -27,10 +27,8 @@ class GmmConfig:
     max_iter: int = 200
     tol: float = 1e-6
     cov_floor: float = 1e-6
-    init: str = "kmeans"        # "kmeans" (farthest-point + refinement) | "random"
     seed: int = 0
     restarts: int = 3
-    standardize: bool = True
 
     def validate(self) -> None:
         if self.k < 1:
@@ -41,8 +39,6 @@ class GmmConfig:
             raise ConfigurationError("tol must be > 0")
         if self.cov_floor <= 0:
             raise ConfigurationError("cov_floor must be > 0")
-        if self.init not in ("kmeans", "random"):
-            raise ConfigurationError(f"unknown init scheme {self.init!r}")
 
 
 @dataclass
@@ -66,10 +62,6 @@ class GmmModel:
 
     def means_original(self) -> np.ndarray:
         return self.standardize_mean + self.standardize_std * self.means
-
-    def covariances_original(self) -> np.ndarray:
-        s = np.diag(self.standardize_std)
-        return np.array([s @ c @ s for c in self.covariances])
 
     def to_json(self) -> dict:
         return {
@@ -140,9 +132,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(a - mx).sum(axis=0))
 
 
-def _standardize_params(pts: np.ndarray, enabled: bool) -> tuple[np.ndarray, np.ndarray]:
-    if not enabled:
-        return np.zeros(pts.shape[1]), np.ones(pts.shape[1])
+def _standardize_params(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mu = pts.mean(axis=0)
     sd = pts.std(axis=0)
     sd = np.where(sd > 0, sd, 1.0)
@@ -154,11 +144,8 @@ def _nearest(pts: np.ndarray, means: np.ndarray) -> np.ndarray:
     return ((pts[None, :, :] - means[:, :, None]) ** 2).sum(axis=1).argmin(axis=0)
 
 
-def _init_means(pts: np.ndarray, k: int, cfg: GmmConfig, rng: np.random.Generator) -> np.ndarray:
-    N = pts.shape[1]
-    if cfg.init == "random":
-        return pts[:, rng.choice(N, size=k, replace=False)].T
-    first = int(rng.integers(N))
+def _init_means(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    first = int(rng.integers(pts.shape[1]))
     chosen = [first]
     dists = np.linalg.norm(pts - pts[:, [first]], axis=0)
     for _ in range(k - 1):
@@ -182,7 +169,7 @@ def _em_once(
     """One EM run on (D, N) standardized points."""
     D, N = pts.shape
     k = cfg.k
-    means = _init_means(pts, k, cfg, rng)
+    means = _init_means(pts, k, rng)
     assign = _nearest(pts, means)
     weights = np.maximum(np.bincount(assign, minlength=k) / N, 1.0 / (10 * N))
     weights /= weights.sum()
@@ -222,7 +209,7 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
         )
     if cfg.k > 1 and np.allclose(pts_raw, pts_raw[0]):
         raise DegenerateDataError("all points identical; cannot fit k > 1 mixture")
-    mu0, sd0 = _standardize_params(pts_raw, cfg.standardize)
+    mu0, sd0 = _standardize_params(pts_raw)
     pts = np.ascontiguousarray(((pts_raw - mu0) / sd0).T)
 
     best = None

@@ -110,14 +110,13 @@ def raise_if_missing(traces: TraceStore) -> None:
 
 
 def trajectory_metrics(
-    traces: TraceStore, aum_literal: bool = False
+    traces: TraceStore,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(first_pred_epoch, acc_over_training, aul, aum) per sample.
 
     first_pred_epoch is the sentinel T+1 for samples never predicted as
-    their assigned class.  The default AUM is the assigned-class margin
-    (1/T) sum_t (p_assigned - max other); aum_literal switches to the
-    predicted-class margin (p_pred - runner-up), which is non-negative.
+    their assigned class.  AUM is the assigned-class margin
+    (1/T) sum_t (p_assigned - max other).
     """
     raise_if_missing(traces)
     T = traces.T
@@ -126,10 +125,7 @@ def trajectory_metrics(
     ever = correct.any(axis=0)
     first = np.where(ever, correct.argmax(axis=0) + 1, T + 1).astype(np.int64)
     aul = traces.loss.sum(axis=0)
-    if aum_literal:
-        aum = (traces.p_pred - traces.p_runner_up).mean(axis=0)
-    else:
-        aum = (traces.p_assigned - traces.p_max_other).mean(axis=0)
+    aum = (traces.p_assigned - traces.p_max_other).mean(axis=0)
     return first, acc, aul, aum
 
 
@@ -192,12 +188,11 @@ def centroid_distance_from_traces(
 
 def compute_metric_table(
     traces: TraceStore,
-    aum_literal: bool = False,
     acd_variant: CentroidVariant = ACD_VARIANT,
     scd_variant: CentroidVariant = SCD_VARIANT,
 ) -> MetricTable:
     raise_if_missing(traces)
-    first, acc, aul, aum = trajectory_metrics(traces, aum_literal=aum_literal)
+    first, acc, aul, aum = trajectory_metrics(traces)
     acd = centroid_distance_from_traces(traces, acd_variant)
     scd = centroid_distance_from_traces(traces, scd_variant)
     values = {
@@ -212,7 +207,6 @@ def compute_metric_table(
         "scd": scd,
     }
     params = {
-        "aum_literal": aum_literal,
         "acd_variant": vars(acd_variant).copy(),
         "scd_variant": vars(scd_variant).copy(),
         "first_pred_epoch_sentinel": traces.T + 1,
@@ -233,11 +227,8 @@ def save_metric_table(
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id"] + list(COLUMNS))
-        for i in range(len(table.ids)):
-            w.writerow(
-                [int(table.ids[i])]
-                + [repr(float(table.values[c][i])) for c in COLUMNS]
-            )
+        # csv writes a Python float as its repr, so the bytes round-trip.
+        w.writerows(zip(table.ids.tolist(), *(table.values[c].tolist() for c in COLUMNS)))
     return [csv_path, params_path]
 
 

@@ -85,7 +85,6 @@ class TraceStore:
     pred: np.ndarray              # (T, N) int
     p_pred: np.ndarray            # (T, N)
     p_assigned: np.ndarray        # (T, N)
-    p_runner_up: np.ndarray       # (T, N) largest prob excluding predicted
     p_max_other: np.ndarray       # (T, N) largest prob excluding assigned
     train_acc: np.ndarray         # (T,)
     features_mid: np.ndarray      # (N, m)
@@ -225,7 +224,6 @@ def train_with_tracing(
     pred = np.empty((T, N), dtype=np.int64)
     p_pred = np.empty((T, N))
     p_assigned = np.empty((T, N))
-    p_runner_up = np.empty((T, N))
     p_max_other = np.empty((T, N))
     train_acc = np.empty(T)
     fallback_epoch = math.ceil(T / 2)
@@ -257,12 +255,8 @@ def train_with_tracing(
         loss[e] = -np.log(np.maximum(p_assigned[e], 1e-300))
         pred[e] = np.argmax(probs, axis=1)
         p_pred[e] = probs[rows, pred[e]]
-        masked = probs.copy()
-        masked[rows, pred[e]] = -np.inf
-        p_runner_up[e] = masked.max(axis=1) if model.K > 1 else 0.0
-        masked = probs.copy()
-        masked[rows, y] = -np.inf
-        p_max_other[e] = masked.max(axis=1) if model.K > 1 else 0.0
+        probs[rows, y] = -np.inf  # probs is not read again this epoch
+        p_max_other[e] = probs.max(axis=1) if model.K > 1 else 0.0
         train_acc[e] = float(np.mean(pred[e] == y))
         if not np.isfinite(loss[e]).all():
             raise TrainingDivergedError(t)
@@ -284,7 +278,6 @@ def train_with_tracing(
         pred=pred,
         p_pred=p_pred,
         p_assigned=p_assigned,
-        p_runner_up=p_runner_up,
         p_max_other=p_max_other,
         train_acc=train_acc,
         features_mid=features_mid,
@@ -352,7 +345,6 @@ _TRACE_SHAPES = {
     "pred": ("T", "N"),
     "p_pred": ("T", "N"),
     "p_assigned": ("T", "N"),
-    "p_runner_up": ("T", "N"),
     "p_max_other": ("T", "N"),
     "train_acc": ("T",),
     "features_mid": ("N", "m"),

@@ -38,14 +38,19 @@ METRIC_POLARITY = {
 
 @dataclass
 class Partition:
-    clean_ids: set[int]
-    noisy_ids: set[int]
+    """A clean/noisy split held as masks over `ids`, which keep the row
+    order of the metric table the partition came from.  cluster_label is
+    -1 where the method assigns no cluster (the default for every row)."""
+
+    ids: np.ndarray
+    noisy: np.ndarray
     method_name: str
     parameters: dict = field(default_factory=dict)
-    cluster_labels: dict[int, int] | None = None
+    cluster_label: np.ndarray | None = None
 
-    def subset_of(self, sample_id: int) -> str:
-        return "noisy" if sample_id in self.noisy_ids else "clean"
+    def __post_init__(self) -> None:
+        if self.cluster_label is None:
+            self.cluster_label = np.full(len(self.ids), -1, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -99,8 +104,8 @@ def partition_threshold(
     else:
         noisy = values < thr
     return Partition(
-        clean_ids=set(ids[~noisy].tolist()),
-        noisy_ids=set(ids[noisy].tolist()),
+        ids=ids,
+        noisy=noisy,
         method_name=method_name,
         parameters={"threshold": thr, "polarity": polarity},
     )
@@ -129,8 +134,8 @@ def partition_gmm1d(
     noisy_comp = int(np.argmax(means)) if polarity == HIGH_IS_NOISY else int(np.argmin(means))
     noisy = resp[:, noisy_comp] > 0.5
     return Partition(
-        clean_ids=set(ids[~noisy].tolist()),
-        noisy_ids=set(ids[noisy].tolist()),
+        ids=ids,
+        noisy=noisy,
         method_name=method_name,
         parameters={"polarity": polarity, "gmm": model.to_json()},
     )
@@ -168,8 +173,8 @@ def partition_gmm2d(
     noisy_cluster = int(np.argmax(score))
     noisy = labels == noisy_cluster
     return Partition(
-        clean_ids=set(ids[~noisy].tolist()),
-        noisy_ids=set(ids[noisy].tolist()),
+        ids=ids,
+        noisy=noisy,
         method_name=method_name,
         parameters={
             "polarity_x": polarity_x,
@@ -178,7 +183,7 @@ def partition_gmm2d(
             "noisy_cluster": noisy_cluster,
             "gmm": model.to_json(),
         },
-        cluster_labels={int(i): int(l) for i, l in zip(ids, labels)},
+        cluster_label=labels.astype(np.int64),
     )
 
 
@@ -300,26 +305,15 @@ def run_method(
 
 
 def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[Path]:
-    """Write <prefix>.json (name and parameters) and, over the sorted ids,
-    the noisy flag and the cluster label (-1 where there is none)."""
-    ids = np.array(sorted(part.clean_ids | part.noisy_ids), dtype=np.int64)
-    noisy = np.zeros(len(ids), dtype=bool)
-    noisy[np.searchsorted(ids, np.fromiter(part.noisy_ids, np.int64, len(part.noisy_ids)))] = True
-    # A label for an id outside the partition is dropped.
-    labels = part.cluster_labels or {}
-    labelled = np.fromiter(labels, np.int64, len(labels))
-    pos = np.searchsorted(ids, labelled)
-    hit = pos < len(ids)
-    hit[hit] = ids[pos[hit]] == labelled[hit]
-    cluster_label = np.full(len(ids), -1, dtype=np.int64)
-    cluster_label[pos[hit]] = np.fromiter(labels.values(), np.int64, len(labels))[hit]
+    """Write <prefix>.json (name and parameters) and the ids, the noisy
+    flag and the cluster label, row for row."""
     return save_arrays(
         directory,
         prefix,
         {"method_name": part.method_name, "parameters": part.parameters},
-        ids=ids,
-        noisy=noisy,
-        cluster_label=cluster_label,
+        ids=part.ids,
+        noisy=part.noisy,
+        cluster_label=part.cluster_label,
     )
 
 
@@ -327,12 +321,4 @@ def load_partition(directory: str | Path, prefix: str) -> Partition:
     meta, arrays = load_arrays(
         directory, prefix, {"ids": ("N",), "noisy": ("N",), "cluster_label": ("N",)}
     )
-    ids, noisy, label = arrays["ids"], arrays["noisy"], arrays["cluster_label"]
-    has_label = label >= 0
-    return Partition(
-        clean_ids=set(ids[~noisy].tolist()),
-        noisy_ids=set(ids[noisy].tolist()),
-        method_name=meta["method_name"],
-        parameters=meta["parameters"],
-        cluster_labels=dict(zip(ids[has_label].tolist(), label[has_label].tolist())) or None,
-    )
+    return Partition(method_name=meta["method_name"], parameters=meta["parameters"], **arrays)

@@ -28,6 +28,7 @@ from .mlp import (
     train_with_tracing,
 )
 from .partition import (
+    Partition,
     lookup_method,
     load_partition,
     run_method,
@@ -249,13 +250,13 @@ def stage_gen(run: Run) -> None:
         train = transforms.apply_imbalance(train, seed=seed + 1)
         provenance.append({"transform": "imbalance", "seed": seed + 1})
     elif htype == "diversification":
-        jitter = cfg["hardness"].get("jitter_std", 0.1)
+        jitter = cfg["hardness"]["jitter_std"]
         train = transforms.apply_diversification(train, jitter_std=jitter, seed=seed + 1)
         provenance.append(
             {"transform": "diversification", "jitter_std": jitter, "seed": seed + 1}
         )
     elif htype == "boundary":
-        oracle_cfg = run.train_config(seed=seed + 7, epochs=cfg["oracle"].get("epochs", 30))
+        oracle_cfg = run.train_config(seed=seed + 7, epochs=cfg["oracle"]["epochs"])
         oracle = run._model_for(train, seed=seed + 7)
         oracle, _ = train_with_tracing(oracle, train, oracle_cfg)
         files += save_model(oracle, run.directory / "oracle")
@@ -263,7 +264,7 @@ def stage_gen(run: Run) -> None:
             schedule = transforms.EpsSchedule(tuple(cfg["hardness"]["eps_by_h"]))
         else:
             schedule = transforms.EpsSchedule.linear(
-                spec.levels, cfg["hardness"].get("eps_max", 0.5)
+                spec.levels, cfg["hardness"]["eps_max"]
             )
         train = transforms.apply_boundary_shift(train, oracle, schedule)
         provenance.append(
@@ -274,16 +275,17 @@ def stage_gen(run: Run) -> None:
     train = transforms.inject_label_noise(train, noise)
     provenance.append({"transform": "noise", "delta": noise.delta, "seed": seed + 2})
 
-    gt = transforms.ground_truth_partition(train, cfg["eval"].get("h_threshold", 4))
+    gt = transforms.ground_truth_partition(train, cfg["eval"]["h_threshold"])
     files += save_dataset(train, run.directory, "train")
     files += save_dataset(test, run.directory, "test")
     gt_path = run.directory / "ground_truth.json"
+    # For readers of the run directory; eval recomputes the partition.
     gt_path.write_text(
         json.dumps(
             {
-                "noisy_ids": sorted(gt.noisy_ids),
-                "hard_ids": sorted(gt.hard_ids),
-                "easy_ids": sorted(gt.easy_ids),
+                "noisy_ids": gt.ids[gt.noisy].tolist(),
+                "hard_ids": gt.ids[gt.hard].tolist(),
+                "easy_ids": gt.ids[gt.easy].tolist(),
                 "h_threshold": gt.h_threshold,
             }
         )
@@ -321,36 +323,20 @@ def stage_partition(run: Run) -> None:
     run.mark_complete("partition", files)
 
 
-def _load_ground_truth(run: Run) -> transforms.GroundTruthPartition:
-    data = json.loads((run.directory / "ground_truth.json").read_text())
-    return transforms.GroundTruthPartition(
-        noisy_ids=set(data["noisy_ids"]),
-        hard_ids=set(data["hard_ids"]),
-        easy_ids=set(data["easy_ids"]),
-        h_threshold=data["h_threshold"],
-    )
-
-
 def stage_eval(run: Run) -> None:
     run.require_stage("partition", "eval")
     cfg = run.config
     train = load_dataset(run.directory, "train")
     test = load_dataset(run.directory, "test")
-    gt = _load_ground_truth(run)
-    do_retrain = cfg["eval"].get("retrain", False)
-    seeds = tuple(cfg["eval"].get("retrain_seeds", [0, 1, 2]))
+    gt = transforms.ground_truth_partition(train, cfg["eval"]["h_threshold"])
+    do_retrain = cfg["eval"]["retrain"]
+    seeds = tuple(cfg["eval"]["retrain_seeds"])
     hidden = tuple(cfg["train"]["hidden_sizes"])
     fw = cfg["train"]["feature_width"]
 
     reports: list[EvalReport] = []
     # Baseline row: the untouched dataset.
-    from .partition import Partition
-
-    baseline = Partition(
-        clean_ids=set(train.ids.tolist()),
-        noisy_ids=set(),
-        method_name="Original dataset",
-    )
+    baseline = Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")
     reports.append(_eval_one(run, baseline, gt, train, test, do_retrain, seeds, hidden, fw))
     for name in cfg["methods"]:
         part = load_partition(run.directory, run._partition_prefix(name))
@@ -433,8 +419,8 @@ def stage_report(run: Run) -> None:
     # Per-cell aggregates for plotting metric-vs-(h, n) behavior.
     table = load_metric_table(run.directory)
     train = load_dataset(run.directory, "train")
-    id_to_row = {int(i): j for j, i in enumerate(table.ids)}
-    order = np.array([id_to_row[int(i)] for i in train.ids])
+    if not np.array_equal(table.ids, train.ids):
+        raise StageError("report", "metrics.csv ids do not match the train set")
     cells_csv = run.directory / "cells.csv"
     with open(cells_csv, "w", newline="") as f:
         w = csv.writer(f)
@@ -444,7 +430,7 @@ def stage_report(run: Run) -> None:
                 mask = (train.h == h) & (train.n == n)
                 row = [h, n, int(mask.sum())]
                 for m in CELL_METRICS:
-                    vals = table.values[m][order][mask]
+                    vals = table.values[m][mask]
                     row.append(repr(float(vals.mean())) if len(vals) else "")
                 w.writerow(row)
     files.append(cells_csv)

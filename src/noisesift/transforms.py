@@ -7,7 +7,7 @@ ground-truth easy/hard/noisy partition of the result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,15 +55,17 @@ class EpsSchedule:
 
 @dataclass
 class GroundTruthPartition:
-    """Disjoint noisy/hard/easy id sets covering the train set."""
+    """Disjoint noisy/hard masks over `ids`, the train set's ids in row
+    order; every other sample is easy."""
 
-    noisy_ids: set[int]
-    hard_ids: set[int]
-    easy_ids: set[int]
+    ids: np.ndarray
+    noisy: np.ndarray
+    hard: np.ndarray
     h_threshold: int = 4
 
-    def all_ids(self) -> set[int]:
-        return self.noisy_ids | self.hard_ids | self.easy_ids
+    @property
+    def easy(self) -> np.ndarray:
+        return ~(self.noisy | self.hard)
 
 
 def _per_class_rng(seed: int, class_idx: int) -> np.random.Generator:
@@ -94,7 +96,7 @@ def apply_diversification(
     L = dataset.levels
     counts = dataset.class_counts()
     keep = np.zeros(len(dataset), dtype=bool)
-    copy_plan: list[tuple[np.ndarray, int, int]] = []  # (rows, copies, class)
+    copied, jitter = [], []
     for c, (h, _n) in sorted(dataset.class_cells.items()):
         factor = 2 ** (L - 1 - h)
         distinct = counts[c] // factor
@@ -106,36 +108,19 @@ def apply_diversification(
         rng = _per_class_rng(seed, c)
         picked = np.sort(rng.choice(rows, size=distinct, replace=False))
         keep[picked] = True
-        copy_plan.append((picked, factor - 1, c))
+        # Each picked row is followed by its factor - 1 copies.
+        copied.append(np.repeat(picked, factor - 1))
+        noise = _per_class_rng(seed + 1, c).standard_normal((len(copied[-1]), dataset.d))
+        jitter.append(jitter_std * noise)
 
-    base = dataset.take(keep)
+    base_rows = np.flatnonzero(keep)
+    copy_rows = np.concatenate(copied)
+    out = dataset.take(np.concatenate([base_rows, copy_rows]))
+    new = slice(len(base_rows), None)
     next_id = int(dataset.ids.max()) + 1
-    new_X, new_ids, new_yt, new_ya, new_h, new_n, new_base = [], [], [], [], [], [], []
-    for picked, copies, c in copy_plan:
-        if copies == 0:
-            continue
-        rng = _per_class_rng(seed + 1, c)
-        for row in picked:
-            jit = jitter_std * rng.standard_normal((copies, dataset.d))
-            new_X.append(dataset.X[row] + jit)
-            new_ids.extend(range(next_id, next_id + copies))
-            next_id += copies
-            new_yt.extend([dataset.y_true[row]] * copies)
-            new_ya.extend([dataset.y_assigned[row]] * copies)
-            new_h.extend([dataset.h[row]] * copies)
-            new_n.extend([dataset.n[row]] * copies)
-            new_base.extend([dataset.ids[row]] * copies)
-
-    if not new_X:
-        return base
-    out = base.copy()
-    out.ids = np.concatenate([base.ids, np.asarray(new_ids, dtype=np.int64)])
-    out.X = np.vstack([base.X] + new_X)
-    out.y_true = np.concatenate([base.y_true, np.asarray(new_yt, dtype=np.int64)])
-    out.y_assigned = np.concatenate([base.y_assigned, np.asarray(new_ya, dtype=np.int64)])
-    out.h = np.concatenate([base.h, np.asarray(new_h, dtype=np.int64)])
-    out.n = np.concatenate([base.n, np.asarray(new_n, dtype=np.int64)])
-    out.base_id = np.concatenate([base.base_id, np.asarray(new_base, dtype=np.int64)])
+    out.ids[new] = np.arange(next_id, next_id + len(copy_rows))
+    out.X[new] += np.vstack(jitter)
+    out.base_id[new] = dataset.ids[copy_rows]
     return out
 
 
@@ -153,10 +138,10 @@ def apply_boundary_shift(dataset: Dataset, oracle, schedule: EpsSchedule) -> Dat
     eps = np.asarray(schedule.eps_by_h)[dataset.h]
     grads = oracle.input_gradient(dataset.X, dataset.y_true)
     shifted = dataset.X + eps[:, None] * np.sign(grads)
-    out = dataset.copy()
-    out.X = shifted
-    preds = oracle.predict(shifted)
-    return out.take(preds == dataset.y_true)
+    keep = oracle.predict(shifted) == dataset.y_true
+    out = dataset.take(keep)
+    out.X = shifted[keep]
+    return out
 
 
 def inject_label_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
@@ -165,7 +150,7 @@ def inject_label_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     (the redraw may land back on the true class)."""
     spec.validate()
     L = dataset.levels
-    out = dataset.copy()
+    out = dataset.take(slice(None))
     rng = np.random.default_rng(spec.seed)
     strata: dict[int, np.ndarray] = {}
     for n in range(L):
@@ -189,11 +174,9 @@ def ground_truth_partition(dataset: Dataset, h_threshold: int = 4) -> GroundTrut
     """Noisy = mislabeled; hard = correctly labeled with h >= threshold;
     easy = the rest."""
     mislabeled = dataset.y_assigned != dataset.y_true
-    hard = ~mislabeled & (dataset.h >= h_threshold)
-    easy = ~mislabeled & ~hard
     return GroundTruthPartition(
-        noisy_ids=set(dataset.ids[mislabeled].tolist()),
-        hard_ids=set(dataset.ids[hard].tolist()),
-        easy_ids=set(dataset.ids[easy].tolist()),
+        ids=dataset.ids.copy(),
+        noisy=mislabeled,
+        hard=~mislabeled & (dataset.h >= h_threshold),
         h_threshold=h_threshold,
     )

@@ -286,7 +286,7 @@ def test_criterion_5_retrain_improvement(seeded_runs):
             lookup_method("2d-GMM_acc-SCD"), table, traces, GmmConfig(seed=0)
         )
         unfiltered = Partition(
-            clean_ids=set(train.ids.tolist()), noisy_ids=set(), method_name="all"
+            ids=train.ids, noisy=np.zeros(len(train), dtype=bool), method_name="all"
         )
         cfg = TrainConfig(seed=0)
         acc_f, _, _ = retrain_on_subset(train, part, cfg, test, seeds=SEEDS)

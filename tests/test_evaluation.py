@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from noisesift import EvalReport, anova_f, score_partition, spearman_rho
+from noisesift import (
+    EvalReport,
+    TrainConfig,
+    anova_f,
+    retrain_on_subset,
+    score_partition,
+    spearman_rho,
+)
 from noisesift.data import Dataset
 from noisesift.errors import ConfigurationError
 from noisesift.partition import Partition
@@ -33,15 +40,23 @@ def _tiny_dataset():
     )
 
 
+def _mask(rows, n=8):
+    mask = np.zeros(n, dtype=bool)
+    mask[list(rows)] = True
+    return mask
+
+
+def _tiny_ground_truth():
+    # Noisy = {1, 5}; hard = correct with h >= 4 = {2, 3, 4, 7}; easy = {0, 6}.
+    return GroundTruthPartition(
+        ids=np.arange(8), noisy=_mask({1, 5}), hard=_mask({2, 3, 4, 7}), h_threshold=4
+    )
+
+
 def test_score_partition_hand_computed():
     ds = _tiny_dataset()
-    # Ground truth: noisy = {1, 5}; hard = correct with h >= 4 = {2, 3, 4, 7}.
-    gt = GroundTruthPartition(
-        noisy_ids={1, 5}, hard_ids={2, 3, 4, 7}, easy_ids={0, 6}, h_threshold=4
-    )
-    part = Partition(
-        clean_ids={0, 2, 3, 6, 7}, noisy_ids={1, 4, 5}, method_name="hand"
-    )
+    gt = _tiny_ground_truth()
+    part = Partition(ids=np.arange(8), noisy=_mask({1, 4, 5}), method_name="hand")
     rep = score_partition(part, gt, ds)
     assert rep.clean_size == 5
     assert rep.recall_n == pytest.approx(2 / 2)    # both noisy caught
@@ -53,10 +68,8 @@ def test_score_partition_hand_computed():
 
 def test_score_partition_empty_noisy_gives_none_precision():
     ds = _tiny_dataset()
-    gt = GroundTruthPartition(
-        noisy_ids={1, 5}, hard_ids={2, 3, 4, 7}, easy_ids={0, 6}
-    )
-    part = Partition(clean_ids=set(range(8)), noisy_ids=set(), method_name="all")
+    gt = _tiny_ground_truth()
+    part = Partition(ids=np.arange(8), noisy=np.zeros(8, dtype=bool), method_name="all")
     rep = score_partition(part, gt, ds)
     assert rep.precision_n is None
     assert rep.recall_n == 0.0
@@ -65,10 +78,36 @@ def test_score_partition_empty_noisy_gives_none_precision():
 
 def test_score_partition_rejects_mismatched_ids():
     ds = _tiny_dataset()
-    gt = GroundTruthPartition(noisy_ids={1}, hard_ids={2}, easy_ids={0})
-    part = Partition(clean_ids={0, 1}, noisy_ids={2}, method_name="bad")
-    with pytest.raises(ConfigurationError):
+    gt = GroundTruthPartition(ids=np.arange(3), noisy=_mask({1}, 3), hard=_mask({2}, 3))
+    part = Partition(ids=np.arange(3), noisy=_mask({2}, 3), method_name="bad")
+    with pytest.raises(ConfigurationError, match="partition ids"):
         score_partition(part, gt, ds)
+    part = Partition(ids=np.arange(8), noisy=_mask({2}), method_name="ok")
+    with pytest.raises(ConfigurationError, match="ground truth ids"):
+        score_partition(part, gt, ds)
+
+
+def test_score_partition_rejects_reordered_ids():
+    """The masks are row-aligned, so the same ids in another order are a
+    mismatch, not a permutation to undo."""
+    ds = _tiny_dataset()
+    gt = _tiny_ground_truth()
+    part = Partition(ids=np.arange(8)[::-1], noisy=_mask({1, 5}), method_name="rev")
+    with pytest.raises(ConfigurationError, match="partition ids"):
+        score_partition(part, gt, ds)
+    with pytest.raises(ConfigurationError, match="partition ids"):
+        retrain_on_subset(ds, part, TrainConfig(epochs=1), ds, seeds=(0,))
+    gt.ids = gt.ids[::-1].copy()
+    part = Partition(ids=np.arange(8), noisy=_mask({1, 5}), method_name="ok")
+    with pytest.raises(ConfigurationError, match="ground truth ids"):
+        score_partition(part, gt, ds)
+
+
+def test_retrain_on_subset_rejects_an_empty_clean_subset():
+    ds = _tiny_dataset()
+    part = Partition(ids=np.arange(8), noisy=np.ones(8, dtype=bool), method_name="none")
+    with pytest.raises(ConfigurationError, match="empty"):
+        retrain_on_subset(ds, part, TrainConfig(epochs=1), ds, seeds=(0,))
 
 
 def test_eval_report_row_shape():

@@ -60,7 +60,6 @@ def _toy_traces():
     y_assigned = np.array([1, 0, 2, 3])
     p_assigned = np.exp(-loss)
     p_pred = np.clip(p_assigned + 0.05, 0, 1)
-    p_runner_up = p_pred - 0.02
     p_max_other = np.where(pred == y_assigned[None, :], p_assigned - 0.1, p_pred)
     feats_mid = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     feats_end = feats_mid * 2.0
@@ -71,7 +70,6 @@ def _toy_traces():
         pred=pred,
         p_pred=p_pred,
         p_assigned=p_assigned,
-        p_runner_up=p_runner_up,
         p_max_other=p_max_other,
         train_acc=np.array([0.25, 0.5, 0.5]),
         features_mid=feats_mid,
@@ -94,14 +92,6 @@ def test_trajectory_metrics_against_loops():
             [traces.p_assigned[t, i] - traces.p_max_other[t, i] for t in range(T)]
         )
         assert aum[i] == pytest.approx(margin)
-
-
-def test_aum_literal_uses_predicted_class_margin():
-    traces = _toy_traces()
-    _, _, _, aum = trajectory_metrics(traces, aum_literal=True)
-    expected = (traces.p_pred - traces.p_runner_up).mean(axis=0)
-    np.testing.assert_allclose(aum, expected)
-    assert np.all(aum >= 0)
 
 
 def test_traces_jsd_uses_final_epoch_probabilities():

@@ -185,9 +185,9 @@ def test_trace_shapes_and_probability_identities(small_train):
     N = len(small_train)
     assert traces.loss.shape == (4, N)
     assert traces.features_mid.shape == (N, 4)
-    # p_pred is the max probability, so it dominates the runner-up, and
+    # p_pred is the max probability, so it dominates p_assigned, and
     # loss is the negative log of p_assigned.
-    assert np.all(traces.p_pred >= traces.p_runner_up)
+    assert np.all(traces.p_pred >= traces.p_assigned)
     np.testing.assert_allclose(traces.loss, -np.log(traces.p_assigned), rtol=1e-12)
     agree = traces.pred == traces.y_assigned[None, :]
     np.testing.assert_array_equal(
@@ -197,7 +197,7 @@ def test_trace_shapes_and_probability_identities(small_train):
 
 def test_evaluate_scores_test_sets_against_true_labels(small_train):
     model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
-    test = small_train.copy()
+    test = small_train.take(slice(None))
     test.kind = "test"
     test.y_assigned = (test.y_true + 1) % test.K  # corrupt assigned labels
     acc_true, _ = evaluate(model, test)

@@ -23,22 +23,30 @@ from noisesift.partition import (
 )
 
 
+def noisy_ids(part: Partition) -> list[int]:
+    return part.ids[part.noisy].tolist()
+
+
+def clean_ids(part: Partition) -> list[int]:
+    return part.ids[~part.noisy].tolist()
+
+
 def test_threshold_median_ties_stay_clean():
     ids = np.arange(5)
     values = np.array([1.0, 2.0, 3.0, 3.0, 5.0])  # median = 3.0
     part = partition_threshold(ids, values, HIGH_IS_NOISY)
-    assert part.noisy_ids == {4}           # strictly above the median
-    assert part.clean_ids == {0, 1, 2, 3}  # ties at the median stay clean
+    assert noisy_ids(part) == [4]           # strictly above the median
+    assert clean_ids(part) == [0, 1, 2, 3]  # ties at the median stay clean
     part = partition_threshold(ids, values, LOW_IS_NOISY)
-    assert part.noisy_ids == {0, 1}
-    assert part.clean_ids == {2, 3, 4}
+    assert noisy_ids(part) == [0, 1]
+    assert clean_ids(part) == [2, 3, 4]
 
 
 def test_threshold_explicit_value():
     ids = np.arange(4)
     values = np.array([0.1, 0.4, 0.6, 0.9])
     part = partition_threshold(ids, values, HIGH_IS_NOISY, threshold=0.5)
-    assert part.noisy_ids == {2, 3}
+    assert noisy_ids(part) == [2, 3]
     assert part.parameters["threshold"] == 0.5
 
 
@@ -47,10 +55,10 @@ def test_gmm1d_splits_bimodal_data(rng):
     hi = rng.normal(5.0, 0.1, size=100)
     ids = np.arange(400)
     part = partition_gmm1d(ids, np.concatenate([lo, hi]), HIGH_IS_NOISY)
-    assert part.noisy_ids == set(range(300, 400))
+    assert noisy_ids(part) == list(range(300, 400))
     # Opposite polarity flags the low mode instead.
     part = partition_gmm1d(ids, np.concatenate([lo, hi]), LOW_IS_NOISY)
-    assert part.noisy_ids == set(range(300))
+    assert noisy_ids(part) == list(range(300))
 
 
 def test_gmm1d_degenerate_falls_back_to_median():
@@ -59,7 +67,8 @@ def test_gmm1d_degenerate_falls_back_to_median():
     with pytest.warns(UserWarning, match="degenerate"):
         part = partition_gmm1d(ids, values, HIGH_IS_NOISY)
     assert part.parameters.get("fallback") == "median-threshold"
-    assert part.noisy_ids == set()  # all tied at the median -> all clean
+    assert noisy_ids(part) == []  # all tied at the median -> all clean
+    assert (part.cluster_label == -1).all()
 
 
 def test_gmm2d_flags_the_low_acc_high_distance_cluster(rng):
@@ -76,9 +85,9 @@ def test_gmm2d_flags_the_low_acc_high_distance_cluster(rng):
         ids, pts[:, 0], pts[:, 1],
         polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=2,
     )
-    assert part.noisy_ids == set(range(200, 300))
-    assert part.cluster_labels is not None
-    assert set(part.cluster_labels) == set(range(300))
+    assert noisy_ids(part) == list(range(200, 300))
+    assert part.cluster_label.dtype == np.int64
+    assert len(part.cluster_label) == 300 and (part.cluster_label >= 0).all()
 
 
 def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
@@ -92,8 +101,8 @@ def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
         polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=3,
     )
     # The middle (hard) cluster must stay clean.
-    assert part.noisy_ids == set(range(300, 400))
-    assert set(range(200, 300)) <= part.clean_ids
+    assert noisy_ids(part) == list(range(300, 400))
+    assert set(range(200, 300)) <= set(clean_ids(part))
 
 
 def test_builtin_catalog_shape():
@@ -124,11 +133,11 @@ def test_run_method_covers_all_ids(imbalance_run):
         imbalance_run["traces"],
         imbalance_run["train"],
     )
-    all_ids = set(train.ids.tolist())
     for name in ("Thres_Loss", "1d-GMM_AUL", "2d-GMM_acc-SCD"):
         part = run_method(lookup_method(name), table, traces)
-        assert part.clean_ids | part.noisy_ids == all_ids
-        assert not (part.clean_ids & part.noisy_ids)
+        np.testing.assert_array_equal(part.ids, train.ids)
+        assert part.noisy.dtype == bool and part.noisy.shape == train.ids.shape
+        assert part.cluster_label.shape == train.ids.shape
         assert part.method_name == name
 
 
@@ -138,8 +147,9 @@ def test_partition_save_load_roundtrip(tmp_path, rng):
     part = partition_threshold(ids, values, HIGH_IS_NOISY, method_name="t")
     save_partition(part, tmp_path, "p")
     loaded = load_partition(tmp_path, "p")
-    assert loaded.clean_ids == part.clean_ids
-    assert loaded.noisy_ids == part.noisy_ids
+    np.testing.assert_array_equal(loaded.ids, part.ids)
+    np.testing.assert_array_equal(loaded.noisy, part.noisy)
+    np.testing.assert_array_equal(loaded.cluster_label, np.full(50, -1))
     assert loaded.method_name == part.method_name
 
 
@@ -154,26 +164,33 @@ def test_partition_with_cluster_labels_roundtrip(tmp_path, rng):
     part = partition_gmm2d(ids, pts[:, 0], pts[:, 1], LOW_IS_NOISY, HIGH_IS_NOISY, 2)
     save_partition(part, tmp_path, "p2")
     loaded = load_partition(tmp_path, "p2")
-    assert loaded.cluster_labels == part.cluster_labels
-    assert loaded.noisy_ids == part.noisy_ids
+    np.testing.assert_array_equal(loaded.cluster_label, part.cluster_label)
+    np.testing.assert_array_equal(loaded.noisy, part.noisy)
 
 
 @pytest.mark.parametrize(
     "part",
     [
-        Partition({40, 7, 300}, {2, 99}, "m", {}, {7: 1, 99: 0, 5: 2, 1000: 1}),
-        Partition({3}, set(), "m", {}, None),
-        Partition(set(), set(), "m", {}, {4: 0}),
+        Partition(
+            np.array([300, 7, 40, 2, 99]),
+            np.array([False, False, False, True, True]),
+            "m",
+            {},
+            np.array([-1, 1, -1, -1, 0]),
+        ),
+        Partition(np.array([3]), np.array([False]), "m"),
+        Partition(np.array([], dtype=np.int64), np.array([], dtype=bool), "m"),
     ],
 )
 def test_save_partition_arrays_match_per_id_lookup(tmp_path, part):
+    """The saved arrays are the partition's own, row for row, in its id
+    order (not sorted)."""
     save_partition(part, tmp_path, "p")
-    ids = sorted(part.clean_ids | part.noisy_ids)
-    labels = part.cluster_labels or {}
-    np.testing.assert_array_equal(np.load(tmp_path / "p_ids.npy"), ids)
+    np.testing.assert_array_equal(np.load(tmp_path / "p_ids.npy"), part.ids)
+    np.testing.assert_array_equal(np.load(tmp_path / "p_noisy.npy"), part.noisy)
     np.testing.assert_array_equal(
-        np.load(tmp_path / "p_noisy.npy"), [i in part.noisy_ids for i in ids]
+        np.load(tmp_path / "p_cluster_label.npy"), part.cluster_label
     )
-    np.testing.assert_array_equal(
-        np.load(tmp_path / "p_cluster_label.npy"), [labels.get(i, -1) for i in ids]
-    )
+    loaded = load_partition(tmp_path, "p")
+    np.testing.assert_array_equal(loaded.ids, part.ids)
+    np.testing.assert_array_equal(loaded.cluster_label, part.cluster_label)

@@ -72,6 +72,51 @@ def test_diversification_ids_are_unique(small_train):
     assert len(np.unique(out.ids)) == len(out)
 
 
+def _diversification_reference(dataset, jitter_std, seed):
+    """Per-row reference: one jitter draw and one id range per picked row."""
+    L = dataset.levels
+    counts = dataset.class_counts()
+    keep = np.zeros(len(dataset), dtype=bool)
+    plan = []
+    for c, (h, _n) in sorted(dataset.class_cells.items()):
+        factor = 2 ** (L - 1 - h)
+        rows = np.flatnonzero(dataset.y_assigned == c)
+        rng = np.random.default_rng([seed, c])
+        picked = np.sort(rng.choice(rows, size=counts[c] // factor, replace=False))
+        keep[picked] = True
+        plan.append((picked, factor - 1, c))
+    base = dataset.take(keep)
+    next_id = int(dataset.ids.max()) + 1
+    cols = {k: [getattr(base, k)] for k in ("ids", "X", "y_true", "y_assigned", "h", "n", "base_id")}
+    for picked, copies, c in plan:
+        if copies == 0:
+            continue
+        rng = np.random.default_rng([seed + 1, c])
+        for row in picked:
+            cols["X"].append(dataset.X[row] + jitter_std * rng.standard_normal((copies, dataset.d)))
+            cols["ids"].append(np.arange(next_id, next_id + copies))
+            next_id += copies
+            for k in ("y_true", "y_assigned", "h", "n"):
+                cols[k].append(np.full(copies, getattr(dataset, k)[row]))
+            cols["base_id"].append(np.full(copies, dataset.ids[row]))
+    return {k: np.concatenate(v) for k, v in cols.items()}
+
+
+@pytest.mark.parametrize(
+    "grid, seed",
+    [({}, 0), ({"per_class_count": 16}, 0), ({"per_class_count": 16}, 1),
+     ({"per_class_count": 16}, 2), ({"levels": 1, "per_class_count": 4}, 0)],
+)
+def test_diversification_matches_per_row_reference(grid, seed):
+    train, _ = generate_base(GridSpec(**grid, seed=seed))
+    out = apply_diversification(train, jitter_std=0.1, seed=seed + 1)
+    expected = _diversification_reference(train, 0.1, seed + 1)
+    for k, v in expected.items():
+        got = getattr(out, k)
+        assert got.dtype == v.dtype, k
+        np.testing.assert_array_equal(got, v, err_msg=k)
+
+
 def _linear_oracle(train, seed=0):
     """A quickly trained model exposing predict/input_gradient."""
     from noisesift import TrainConfig, train_with_tracing
@@ -159,14 +204,12 @@ def test_noise_leaves_n0_stratum_clean(small_train):
 def test_ground_truth_partition_is_a_disjoint_cover(small_train):
     out = inject_label_noise(small_train, NoiseSpec(delta=0.5, seed=3))
     gt = ground_truth_partition(out, h_threshold=2)
-    all_ids = set(out.ids.tolist())
-    assert gt.noisy_ids | gt.hard_ids | gt.easy_ids == all_ids
-    assert not (gt.noisy_ids & gt.hard_ids)
-    assert not (gt.noisy_ids & gt.easy_ids)
-    assert not (gt.hard_ids & gt.easy_ids)
-    id_to_row = {int(i): j for j, i in enumerate(out.ids)}
-    for i in gt.noisy_ids:
-        assert out.y_assigned[id_to_row[i]] != out.y_true[id_to_row[i]]
-    for i in gt.hard_ids:
-        row = id_to_row[i]
+    np.testing.assert_array_equal(gt.ids, out.ids)
+    # Every row is in exactly one of noisy, hard and easy.
+    np.testing.assert_array_equal(
+        gt.noisy.astype(int) + gt.hard.astype(int) + gt.easy.astype(int), 1
+    )
+    for row in np.flatnonzero(gt.noisy):
+        assert out.y_assigned[row] != out.y_true[row]
+    for row in np.flatnonzero(gt.hard):
         assert out.y_assigned[row] == out.y_true[row] and out.h[row] >= 2
