@@ -24,7 +24,6 @@ from .mlp import (
     TraceStore,
     TrainConfig,
     evaluate,
-    forward,
     init_model,
     input_gradient,
     train_with_tracing,

@@ -36,9 +36,6 @@ class CentroidVariant:
         if not 0.0 < self.adaptive_conf_threshold < 1.0:
             raise ConfigurationError("adaptive_conf_threshold must be in (0, 1)")
 
-    def tag(self) -> str:
-        return f"{self.epoch}-{self.distance}-{self.centroid}"
-
 
 SCD_VARIANT = CentroidVariant(epoch="mid", distance="euclidean", centroid="static")
 ACD_VARIANT = CentroidVariant(epoch="end", distance="cosine", centroid="adaptive")

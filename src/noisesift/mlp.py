@@ -76,14 +76,14 @@ class TrainConfig:
 class TraceStore:
     """Per-epoch per-sample records plus two feature snapshots.
 
-    Arrays with a leading T axis are indexed by epoch-1.
+    Arrays with a leading T axis are indexed by epoch-1.  The loss and the
+    predicted-class probability are derived from the two recorded
+    probabilities, so each has one definition.
     """
 
     ids: np.ndarray               # (N,)
     y_assigned: np.ndarray        # (N,)
-    loss: np.ndarray              # (T, N)
     pred: np.ndarray              # (T, N) int
-    p_pred: np.ndarray            # (T, N)
     p_assigned: np.ndarray        # (T, N)
     p_max_other: np.ndarray       # (T, N) largest prob excluding assigned
     train_acc: np.ndarray         # (T,)
@@ -92,12 +92,22 @@ class TraceStore:
     mid_epoch: int
 
     @property
+    def loss(self) -> np.ndarray:
+        """(T, N) cross-entropy against the assigned label."""
+        return -np.log(np.maximum(self.p_assigned, 1e-300))
+
+    @property
+    def p_pred(self) -> np.ndarray:
+        """(T, N) probability of the predicted (argmax) class."""
+        return np.maximum(self.p_assigned, self.p_max_other)
+
+    @property
     def T(self) -> int:
-        return self.loss.shape[0]
+        return self.p_assigned.shape[0]
 
     @property
     def N(self) -> int:
-        return self.loss.shape[1]
+        return self.p_assigned.shape[1]
 
     @property
     def m(self) -> int:
@@ -161,12 +171,6 @@ def forward_batch(
     return probs, features
 
 
-def forward(model: Model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-sample forward pass: (softmax probabilities, feature vector)."""
-    probs, features = forward_batch(model, np.asarray(x, dtype=float)[None, :])
-    return probs[0], features[0]
-
-
 def _backward(
     model: Model, acts: list[np.ndarray], dlogits: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
@@ -220,9 +224,7 @@ def train_with_tracing(
     vel_w = [np.zeros_like(w) for w in model.weights]
     vel_b = [np.zeros_like(b) for b in model.biases]
 
-    loss = np.empty((T, N))
     pred = np.empty((T, N), dtype=np.int64)
-    p_pred = np.empty((T, N))
     p_assigned = np.empty((T, N))
     p_max_other = np.empty((T, N))
     train_acc = np.empty(T)
@@ -252,13 +254,12 @@ def train_with_tracing(
         probs, features = forward_batch(model, X)
         e = t - 1
         p_assigned[e] = probs[rows, y]
-        loss[e] = -np.log(np.maximum(p_assigned[e], 1e-300))
         pred[e] = np.argmax(probs, axis=1)
-        p_pred[e] = probs[rows, pred[e]]
         probs[rows, y] = -np.inf  # probs is not read again this epoch
         p_max_other[e] = probs.max(axis=1) if model.K > 1 else 0.0
         train_acc[e] = float(np.mean(pred[e] == y))
-        if not np.isfinite(loss[e]).all():
+        # Softmax output is in [0, 1] or NaN, so this is the loss's finiteness.
+        if not np.isfinite(p_assigned[e]).all():
             raise TrainingDivergedError(t)
         if mid_epoch is None and train_acc[e] >= 0.5:
             mid_epoch = t
@@ -274,9 +275,7 @@ def train_with_tracing(
     traces = TraceStore(
         ids=dataset.ids.copy(),
         y_assigned=y.copy(),
-        loss=loss,
         pred=pred,
-        p_pred=p_pred,
         p_assigned=p_assigned,
         p_max_other=p_max_other,
         train_acc=train_acc,
@@ -341,9 +340,7 @@ def load_model(path: str | Path) -> Model:
 _TRACE_SHAPES = {
     "ids": ("N",),
     "y_assigned": ("N",),
-    "loss": ("T", "N"),
     "pred": ("T", "N"),
-    "p_pred": ("T", "N"),
     "p_assigned": ("T", "N"),
     "p_max_other": ("T", "N"),
     "train_acc": ("T",),

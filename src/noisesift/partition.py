@@ -53,23 +53,39 @@ class Partition:
             self.cluster_label = np.full(len(self.ids), -1, dtype=np.int64)
 
 
+def _polarity(metric: str | CentroidVariant | None) -> str:
+    """A table column's polarity; a centroid distance (or no metric) is
+    high-is-noisy."""
+    if isinstance(metric, str):
+        if metric not in METRIC_POLARITY:
+            raise ConfigurationError(f"unknown metric column {metric!r}")
+        return METRIC_POLARITY[metric]
+    return HIGH_IS_NOISY
+
+
 @dataclass(frozen=True)
 class MethodSpec:
     """One named partition method.
 
     metric_x / metric_y are MetricTable column names, or a CentroidVariant
-    for an on-demand centroid-distance metric (always high-is-noisy).
-    1-D methods use only metric_x.
+    for an on-demand centroid-distance metric.  1-D methods use only
+    metric_x.  Each metric's polarity follows from the metric itself.
     """
 
     name: str
     kind: str                                   # "threshold" | "gmm1d" | "gmm2d"
     metric_x: str | CentroidVariant
     metric_y: str | CentroidVariant | None = None
-    polarity_x: str = HIGH_IS_NOISY
-    polarity_y: str = HIGH_IS_NOISY
     clusters: int = 2
     notes: str = ""
+
+    @property
+    def polarity_x(self) -> str:
+        return _polarity(self.metric_x)
+
+    @property
+    def polarity_y(self) -> str:
+        return _polarity(self.metric_y)
 
     def describe(self) -> dict:
         def _m(m):
@@ -195,58 +211,40 @@ _ACD_MID_STATIC = replace(ACD_VARIANT, epoch="mid", centroid="static")
 
 # The standard comparison rows.
 TABLE1_METHODS = (
-    MethodSpec("Thres_Loss", "threshold", "loss_end", polarity_x=HIGH_IS_NOISY),
-    MethodSpec(
-        "Thres_acc-over-training", "threshold", "acc_over_training",
-        polarity_x=LOW_IS_NOISY,
-    ),
-    MethodSpec("Thres_AUM", "threshold", "aum", polarity_x=LOW_IS_NOISY),
-    MethodSpec("1d-GMM_Loss", "gmm1d", "loss_end", polarity_x=HIGH_IS_NOISY),
-    MethodSpec("1d-GMM_AUL", "gmm1d", "aul", polarity_x=HIGH_IS_NOISY),
-    MethodSpec(
-        "2d-GMM_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT,
-        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM_acc-SCD", "gmm2d", "acc_over_training", SCD_VARIANT,
-        polarity_x=LOW_IS_NOISY, clusters=3,
-    ),
+    MethodSpec("Thres_Loss", "threshold", "loss_end"),
+    MethodSpec("Thres_acc-over-training", "threshold", "acc_over_training"),
+    MethodSpec("Thres_AUM", "threshold", "aum"),
+    MethodSpec("1d-GMM_Loss", "gmm1d", "loss_end"),
+    MethodSpec("1d-GMM_AUL", "gmm1d", "aul"),
+    MethodSpec("2d-GMM_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=2, notes=WJSD_NOTE),
+    MethodSpec("2d-GMM_acc-SCD", "gmm2d", "acc_over_training", SCD_VARIANT, clusters=3),
 )
 
 # The centroid-distance ablations.
 ABLATION_METHODS = (
+    MethodSpec("2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=2, notes=WJSD_NOTE),
     MethodSpec(
-        "2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID,
-        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM,
-        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
+        "2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM, clusters=2, notes=WJSD_NOTE,
     ),
     MethodSpec(
         "2d-GMM_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC,
-        polarity_x=HIGH_IS_NOISY, clusters=2, notes=WJSD_NOTE,
+        clusters=2, notes=WJSD_NOTE,
     ),
     MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT,
-        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+        "2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=3, notes=WJSD_NOTE,
     ),
     MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID,
-        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+        "2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=3, notes=WJSD_NOTE,
     ),
     MethodSpec(
         "2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM,
-        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+        clusters=3, notes=WJSD_NOTE,
     ),
     MethodSpec(
         "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC,
-        polarity_x=HIGH_IS_NOISY, clusters=3, notes=WJSD_NOTE,
+        clusters=3, notes=WJSD_NOTE,
     ),
-    MethodSpec(
-        "2d-GMM-3clusters_acc-ACD", "gmm2d", "acc_over_training", ACD_VARIANT,
-        polarity_x=LOW_IS_NOISY, clusters=3,
-    ),
+    MethodSpec("2d-GMM-3clusters_acc-ACD", "gmm2d", "acc_over_training", ACD_VARIANT, clusters=3),
 )
 
 TABLE1_METHOD_NAMES = tuple(m.name for m in TABLE1_METHODS)

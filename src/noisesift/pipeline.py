@@ -16,7 +16,7 @@ import numpy as np
 from . import transforms
 from .data import Dataset, GridSpec, generate_base, load_dataset, save_dataset
 from .errors import ConfigurationError, StageError
-from .evaluation import EvalReport, retrain_on_subset, score_partition
+from .evaluation import retrain_on_subset, score_partition
 from .gmm import GmmConfig
 from .metrics import compute_metric_table, load_metric_table, save_metric_table
 from .mlp import (
@@ -97,13 +97,26 @@ def load_config(path: str | Path, seed_override: int | None = None) -> dict:
     return cfg
 
 
+def _train_config(cfg: dict, seed: int | None = None, epochs: int | None = None) -> TrainConfig:
+    t = cfg["train"]
+    return TrainConfig(
+        epochs=epochs if epochs is not None else t["epochs"],
+        batch_size=t["batch_size"],
+        learning_rate=t["learning_rate"],
+        momentum=t["momentum"],
+        weight_decay=t["weight_decay"],
+        seed=cfg["seed"] if seed is None else seed,
+    )
+
+
 def validate_config(cfg: dict) -> None:
     _check_keys(cfg, _ALLOWED_KEYS)
     h = cfg["hardness"]
     if h["type"] not in HARDNESS_TYPES:
         raise ConfigurationError(f"unknown hardness type {h['type']!r}")
-    if not 0.0 <= cfg["noise"]["delta"] <= 1.0:
-        raise ConfigurationError("noise delta must be in [0, 1]")
+    transforms.NoiseSpec(delta=cfg["noise"]["delta"]).validate()
+    _train_config(cfg).validate()
+    _train_config(cfg, epochs=cfg["oracle"]["epochs"]).validate()
     grid = GridSpec(**{**cfg["grid"], "seed": cfg["seed"]})
     grid.validate()
     if "eps_by_h" in h:
@@ -212,17 +225,6 @@ class Run:
     def grid_spec(self) -> GridSpec:
         return GridSpec(**{**self.config["grid"], "seed": self.config["seed"]})
 
-    def train_config(self, seed: int | None = None, epochs: int | None = None) -> TrainConfig:
-        t = self.config["train"]
-        return TrainConfig(
-            epochs=epochs if epochs is not None else t["epochs"],
-            batch_size=t["batch_size"],
-            learning_rate=t["learning_rate"],
-            momentum=t["momentum"],
-            weight_decay=t["weight_decay"],
-            seed=self.config["seed"] if seed is None else seed,
-        )
-
     def _model_for(self, dataset: Dataset, seed: int):
         t = self.config["train"]
         return init_model(
@@ -256,7 +258,7 @@ def stage_gen(run: Run) -> None:
             {"transform": "diversification", "jitter_std": jitter, "seed": seed + 1}
         )
     elif htype == "boundary":
-        oracle_cfg = run.train_config(seed=seed + 7, epochs=cfg["oracle"]["epochs"])
+        oracle_cfg = _train_config(cfg, seed=seed + 7, epochs=cfg["oracle"]["epochs"])
         oracle = run._model_for(train, seed=seed + 7)
         oracle, _ = train_with_tracing(oracle, train, oracle_cfg)
         files += save_model(oracle, run.directory / "oracle")
@@ -298,7 +300,7 @@ def stage_train(run: Run) -> None:
     run.require_stage("gen", "train")
     train = load_dataset(run.directory, "train")
     model = run._model_for(train, seed=run.config["seed"])
-    model, traces = train_with_tracing(model, train, run.train_config())
+    model, traces = train_with_tracing(model, train, _train_config(run.config))
     files = save_model(model, run.directory / "model") + save_traces(traces, run.directory)
     run.mark_complete("train", files)
 
@@ -311,6 +313,7 @@ def stage_metrics(run: Run) -> None:
 
 
 def stage_partition(run: Run) -> None:
+    run.require_stage("train", "partition")
     run.require_stage("metrics", "partition")
     table = load_metric_table(run.directory)
     traces = load_traces(run.directory)
@@ -324,40 +327,34 @@ def stage_partition(run: Run) -> None:
 
 
 def stage_eval(run: Run) -> None:
+    run.require_stage("gen", "eval")
     run.require_stage("partition", "eval")
     cfg = run.config
     train = load_dataset(run.directory, "train")
     test = load_dataset(run.directory, "test")
     gt = transforms.ground_truth_partition(train, cfg["eval"]["h_threshold"])
-    do_retrain = cfg["eval"]["retrain"]
-    seeds = tuple(cfg["eval"]["retrain_seeds"])
-    hidden = tuple(cfg["train"]["hidden_sizes"])
-    fw = cfg["train"]["feature_width"]
 
-    reports: list[EvalReport] = []
     # Baseline row: the untouched dataset.
-    baseline = Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")
-    reports.append(_eval_one(run, baseline, gt, train, test, do_retrain, seeds, hidden, fw))
-    for name in cfg["methods"]:
-        part = load_partition(run.directory, run._partition_prefix(name))
-        reports.append(_eval_one(run, part, gt, train, test, do_retrain, seeds, hidden, fw))
+    parts = [Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")]
+    parts += [load_partition(run.directory, run._partition_prefix(n)) for n in cfg["methods"]]
+    rows = []
+    for part in parts:
+        report = score_partition(part, gt, train)
+        if cfg["eval"]["retrain"]:
+            acc, std, loss = retrain_on_subset(
+                train, part, _train_config(cfg), test,
+                seeds=tuple(cfg["eval"]["retrain_seeds"]),
+                hidden_sizes=tuple(cfg["train"]["hidden_sizes"]),
+                feature_width=cfg["train"]["feature_width"],
+            )
+            report.test_accuracy_mean = acc
+            report.test_accuracy_std = std
+            report.test_loss_mean = loss
+        rows.append(report.as_row())
 
     path = run.directory / "eval.json"
-    path.write_text(json.dumps([r.as_row() for r in reports], indent=2))
+    path.write_text(json.dumps(rows, indent=2))
     run.mark_complete("eval", [path])
-
-
-def _eval_one(run, part, gt, train, test, do_retrain, seeds, hidden, fw) -> EvalReport:
-    report = score_partition(part, gt, train)
-    if do_retrain:
-        acc, std, loss = retrain_on_subset(
-            train, part, run.train_config(), test,
-            seeds=seeds, hidden_sizes=hidden, feature_width=fw,
-        )
-        report.test_accuracy_mean = acc
-        report.test_accuracy_std = std
-        report.test_loss_mean = loss
-    return report
 
 
 REPORT_COLUMNS = (
@@ -387,6 +384,8 @@ def _sig4(v) -> str:
 
 
 def stage_report(run: Run) -> None:
+    run.require_stage("gen", "report")
+    run.require_stage("metrics", "report")
     run.require_stage("eval", "report")
     rows = json.loads((run.directory / "eval.json").read_text())
     files = []

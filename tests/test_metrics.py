@@ -53,22 +53,21 @@ def test_jsd_matches_brute_force(k, seed):
 
 def _toy_traces():
     """Hand-sized TraceStore with T=3, N=4 for brute-force comparisons."""
-    loss = np.array(
-        [[1.0, 2.0, 0.5, 3.0], [0.8, 1.5, 0.4, 2.5], [0.5, 1.0, 0.3, 2.0]]
-    )
     pred = np.array([[0, 1, 2, 0], [1, 1, 2, 0], [1, 1, 2, 3]])
     y_assigned = np.array([1, 0, 2, 3])
-    p_assigned = np.exp(-loss)
-    p_pred = np.clip(p_assigned + 0.05, 0, 1)
-    p_max_other = np.where(pred == y_assigned[None, :], p_assigned - 0.1, p_pred)
+    p_assigned = np.exp(
+        -np.array([[1.0, 2.0, 0.5, 3.0], [0.8, 1.5, 0.4, 2.5], [0.5, 1.0, 0.3, 2.0]])
+    )
+    # Below p_assigned where the prediction is right, above it elsewhere.
+    p_max_other = np.where(
+        pred == y_assigned[None, :], p_assigned - 0.1, np.clip(p_assigned + 0.05, 0, 1)
+    )
     feats_mid = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     feats_end = feats_mid * 2.0
     return TraceStore(
         ids=np.array([10, 11, 12, 13]),
         y_assigned=y_assigned,
-        loss=loss,
         pred=pred,
-        p_pred=p_pred,
         p_assigned=p_assigned,
         p_max_other=p_max_other,
         train_acc=np.array([0.25, 0.5, 0.5]),

@@ -11,7 +11,6 @@ from noisesift import (
     Model,
     TrainConfig,
     evaluate,
-    forward,
     generate_base,
     init_model,
     input_gradient,
@@ -181,13 +180,18 @@ def test_divergence_raises(small_train):
 def test_trace_shapes_and_probability_identities(small_train):
     cfg = TrainConfig(epochs=4, seed=0)
     model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
-    _, traces = train_with_tracing(model, small_train, cfg)
+    trained, traces = train_with_tracing(model, small_train, cfg)
     N = len(small_train)
-    assert traces.loss.shape == (4, N)
+    assert traces.p_assigned.shape == (4, N)
+    assert traces.loss.shape == traces.p_pred.shape == (4, N)
     assert traces.features_mid.shape == (N, 4)
-    # p_pred is the max probability, so it dominates p_assigned, and
-    # loss is the negative log of p_assigned.
-    assert np.all(traces.p_pred >= traces.p_assigned)
+    # The last epoch's records are those of the trained model; p_pred is
+    # its max probability and loss the negative log of p_assigned.
+    probs, _ = forward_batch(trained, small_train.X)
+    p_assigned = probs[np.arange(N), small_train.y_assigned]
+    np.testing.assert_array_equal(traces.p_assigned[-1], p_assigned)
+    np.testing.assert_array_equal(traces.p_pred[-1], probs.max(axis=1))
+    np.testing.assert_array_equal(traces.pred[-1], probs.argmax(axis=1))
     np.testing.assert_allclose(traces.loss, -np.log(traces.p_assigned), rtol=1e-12)
     agree = traces.pred == traces.y_assigned[None, :]
     np.testing.assert_array_equal(
@@ -221,7 +225,8 @@ def test_traces_save_load_roundtrip(tmp_path, small_train):
     _, traces = train_with_tracing(model, small_train, cfg)
     save_traces(traces, tmp_path)
     loaded = load_traces(tmp_path)
-    np.testing.assert_array_equal(loaded.loss, traces.loss)
+    np.testing.assert_array_equal(loaded.p_assigned, traces.p_assigned)
+    np.testing.assert_array_equal(loaded.p_max_other, traces.p_max_other)
     np.testing.assert_array_equal(loaded.pred, traces.pred)
     np.testing.assert_array_equal(loaded.features_mid, traces.features_mid)
     np.testing.assert_array_equal(loaded.features_end, traces.features_end)
@@ -234,8 +239,8 @@ def test_load_traces_rejects_a_misshapen_or_missing_array(tmp_path, small_train)
     model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
     _, traces = train_with_tracing(model, small_train, cfg)
     save_traces(traces, tmp_path)
-    np.save(tmp_path / "traces_loss.npy", traces.loss[:, :-1])  # (T, N-1)
-    with pytest.raises(ConfigurationError, match="traces_loss.npy"):
+    np.save(tmp_path / "traces_p_assigned.npy", traces.p_assigned[:, :-1])  # (T, N-1)
+    with pytest.raises(ConfigurationError, match="traces_p_assigned.npy"):
         load_traces(tmp_path)
     save_traces(traces, tmp_path)
     (tmp_path / "traces_pred.npy").unlink()

@@ -11,12 +11,15 @@ from noisesift import (
     partition_threshold,
     run_method,
 )
-from noisesift.errors import UnknownMethodError
+from noisesift.errors import ConfigurationError, UnknownMethodError
+from noisesift.metrics import COLUMNS, SCD_VARIANT
 from noisesift.partition import (
     ABLATION_METHOD_NAMES,
     HIGH_IS_NOISY,
     LOW_IS_NOISY,
+    METRIC_POLARITY,
     TABLE1_METHOD_NAMES,
+    MethodSpec,
     Partition,
     load_partition,
     save_partition,
@@ -103,6 +106,26 @@ def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
     # The middle (hard) cluster must stay clean.
     assert noisy_ids(part) == list(range(300, 400))
     assert set(range(200, 300)) <= set(clean_ids(part))
+
+
+def test_metric_polarity_covers_every_metric_column():
+    assert sorted(METRIC_POLARITY) == sorted(COLUMNS)
+    assert set(METRIC_POLARITY.values()) == {HIGH_IS_NOISY, LOW_IS_NOISY}
+
+
+def test_method_polarity_follows_its_metrics():
+    # A table column maps through METRIC_POLARITY; a centroid distance or
+    # an absent second metric is high-is-noisy.
+    aum = lookup_method("Thres_AUM")
+    assert (aum.polarity_x, aum.polarity_y) == (LOW_IS_NOISY, HIGH_IS_NOISY)
+    aul = lookup_method("1d-GMM_AUL")
+    assert (aul.polarity_x, aul.polarity_y) == (HIGH_IS_NOISY, HIGH_IS_NOISY)
+    scd = lookup_method("2d-GMM_acc-SCD")
+    assert (scd.polarity_x, scd.polarity_y) == (LOW_IS_NOISY, HIGH_IS_NOISY)
+    flipped = MethodSpec("flipped", "gmm2d", SCD_VARIANT, "confidence_end")
+    assert (flipped.polarity_x, flipped.polarity_y) == (HIGH_IS_NOISY, LOW_IS_NOISY)
+    with pytest.raises(ConfigurationError, match="margin"):
+        MethodSpec("bogus", "threshold", "margin").polarity_x
 
 
 def test_builtin_catalog_shape():

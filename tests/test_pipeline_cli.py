@@ -10,6 +10,7 @@ from noisesift.cli import main
 from noisesift.errors import ConfigurationError, StageError
 from noisesift.pipeline import (
     DEFAULT_CONFIG,
+    STAGES,
     Run,
     config_digest,
     load_config,
@@ -46,7 +47,7 @@ EXPECTED_ARTIFACTS = (
     "test_X.npy",
     "ground_truth.json",
     "model_w0.npy",
-    "traces_loss.npy",
+    "traces_p_assigned.npy",
     "metrics.csv",
     "partition_Thres_Loss_noisy.npy",
     "partition_2d-GMM_acc-SCD_noisy.npy",
@@ -75,7 +76,7 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
     d2 = run_pipeline(cfg_path, tmp_path / "b")
     for name in (
         "report.csv", "cells.csv", "metrics.csv",
-        "train_X.npy", "traces_loss.npy", "model_w0.npy",
+        "train_X.npy", "traces_p_assigned.npy", "model_w0.npy",
     ):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
@@ -99,15 +100,27 @@ def test_stage_order_is_enforced(tmp_path):
         run_stage(run, "metrics")  # train has not run
 
 
-def test_checksum_guard_detects_tampering(tmp_path):
+@pytest.mark.parametrize(
+    "tampered, stage",
+    [
+        ("traces_p_assigned.npy", "metrics"),
+        ("traces_p_assigned.npy", "partition"),
+        ("train_y_assigned.npy", "eval"),
+        ("train_y_assigned.npy", "report"),
+        ("metrics.csv", "report"),
+    ],
+)
+def test_checksum_guard_detects_tampering(tmp_path, tampered, stage):
+    # A stage verifies every stage whose files it reads, not only the one
+    # just before it.
     cfg_path = _small_config(tmp_path)
-    run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
-    run_pipeline(cfg_path, run_dir, stage="train")
-    # Corrupt an upstream artifact and demand the next stage.
-    with open(run_dir / "traces_loss.npy", "ab") as f:
+    run_dir = tmp_path / "run"
+    for done in STAGES[: STAGES.index(stage)]:
+        run_pipeline(cfg_path, run_dir, stage=done)
+    with open(run_dir / tampered, "ab") as f:
         f.write(b"tampered\n")
-    with pytest.raises(StageError):
-        run_pipeline(cfg_path, run_dir, stage="metrics")
+    with pytest.raises(StageError, match=tampered):
+        run_pipeline(cfg_path, run_dir, stage=stage)
 
 
 def test_seed_override_changes_the_data(tmp_path):
@@ -138,6 +151,10 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         {"bogus": 1},
         {"grid": {"level": 3}},
         {"grid": 3},
+        # Known keys with values the stages would reject later.
+        {"train": {"epochs": 0}},
+        {"oracle": {"epochs": 0}},
+        {"noise": {"delta": 1.5}},
     ],
 )
 def test_load_config_rejects_unknown_keys(tmp_path, raw):
