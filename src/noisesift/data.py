@@ -79,7 +79,6 @@ class Dataset:
     levels: int
     classes_per_cell: int
     class_cells: dict[int, tuple[int, int]]
-    kind: str = "train"
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -101,7 +100,6 @@ class Dataset:
             levels=self.levels,
             classes_per_cell=self.classes_per_cell,
             class_cells=dict(self.class_cells),
-            kind=self.kind,
         )
 
     def class_counts(self) -> np.ndarray:
@@ -163,7 +161,7 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
     K, d, X = spec.n_classes, spec.input_dim, spec.per_class_count
     tc = spec.resolved_test_per_class()
 
-    def _make(count_per_class: int, kind: str) -> Dataset:
+    def _make(count_per_class: int) -> Dataset:
         N = K * count_per_class
         coords = np.empty((N, d))
         y = np.empty(N, dtype=np.int64)
@@ -191,12 +189,9 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
             levels=spec.levels,
             classes_per_cell=spec.classes_per_cell,
             class_cells=cells,
-            kind=kind,
         )
 
-    train = _make(X, "train")
-    test = _make(tc, "test")
-    return train, test
+    return _make(X), _make(tc)
 
 
 _COLUMNS = ("ids", "y_true", "y_assigned", "h", "n", "base_id")
@@ -209,7 +204,6 @@ def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[P
         "d": dataset.d,
         "L": dataset.levels,
         "P": dataset.classes_per_cell,
-        "kind": dataset.kind,
         "class_cells": {str(c): list(hn) for c, hn in sorted(dataset.class_cells.items())},
     }
     columns = {c: getattr(dataset, c) for c in _COLUMNS}
@@ -227,5 +221,4 @@ def load_dataset(directory: str | Path, prefix: str) -> Dataset:
         levels=meta["L"],
         classes_per_cell=meta["P"],
         class_cells={int(c): tuple(hn) for c, hn in meta["class_cells"].items()},
-        kind=meta["kind"],
     )

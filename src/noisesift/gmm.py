@@ -21,24 +21,23 @@ import numpy as np
 from .errors import ConfigurationError, DegenerateDataError
 
 
+# EM stops after MAX_ITER iterations or once the log-likelihood gains less
+# than TOL; every covariance eigenvalue is kept at or above COV_FLOOR; the
+# best of RESTARTS runs is kept.
+MAX_ITER = 200
+TOL = 1e-6
+COV_FLOOR = 1e-6
+RESTARTS = 3
+
+
 @dataclass(frozen=True)
 class GmmConfig:
     k: int = 2
-    max_iter: int = 200
-    tol: float = 1e-6
-    cov_floor: float = 1e-6
     seed: int = 0
-    restarts: int = 3
 
     def validate(self) -> None:
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
-        if self.max_iter < 1:
-            raise ConfigurationError("max_iter must be >= 1")
-        if self.tol <= 0:
-            raise ConfigurationError("tol must be > 0")
-        if self.cov_floor <= 0:
-            raise ConfigurationError("cov_floor must be > 0")
 
 
 @dataclass
@@ -88,9 +87,9 @@ def _as_2d(points: np.ndarray) -> np.ndarray:
     return pts
 
 
-def _floor_cov(covs: np.ndarray, floor: float) -> np.ndarray:
+def _floor_cov(covs: np.ndarray) -> np.ndarray:
     """Raise every eigenvalue of each (D, D) matrix in the (k, D, D) stack
-    to at least `floor`.  The smallest eigenvalue is found in closed form;
+    to at least COV_FLOOR.  The smallest eigenvalue is found in closed form;
     the stack comes back unchanged when no matrix is below the floor."""
     a = covs[:, 0, 0]
     if covs.shape[1] == 1:
@@ -98,10 +97,10 @@ def _floor_cov(covs: np.ndarray, floor: float) -> np.ndarray:
     else:
         b, c = covs[:, 1, 0], covs[:, 1, 1]
         smallest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    if np.all(smallest >= floor):
+    if np.all(smallest >= COV_FLOOR):
         return covs
     vals, vecs = np.linalg.eigh(covs)
-    return (vecs * np.maximum(vals, floor)[:, None, :]) @ vecs.swapaxes(1, 2)
+    return (vecs * np.maximum(vals, COV_FLOOR)[:, None, :]) @ vecs.swapaxes(1, 2)
 
 
 def _component_logpdf(model_means, model_covs, model_weights, pts) -> np.ndarray:
@@ -174,11 +173,11 @@ def _em_once(
     weights = np.maximum(np.bincount(assign, minlength=k) / N, 1.0 / (10 * N))
     weights /= weights.sum()
     base_cov = np.cov(pts, bias=True).reshape(1, D, D)
-    covs = np.repeat(_floor_cov(base_cov, cfg.cov_floor), k, axis=0)
+    covs = np.repeat(_floor_cov(base_cov), k, axis=0)
 
     history: list[float] = []
     ll_prev = -np.inf
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         joint = _component_logpdf(means, covs, weights, pts)
         log_norm = _logsumexp(joint)
         ll = float(log_norm.sum())
@@ -189,8 +188,8 @@ def _em_once(
         means = (resp @ pts.T) / nk[:, None]
         diff = pts[None, :, :] - means[:, :, None]
         covs = (resp[:, None, :] * diff) @ diff.swapaxes(1, 2) / nk[:, None, None]
-        covs = _floor_cov(covs, cfg.cov_floor)
-        if ll - ll_prev < cfg.tol and it > 1:
+        covs = _floor_cov(covs)
+        if ll - ll_prev < TOL and it > 1:
             break
         ll_prev = ll
     # Final likelihood under the last parameter update.
@@ -213,7 +212,7 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
     pts = np.ascontiguousarray(((pts_raw - mu0) / sd0).T)
 
     best = None
-    for r in range(max(cfg.restarts, 1)):
+    for r in range(RESTARTS):
         rng = np.random.default_rng([cfg.seed, r])
         weights, means, covs, ll, iters, history = _em_once(pts, cfg, rng)
         if best is None or ll > best[3]:

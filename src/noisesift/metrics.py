@@ -59,9 +59,6 @@ class MetricTable:
     values: dict[str, np.ndarray]   # column name -> per-sample array
     params: dict                    # variant parameters, persisted as sidecar
 
-    def column(self, name: str) -> np.ndarray:
-        return self.values[name]
-
 
 def jensen_shannon_onehot(probs: np.ndarray, assigned: np.ndarray) -> np.ndarray:
     """JSD in nats between each probability row and the one-hot assigned
@@ -183,15 +180,11 @@ def centroid_distance_from_traces(
     return dist
 
 
-def compute_metric_table(
-    traces: TraceStore,
-    acd_variant: CentroidVariant = ACD_VARIANT,
-    scd_variant: CentroidVariant = SCD_VARIANT,
-) -> MetricTable:
+def compute_metric_table(traces: TraceStore) -> MetricTable:
     raise_if_missing(traces)
     first, acc, aul, aum = trajectory_metrics(traces)
-    acd = centroid_distance_from_traces(traces, acd_variant)
-    scd = centroid_distance_from_traces(traces, scd_variant)
+    acd = centroid_distance_from_traces(traces, ACD_VARIANT)
+    scd = centroid_distance_from_traces(traces, SCD_VARIANT)
     values = {
         "loss_end": traces.loss[traces.T - 1],
         "confidence_end": traces.p_pred[traces.T - 1],
@@ -204,23 +197,21 @@ def compute_metric_table(
         "scd": scd,
     }
     params = {
-        "acd_variant": vars(acd_variant).copy(),
-        "scd_variant": vars(scd_variant).copy(),
+        "acd_variant": vars(ACD_VARIANT).copy(),
+        "scd_variant": vars(SCD_VARIANT).copy(),
         "first_pred_epoch_sentinel": traces.T + 1,
         "jsd_log_base": "e",
     }
     return MetricTable(ids=traces.ids.copy(), values=values, params=params)
 
 
-def save_metric_table(
-    table: MetricTable, directory: str | Path, prefix: str = "metrics"
-) -> list[Path]:
-    """Write <prefix>.json (variant parameters) and the <prefix>.csv table."""
+def save_metric_table(table: MetricTable, directory: str | Path) -> list[Path]:
+    """Write metrics.json (variant parameters) and the metrics.csv table."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    params_path = directory / f"{prefix}.json"
+    params_path = directory / "metrics.json"
     params_path.write_text(json.dumps(table.params, indent=2))
-    csv_path = directory / f"{prefix}.csv"
+    csv_path = directory / "metrics.csv"
     with open(csv_path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["id"] + list(COLUMNS))
@@ -229,13 +220,13 @@ def save_metric_table(
     return [csv_path, params_path]
 
 
-def load_metric_table(directory: str | Path, prefix: str = "metrics") -> MetricTable:
+def load_metric_table(directory: str | Path) -> MetricTable:
     """Read a table written by save_metric_table.  A header other than
     `id` plus COLUMNS, a row of another width, or a field that is not a
     number raises ConfigurationError naming the file."""
     directory = Path(directory)
-    params = json.loads((directory / f"{prefix}.json").read_text())
-    csv_path = directory / f"{prefix}.csv"
+    params = json.loads((directory / "metrics.json").read_text())
+    csv_path = directory / "metrics.csv"
     with open(csv_path, newline="") as f:
         rows = list(csv.reader(f))
     header = ["id", *COLUMNS]

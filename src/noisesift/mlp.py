@@ -23,35 +23,30 @@ from .errors import ConfigurationError, TrainingDivergedError
 
 @dataclass
 class Model:
+    """A classifier given by its weight and bias lists, one pair per layer.
+
+    Every layer but the last two is a ReLU layer, the second-to-last is the
+    linear feature layer and the last maps the features to the K logits.
+    A single layer has no feature layer: the features are the input.
+    """
+
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    hidden_count: int
-    d: int
-    m: int
-    K: int
 
     @property
-    def feature_passthrough(self) -> bool:
-        # No hidden layers: single output matrix, features are the input.
-        return self.hidden_count == 0 and len(self.weights) == 1
+    def d(self) -> int:
+        return self.weights[0].shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.weights[-1].shape[0]
+
+    @property
+    def K(self) -> int:
+        return self.weights[-1].shape[1]
 
     def copy(self) -> "Model":
-        return Model(
-            weights=[w.copy() for w in self.weights],
-            biases=[b.copy() for b in self.biases],
-            hidden_count=self.hidden_count,
-            d=self.d,
-            m=self.m,
-            K=self.K,
-        )
-
-    # Convenience wrappers so the model can act as the boundary-shift oracle.
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        probs, _ = forward_batch(self, np.atleast_2d(X))
-        return np.argmax(probs, axis=1)
-
-    def input_gradient(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return input_gradient(self, X, y)
+        return Model([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 @dataclass(frozen=True)
@@ -114,29 +109,34 @@ class TraceStore:
         return self.features_end.shape[1]
 
 
+def layer_sizes(d: int, hidden_sizes: list[int], m: int, K: int) -> list[int]:
+    """Widths of the layer chain from the input to the logits; with zero
+    hidden layers the feature layer is the input itself, so m must be d."""
+    if d < 1 or m < 1 or K < 1 or any(s < 1 for s in hidden_sizes):
+        raise ConfigurationError("layer widths must be positive")
+    if hidden_sizes:
+        return [d, *hidden_sizes, m, K]
+    if m != d:
+        raise ConfigurationError(
+            "with zero hidden layers the feature layer is the input, "
+            f"so m must equal d (got m={m}, d={d})"
+        )
+    return [d, K]
+
+
 def init_model(
     d: int, hidden_sizes: list[int], m: int, K: int, seed: int = 0
 ) -> Model:
     """He-initialized weights into ReLU layers, Xavier into linear ones."""
-    if d < 1 or m < 1 or K < 1 or any(s < 1 for s in hidden_sizes):
-        raise ConfigurationError("layer widths must be positive")
+    sizes = layer_sizes(d, hidden_sizes, m, K)
     rng = np.random.default_rng(seed)
-    if not hidden_sizes:
-        if m != d:
-            raise ConfigurationError(
-                "with zero hidden layers the feature layer is the input, "
-                f"so m must equal d (got m={m}, d={d})"
-            )
-        W = rng.standard_normal((d, K)) * math.sqrt(1.0 / d)
-        return Model([W], [np.zeros(K)], hidden_count=0, d=d, m=m, K=K)
-    sizes = [d] + list(hidden_sizes) + [m, K]
     weights, biases = [], []
     for i, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
         relu_layer = i < len(hidden_sizes)
         scale = math.sqrt((2.0 if relu_layer else 1.0) / fan_in)
         weights.append(rng.standard_normal((fan_in, fan_out)) * scale)
         biases.append(np.zeros(fan_out))
-    return Model(weights, biases, hidden_count=len(hidden_sizes), d=d, m=m, K=K)
+    return Model(weights, biases)
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -154,17 +154,14 @@ def forward_batch(
             f"input dimension {X.shape[1]} != model dimension {model.d}"
         )
     acts = [X]
-    a = X
-    for i in range(model.hidden_count):
-        a = np.maximum(a @ model.weights[i] + model.biases[i], 0.0)
+    last = len(model.weights) - 1
+    for i in range(last):
+        a = acts[-1] @ model.weights[i] + model.biases[i]
+        if i < last - 1:  # every layer before the feature layer is ReLU
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
-    if model.feature_passthrough:
-        features = X
-        logits = X @ model.weights[0] + model.biases[0]
-    else:
-        features = a @ model.weights[model.hidden_count] + model.biases[model.hidden_count]
-        acts.append(features)
-        logits = features @ model.weights[-1] + model.biases[-1]
+    features = acts[-1]
+    logits = features @ model.weights[last] + model.biases[last]
     probs = _softmax(logits)
     if return_cache:
         return probs, features, acts
@@ -182,7 +179,7 @@ def _backward(
         grads_w[i] = acts[i].T @ delta
         grads_b[i] = delta.sum(axis=0)
         delta = delta @ model.weights[i].T
-        if 0 < i <= model.hidden_count:
+        if 0 < i < len(model.weights) - 1:
             delta = delta * (acts[i] > 0)
     return grads_w, grads_b, delta
 
@@ -287,32 +284,24 @@ def train_with_tracing(
 
 
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss); test data is scored against
-    y_true, train data against y_assigned."""
+    """(accuracy, mean cross-entropy loss) against the true labels."""
     if len(dataset) == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
-    labels = dataset.y_true if dataset.kind == "test" else dataset.y_assigned
     probs, _ = forward_batch(model, dataset.X)
-    acc = float(np.mean(np.argmax(probs, axis=1) == labels))
-    p = np.maximum(probs[np.arange(len(dataset)), labels], 1e-300)
+    acc = float(np.mean(np.argmax(probs, axis=1) == dataset.y_true))
+    p = np.maximum(probs[np.arange(len(dataset)), dataset.y_true], 1e-300)
     return acc, float(np.mean(-np.log(p)))
 
 
 def save_model(model: Model, path: str | Path) -> list[Path]:
-    """Write <path>.json and <path>_w<i>.npy / <path>_b<i>.npy per layer."""
+    """Write <path>.json (the layer count) and <path>_w<i>.npy /
+    <path>_b<i>.npy per layer."""
     path = Path(path)
-    meta = {
-        "hidden_count": model.hidden_count,
-        "d": model.d,
-        "m": model.m,
-        "K": model.K,
-        "layers": len(model.weights),
-    }
     arrays = {}
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         arrays[f"w{i}"] = w
         arrays[f"b{i}"] = b
-    return save_arrays(path.parent, path.name, meta, **arrays)
+    return save_arrays(path.parent, path.name, {"layers": len(model.weights)}, **arrays)
 
 
 def load_model(path: str | Path) -> Model:
@@ -325,14 +314,10 @@ def load_model(path: str | Path) -> Model:
     for i in range(layers):
         shapes[f"w{i}"] = (dims[i], dims[i + 1])
         shapes[f"b{i}"] = (dims[i + 1],)
-    meta, arrays = load_arrays(path.parent, path.name, shapes)
+    _, arrays = load_arrays(path.parent, path.name, shapes)
     return Model(
         weights=[arrays[f"w{i}"] for i in range(layers)],
         biases=[arrays[f"b{i}"] for i in range(layers)],
-        hidden_count=meta["hidden_count"],
-        d=meta["d"],
-        m=meta["m"],
-        K=meta["K"],
     )
 
 
@@ -349,13 +334,13 @@ _TRACE_SHAPES = {
 }
 
 
-def save_traces(traces: TraceStore, directory: str | Path, prefix: str = "traces") -> list[Path]:
-    """Write <prefix>.json (T, N, m, mid_epoch) and one .npy per array."""
+def save_traces(traces: TraceStore, directory: str | Path) -> list[Path]:
+    """Write traces.json (T, N, m, mid_epoch) and one .npy per array."""
     meta = {"T": traces.T, "N": traces.N, "m": traces.m, "mid_epoch": traces.mid_epoch}
     arrays = {name: getattr(traces, name) for name in _TRACE_SHAPES}
-    return save_arrays(directory, prefix, meta, **arrays)
+    return save_arrays(directory, "traces", meta, **arrays)
 
 
-def load_traces(directory: str | Path, prefix: str = "traces") -> TraceStore:
-    meta, arrays = load_arrays(directory, prefix, _TRACE_SHAPES)
+def load_traces(directory: str | Path) -> TraceStore:
+    meta, arrays = load_arrays(directory, "traces", _TRACE_SHAPES)
     return TraceStore(**arrays, mid_epoch=meta["mid_epoch"])

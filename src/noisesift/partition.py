@@ -107,14 +107,13 @@ def partition_threshold(
     ids: np.ndarray,
     values: np.ndarray,
     polarity: str = HIGH_IS_NOISY,
-    threshold: float | None = None,
     method_name: str = "threshold",
 ) -> Partition:
-    """Median threshold by default; strictly beyond the threshold on the
-    noisy side goes to the noisy subset, ties stay clean."""
+    """Median threshold: strictly beyond the median on the noisy side goes
+    to the noisy subset, ties stay clean."""
     if len(values) == 0:
         raise ConfigurationError("cannot threshold an empty value set")
-    thr = float(np.median(values)) if threshold is None else float(threshold)
+    thr = float(np.median(values))
     if polarity == HIGH_IS_NOISY:
         noisy = values > thr
     else:
@@ -280,7 +279,7 @@ def run_method(
                     f"method {spec.name} needs a TraceStore for its centroid variant"
                 )
             return centroid_distance_from_traces(traces, metric)
-        return table.column(metric)
+        return table.values[metric]
 
     ids = table.ids
     x = _values(spec.metric_x)

@@ -8,7 +8,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +22,7 @@ from .metrics import compute_metric_table, load_metric_table, save_metric_table
 from .mlp import (
     TrainConfig,
     init_model,
+    layer_sizes,
     load_traces,
     save_model,
     save_traces,
@@ -59,23 +60,41 @@ DEFAULT_CONFIG = {
 }
 
 
-# Keys a config may hold: those of DEFAULT_CONFIG, the GridSpec fields
-# (the seed is the top-level one) and the optional hardness schedule.
-_ALLOWED_KEYS = {
+# Every key a config may hold, each with a value of the type it must have:
+# the keys of DEFAULT_CONFIG, the GridSpec fields (the seed is the top-level
+# one) and the optional hardness schedule.
+_SCHEMA = {
     **DEFAULT_CONFIG,
-    "grid": {f.name: None for f in fields(GridSpec) if f.name != "seed"},
-    "hardness": {**DEFAULT_CONFIG["hardness"], "eps_by_h": None},
+    "grid": {k: v for k, v in vars(GridSpec()).items() if k != "seed"},
+    "hardness": {**DEFAULT_CONFIG["hardness"], "eps_by_h": [0.0]},
 }
 
 
-def _check_keys(cfg: dict, allowed: dict, where: str = "") -> None:
+def _has_type_of(value, example) -> bool:
+    """Whether `value` has the type of the schema's `example`: a float also
+    takes an int, a None example takes an int or null, a list takes a list
+    of items of its first item's type, and only a bool takes a bool."""
+    if example is None:
+        return value is None or _has_type_of(value, 0)
+    if isinstance(value, bool) or isinstance(example, bool):
+        return isinstance(value, bool) and isinstance(example, bool)
+    if isinstance(example, float):
+        return isinstance(value, (int, float))
+    if isinstance(example, list):
+        return isinstance(value, list) and all(_has_type_of(v, example[0]) for v in value)
+    return isinstance(value, type(example))
+
+
+def _check_schema(cfg: dict, schema: dict, where: str = "") -> None:
     for key, value in cfg.items():
-        if key not in allowed:
+        if key not in schema:
             raise ConfigurationError(f"unknown config key {where + key!r}")
-        if isinstance(allowed[key], dict):
+        if isinstance(schema[key], dict):
             if not isinstance(value, dict):
                 raise ConfigurationError(f"config key {where + key!r} must be an object")
-            _check_keys(value, allowed[key], f"{where}{key}.")
+            _check_schema(value, schema[key], f"{where}{key}.")
+        elif not _has_type_of(value, schema[key]):
+            raise ConfigurationError(f"config key {where + key!r} has the wrong type: {value!r}")
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
@@ -89,7 +108,12 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> dict:
-    raw = json.loads(Path(path).read_text())
+    try:
+        raw = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigurationError(f"config {path} must hold a JSON object")
     cfg = _deep_merge(DEFAULT_CONFIG, raw)
     if seed_override is not None:
         cfg["seed"] = seed_override
@@ -110,17 +134,23 @@ def _train_config(cfg: dict, seed: int | None = None, epochs: int | None = None)
 
 
 def validate_config(cfg: dict) -> None:
-    _check_keys(cfg, _ALLOWED_KEYS)
+    _check_schema(cfg, _SCHEMA)
     h = cfg["hardness"]
     if h["type"] not in HARDNESS_TYPES:
         raise ConfigurationError(f"unknown hardness type {h['type']!r}")
+    if h["jitter_std"] < 0:
+        raise ConfigurationError("hardness.jitter_std must be >= 0")
     transforms.NoiseSpec(delta=cfg["noise"]["delta"]).validate()
     _train_config(cfg).validate()
     _train_config(cfg, epochs=cfg["oracle"]["epochs"]).validate()
     grid = GridSpec(**{**cfg["grid"], "seed": cfg["seed"]})
     grid.validate()
+    t = cfg["train"]
+    layer_sizes(grid.input_dim, t["hidden_sizes"], t["feature_width"], grid.n_classes)
     if "eps_by_h" in h:
         transforms.EpsSchedule(tuple(h["eps_by_h"])).validate(grid.levels)
+    if cfg["eval"]["retrain"] and not cfg["eval"]["retrain_seeds"]:
+        raise ConfigurationError("eval.retrain needs at least one of eval.retrain_seeds")
     for name in cfg["methods"]:
         lookup_method(name)
 

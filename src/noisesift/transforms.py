@@ -13,6 +13,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError
+from .mlp import Model, forward_batch, input_gradient
 
 
 @dataclass(frozen=True)
@@ -124,21 +125,16 @@ def apply_diversification(
     return out
 
 
-def apply_boundary_shift(dataset: Dataset, oracle, schedule: EpsSchedule) -> Dataset:
-    """Push samples toward the oracle's decision boundary with a single
-    signed-gradient step of size eps(h), then drop samples whose oracle
-    prediction no longer equals their true label.
-
-    The oracle must expose predict(X) -> class indices and
-    input_gradient(X, y) -> d(loss)/d(x) arrays.
-    """
+def apply_boundary_shift(dataset: Dataset, oracle: Model, schedule: EpsSchedule) -> Dataset:
+    """Push samples toward the decision boundary of the trained `oracle`
+    model with a single signed-gradient step of size eps(h), then drop
+    samples whose oracle prediction no longer equals their true label.
+    An oracle of another input width raises ConfigurationError."""
     schedule.validate(dataset.levels)
-    if getattr(oracle, "d", dataset.d) != dataset.d:
-        raise ConfigurationError("oracle input dimension mismatch")
     eps = np.asarray(schedule.eps_by_h)[dataset.h]
-    grads = oracle.input_gradient(dataset.X, dataset.y_true)
+    grads = input_gradient(oracle, dataset.X, dataset.y_true)
     shifted = dataset.X + eps[:, None] * np.sign(grads)
-    keep = oracle.predict(shifted) == dataset.y_true
+    keep = forward_batch(oracle, shifted)[0].argmax(axis=1) == dataset.y_true
     out = dataset.take(keep)
     out.X = shifted[keep]
     return out

@@ -57,7 +57,6 @@ def test_generate_base_counts_and_labels(small_spec):
         mask = train.y_true == c
         assert np.all(train.h[mask] == h)
         assert np.all(train.n[mask] == n)
-    assert train.kind == "train" and test.kind == "test"
 
 
 def test_center_spacing_controls_nearest_class_distance():
@@ -98,7 +97,6 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.h, small_train.h)
     np.testing.assert_array_equal(loaded.n, small_train.n)
     assert loaded.class_cells == small_train.class_cells
-    assert loaded.kind == small_train.kind
 
 
 def test_take_restricts_rows(small_train):

@@ -202,7 +202,6 @@ def test_trace_shapes_and_probability_identities(small_train):
 def test_evaluate_scores_test_sets_against_true_labels(small_train):
     model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
     test = small_train.take(slice(None))
-    test.kind = "test"
     test.y_assigned = (test.y_true + 1) % test.K  # corrupt assigned labels
     acc_true, _ = evaluate(model, test)
     probs, _ = forward_batch(model, test.X)
@@ -210,13 +209,21 @@ def test_evaluate_scores_test_sets_against_true_labels(small_train):
     assert acc_true == expected
 
 
-def test_model_save_load_roundtrip(tmp_path, small_train):
-    model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
+@pytest.mark.parametrize("hidden_sizes", [[], [8], [5, 4]])
+def test_model_save_load_roundtrip(tmp_path, small_train, hidden_sizes):
+    # With no hidden layers the feature layer is the input, so m == d.
+    m = 3 if hidden_sizes else small_train.d
+    model = init_model(small_train.d, hidden_sizes, m, small_train.K, seed=0)
     save_model(model, tmp_path / "model")
     loaded = load_model(tmp_path / "model")
+    assert len(loaded.weights) == len(model.weights)
     for w1, w2 in zip(model.weights, loaded.weights):
         np.testing.assert_array_equal(w1, w2)
-    assert (loaded.d, loaded.m, loaded.K) == (model.d, model.m, model.K)
+    assert (loaded.d, loaded.m, loaded.K) == (small_train.d, m, small_train.K)
+    probs, feats = forward_batch(model, small_train.X)
+    loaded_probs, loaded_feats = forward_batch(loaded, small_train.X)
+    np.testing.assert_array_equal(loaded_probs, probs)
+    np.testing.assert_array_equal(loaded_feats, feats)
 
 
 def test_traces_save_load_roundtrip(tmp_path, small_train):

@@ -45,14 +45,6 @@ def test_threshold_median_ties_stay_clean():
     assert clean_ids(part) == [2, 3, 4]
 
 
-def test_threshold_explicit_value():
-    ids = np.arange(4)
-    values = np.array([0.1, 0.4, 0.6, 0.9])
-    part = partition_threshold(ids, values, HIGH_IS_NOISY, threshold=0.5)
-    assert noisy_ids(part) == [2, 3]
-    assert part.parameters["threshold"] == 0.5
-
-
 def test_gmm1d_splits_bimodal_data(rng):
     lo = rng.normal(0.0, 0.1, size=300)
     hi = rng.normal(5.0, 0.1, size=100)

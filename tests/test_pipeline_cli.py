@@ -155,11 +155,24 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         {"train": {"epochs": 0}},
         {"oracle": {"epochs": 0}},
         {"noise": {"delta": 1.5}},
+        # Text that is not a JSON object, and values of the wrong type.
+        pytest.param('{"train": {"epochs": 5', id="malformed-json"),
+        pytest.param([{"train": {}}], id="top-level-list"),
+        pytest.param({"train": {"epochs": "5"}}, id="epochs-as-string"),
+        pytest.param({"train": {"epochs": 5.0}}, id="epochs-as-float"),
+        pytest.param({"eval": {"retrain": 1}}, id="retrain-as-int"),
+        # Layer widths that init_model rejects, on the default grid's shape.
+        pytest.param({"train": {"feature_width": 0}}, id="feature-width-0"),
+        pytest.param({"train": {"hidden_sizes": [0]}}, id="hidden-width-0"),
+        pytest.param({"train": {"hidden_sizes": []}}, id="no-hidden-m-not-d"),
+        # Retraining with no seed would report NaN accuracies.
+        pytest.param({"eval": {"retrain": True, "retrain_seeds": []}}, id="retrain-no-seeds"),
+        pytest.param({"hardness": {"jitter_std": -1}}, id="negative-jitter"),
     ],
 )
 def test_load_config_rejects_unknown_keys(tmp_path, raw):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(raw))
+    path.write_text(raw if isinstance(raw, str) else json.dumps(raw))
     with pytest.raises(ConfigurationError):
         load_config(path)
     result = CliRunner().invoke(

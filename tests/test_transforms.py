@@ -16,8 +16,10 @@ from noisesift import (
     ground_truth_partition,
     init_model,
     inject_label_noise,
+    input_gradient,
 )
 from noisesift.errors import ConfigurationError
+from noisesift.mlp import forward_batch
 
 
 def test_imbalance_keeps_floor_x_over_2_to_h(small_train):
@@ -118,7 +120,7 @@ def test_diversification_matches_per_row_reference(grid, seed):
 
 
 def _linear_oracle(train, seed=0):
-    """A quickly trained model exposing predict/input_gradient."""
+    """A quickly trained model to shift samples against."""
     from noisesift import TrainConfig, train_with_tracing
 
     model = init_model(train.d, [16], 8, train.K, seed=seed)
@@ -133,20 +135,20 @@ def test_boundary_shift_moves_by_eps_sign_gradient(small_train):
     schedule = EpsSchedule((0.0, 0.1, 0.2))
     out = apply_boundary_shift(small_train, oracle, schedule)
     # Reconstruct the expected shift for the kept rows.
-    grads = oracle.input_gradient(small_train.X, small_train.y_true)
+    grads = input_gradient(oracle, small_train.X, small_train.y_true)
     expected = small_train.X + np.asarray(schedule.eps_by_h)[small_train.h][:, None] * np.sign(grads)
     id_to_row = {int(i): j for j, i in enumerate(small_train.ids)}
     for row, sample_id in enumerate(out.ids):
         np.testing.assert_array_equal(out.X[row], expected[id_to_row[int(sample_id)]])
     # Every kept sample is still predicted as its true class.
-    np.testing.assert_array_equal(oracle.predict(out.X), out.y_true)
+    np.testing.assert_array_equal(forward_batch(oracle, out.X)[0].argmax(1), out.y_true)
 
 
 def test_boundary_shift_with_zero_eps_keeps_correct_predictions_only(small_train):
     oracle = _linear_oracle(small_train)
     schedule = EpsSchedule((0.0, 0.0, 0.0))
     out = apply_boundary_shift(small_train, oracle, schedule)
-    correct = oracle.predict(small_train.X) == small_train.y_true
+    correct = forward_batch(oracle, small_train.X)[0].argmax(1) == small_train.y_true
     assert len(out) == int(correct.sum())
     np.testing.assert_array_equal(out.X, small_train.X[correct])
 
