@@ -3,24 +3,11 @@
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 
 import click
 
 from .errors import NoisesiftError
 from .pipeline import STAGES, run_pipeline
-
-
-def _common(f):
-    f = click.option("--config", "config_path", required=True,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="JSON config file")(f)
-    f = click.option("--out", "out_dir", type=click.Path(file_okay=False),
-                     default=None, help="run directory (default under $NOISESIFT_OUT)")(f)
-    f = click.option("--seed", type=int, default=None,
-                     help="override the config seed")(f)
-    f = click.option("--force", is_flag=True, help="re-run completed stages")(f)
-    return f
 
 
 @click.group()
@@ -29,39 +16,25 @@ def main() -> None:
     label-noise partition methods."""
 
 
-def _invoke(config_path, out_dir, seed, force, stage):
+@main.command()
+@click.option("--config", "config_path", required=True,
+              type=click.Path(exists=True, dir_okay=False),
+              help="JSON config file")
+@click.option("--out", "out_dir", type=click.Path(file_okay=False),
+              default=None, help="run directory (default under $NOISESIFT_OUT)")
+@click.option("--seed", type=int, default=None,
+              help="override the config seed")
+@click.option("--force", is_flag=True, help="re-run completed stages")
+@click.option("--stage", type=click.Choice(STAGES), default=None,
+              help="run a single stage instead of the whole pipeline")
+def run(config_path, out_dir, seed, force, stage):
+    """Run the full pipeline (gen, train, metrics, partition, eval, report)."""
     try:
         run_dir = run_pipeline(config_path, out_dir, seed=seed, force=force, stage=stage)
     except NoisesiftError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     click.echo(run_dir)
-
-
-@main.command()
-@_common
-@click.option("--stage", type=click.Choice(STAGES), default=None,
-              help="run a single stage instead of the whole pipeline")
-def run(config_path, out_dir, seed, force, stage):
-    """Run the full pipeline (gen, train, metrics, partition, eval, report)."""
-    _invoke(config_path, out_dir, seed, force, stage)
-
-
-def _stage_command(stage_name: str, help_text: str):
-    @main.command(name=stage_name, help=help_text)
-    @_common
-    def _cmd(config_path, out_dir, seed, force, _stage=stage_name):
-        _invoke(config_path, out_dir, seed, force, _stage)
-
-    return _cmd
-
-
-_stage_command("gen", "Generate the transformed dataset and ground truth.")
-_stage_command("train", "Train the classifier and record per-sample traces.")
-_stage_command("metrics", "Compute the per-sample metric table.")
-_stage_command("partition", "Run the configured partition methods.")
-_stage_command("eval", "Score partitions (and optionally retrain on subsets).")
-_stage_command("report", "Render report tables and per-cell aggregates.")
 
 
 if __name__ == "__main__":

@@ -144,9 +144,9 @@ def retrain_on_subset(
     partition: Partition,
     train_cfg: TrainConfig,
     test_set: Dataset,
-    seeds: tuple[int, ...] = (0, 1, 2),
-    hidden_sizes: tuple[int, ...] = (32,),
-    feature_width: int = 16,
+    seeds: tuple[int, ...],
+    hidden_sizes: tuple[int, ...],
+    feature_width: int,
 ) -> tuple[float, float, float]:
     """Train fresh models on the estimated clean subset, one per seed, and
     report (mean test accuracy, std, mean test loss) on the clean test set."""

@@ -104,9 +104,10 @@ def raise_if_missing(traces: TraceStore) -> None:
 
 
 def trajectory_metrics(
-    traces: TraceStore,
+    traces: TraceStore, loss: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(first_pred_epoch, acc_over_training, aul, aum) per sample.
+    """(first_pred_epoch, acc_over_training, aul, aum) per sample; `loss`
+    is `traces.loss`, derived once by the caller.
 
     first_pred_epoch is the sentinel T+1 for samples never predicted as
     their assigned class.  AUM is the assigned-class margin
@@ -118,7 +119,7 @@ def trajectory_metrics(
     acc = correct.mean(axis=0)
     ever = correct.any(axis=0)
     first = np.where(ever, correct.argmax(axis=0) + 1, T + 1).astype(np.int64)
-    aul = traces.loss.sum(axis=0)
+    aul = loss.sum(axis=0)
     aum = (traces.p_assigned - traces.p_max_other).mean(axis=0)
     return first, acc, aul, aum
 
@@ -182,12 +183,15 @@ def centroid_distance_from_traces(
 
 def compute_metric_table(traces: TraceStore) -> MetricTable:
     raise_if_missing(traces)
-    first, acc, aul, aum = trajectory_metrics(traces)
+    loss = traces.loss
+    first, acc, aul, aum = trajectory_metrics(traces, loss)
     acd = centroid_distance_from_traces(traces, ACD_VARIANT)
     scd = centroid_distance_from_traces(traces, SCD_VARIANT)
+    last = traces.T - 1
     values = {
-        "loss_end": traces.loss[traces.T - 1],
-        "confidence_end": traces.p_pred[traces.T - 1],
+        "loss_end": loss[last],
+        # The last row of traces.p_pred, without building the other rows.
+        "confidence_end": np.maximum(traces.p_assigned[last], traces.p_max_other[last]),
         "first_pred_epoch": first.astype(float),
         "acc_over_training": acc,
         "aul": aul,
@@ -222,29 +226,30 @@ def save_metric_table(table: MetricTable, directory: str | Path) -> list[Path]:
 
 def load_metric_table(directory: str | Path) -> MetricTable:
     """Read a table written by save_metric_table.  A header other than
-    `id` plus COLUMNS, a row of another width, or a field that is not a
-    number raises ConfigurationError naming the file."""
+    `id` plus COLUMNS, a row of another width, a field that is not a number
+    or an id that is not an integer raises ConfigurationError naming the
+    file."""
     directory = Path(directory)
     params = json.loads((directory / "metrics.json").read_text())
     csv_path = directory / "metrics.csv"
-    with open(csv_path, newline="") as f:
-        rows = list(csv.reader(f))
     header = ["id", *COLUMNS]
-    if not rows or rows[0] != header:
-        raise ConfigurationError(
-            f"artifact {csv_path.name} does not start with the header {','.join(header)}"
-        )
-    rows = rows[1:]
-    for line, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise ConfigurationError(
-                f"artifact {csv_path.name} line {line} has {len(row)} fields, expected {len(header)}"
-            )
-    try:
-        ids = np.array([int(r[0]) for r in rows], dtype=np.int64)
-        values = {
-            c: np.array([float(r[j + 1]) for r in rows]) for j, c in enumerate(COLUMNS)
-        }
-    except ValueError as exc:
-        raise ConfigurationError(f"artifact {csv_path.name} cannot be read: {exc}") from exc
+
+    def damaged(what: str) -> ConfigurationError:
+        return ConfigurationError(f"artifact {csv_path.name} {what}")
+
+    with open(csv_path) as f:
+        if f.readline().rstrip("\n").split(",") != header:
+            raise damaged(f"does not start with the header {','.join(header)}")
+        try:
+            data = np.loadtxt(f, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise damaged(f"cannot be read: {exc}") from exc
+    # Every row one field short still parses, so the width is checked here.
+    if data.shape[1] != len(header):
+        raise damaged(f"has {data.shape[1]} fields per row, expected {len(header)}")
+    ids = data[:, 0].astype(np.int64)
+    if not np.array_equal(ids, data[:, 0]):
+        raise damaged("holds an id that is not an integer")
+    columns = np.ascontiguousarray(data[:, 1:].T)
+    values = {c: columns[j] for j, c in enumerate(COLUMNS)}
     return MetricTable(ids=ids, values=values, params=params)

@@ -8,7 +8,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +20,8 @@ from .evaluation import retrain_on_subset, score_partition
 from .gmm import GmmConfig
 from .metrics import compute_metric_table, load_metric_table, save_metric_table
 from .mlp import (
+    Model,
+    TraceStore,
     TrainConfig,
     init_model,
     layer_sizes,
@@ -29,6 +31,7 @@ from .mlp import (
     train_with_tracing,
 )
 from .partition import (
+    MethodSpec,
     Partition,
     lookup_method,
     load_partition,
@@ -108,6 +111,8 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | Path, seed_override: int | None = None) -> dict:
+    """Read a JSON config, merge it over DEFAULT_CONFIG and check it by
+    building its Experiment."""
     try:
         raw = json.loads(Path(path).read_text())
     except ValueError as exc:
@@ -117,42 +122,113 @@ def load_config(path: str | Path, seed_override: int | None = None) -> dict:
     cfg = _deep_merge(DEFAULT_CONFIG, raw)
     if seed_override is not None:
         cfg["seed"] = seed_override
-    validate_config(cfg)
+    experiment(cfg)
     return cfg
 
 
-def _train_config(cfg: dict, seed: int | None = None, epochs: int | None = None) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        epochs=epochs if epochs is not None else t["epochs"],
-        batch_size=t["batch_size"],
-        learning_rate=t["learning_rate"],
-        momentum=t["momentum"],
-        weight_decay=t["weight_decay"],
-        seed=cfg["seed"] if seed is None else seed,
-    )
+@dataclass(frozen=True)
+class Experiment:
+    """Every object a run needs, built once from a checked config.  Stages
+    read this, never the config dict."""
+
+    grid: GridSpec
+    hardness: str
+    hardness_seed: int
+    jitter_std: float
+    eps: transforms.EpsSchedule
+    noise: transforms.NoiseSpec
+    train: TrainConfig
+    oracle: TrainConfig
+    hidden_sizes: tuple[int, ...]
+    feature_width: int
+    methods: tuple[MethodSpec, ...]
+    retrain_seeds: tuple[int, ...]    # empty when eval.retrain is off
+    h_threshold: int
+
+    @property
+    def seed(self) -> int:
+        return self.grid.seed
+
+    def train_model(self, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TraceStore]:
+        """Train a fresh model of the run's shape on `dataset`, initialised
+        with `cfg.seed`."""
+        model = init_model(
+            dataset.d, list(self.hidden_sizes), self.feature_width, dataset.K, seed=cfg.seed
+        )
+        return train_with_tracing(model, dataset, cfg)
 
 
-def validate_config(cfg: dict) -> None:
+def experiment(cfg: dict) -> Experiment:
+    """Merge `cfg` over DEFAULT_CONFIG, check it and build its Experiment.
+    The derived seeds are set here and nowhere else: the hardness transform
+    takes seed + 1, label noise seed + 2 and the boundary oracle seed + 7."""
+    cfg = _deep_merge(DEFAULT_CONFIG, cfg)
     _check_schema(cfg, _SCHEMA)
-    h = cfg["hardness"]
+    seed, h, t, ev = cfg["seed"], cfg["hardness"], cfg["train"], cfg["eval"]
     if h["type"] not in HARDNESS_TYPES:
         raise ConfigurationError(f"unknown hardness type {h['type']!r}")
     if h["jitter_std"] < 0:
         raise ConfigurationError("hardness.jitter_std must be >= 0")
-    transforms.NoiseSpec(delta=cfg["noise"]["delta"]).validate()
-    _train_config(cfg).validate()
-    _train_config(cfg, epochs=cfg["oracle"]["epochs"]).validate()
-    grid = GridSpec(**{**cfg["grid"], "seed": cfg["seed"]})
+    grid = GridSpec(**{**cfg["grid"], "seed": seed})
     grid.validate()
-    t = cfg["train"]
-    layer_sizes(grid.input_dim, t["hidden_sizes"], t["feature_width"], grid.n_classes)
     if "eps_by_h" in h:
-        transforms.EpsSchedule(tuple(h["eps_by_h"])).validate(grid.levels)
-    if cfg["eval"]["retrain"] and not cfg["eval"]["retrain_seeds"]:
+        eps = transforms.EpsSchedule(tuple(h["eps_by_h"]))
+    else:
+        eps = transforms.EpsSchedule.linear(grid.levels, h["eps_max"])
+    eps.validate(grid.levels)
+    noise = transforms.NoiseSpec(delta=cfg["noise"]["delta"], seed=seed + 2)
+    noise.validate()
+    shape = ("hidden_sizes", "feature_width")  # the model's; the rest make its TrainConfig
+    train = TrainConfig(seed=seed, **{k: v for k, v in t.items() if k not in shape})
+    oracle = replace(train, epochs=cfg["oracle"]["epochs"], seed=seed + 7)
+    train.validate()
+    oracle.validate()
+    layer_sizes(grid.input_dim, t["hidden_sizes"], t["feature_width"], grid.n_classes)
+    if ev["retrain"] and not ev["retrain_seeds"]:
         raise ConfigurationError("eval.retrain needs at least one of eval.retrain_seeds")
-    for name in cfg["methods"]:
-        lookup_method(name)
+    if not 0 <= ev["h_threshold"] < grid.levels:
+        raise ConfigurationError(f"eval.h_threshold must be in [0, grid.levels = {grid.levels})")
+    return Experiment(
+        grid=grid,
+        hardness=h["type"],
+        hardness_seed=seed + 1,
+        jitter_std=h["jitter_std"],
+        eps=eps,
+        noise=noise,
+        train=train,
+        oracle=oracle,
+        hidden_sizes=tuple(t["hidden_sizes"]),
+        feature_width=t["feature_width"],
+        methods=tuple(lookup_method(name) for name in cfg["methods"]),
+        retrain_seeds=tuple(ev["retrain_seeds"]) if ev["retrain"] else (),
+        h_threshold=ev["h_threshold"],
+    )
+
+
+def make_datasets(exp: Experiment) -> tuple[Dataset, Dataset, Model | None, list[dict]]:
+    """The seeded recipe of a run: the base grid, its hardness transform and
+    label noise.  Returns (train, test, the boundary oracle or None,
+    provenance)."""
+    train, test = generate_base(exp.grid)
+    provenance = [{"transform": "generate_base", "seed": exp.seed}]
+    oracle = None
+    if exp.hardness == "imbalance":
+        train = transforms.apply_imbalance(train, seed=exp.hardness_seed)
+        provenance.append({"transform": "imbalance", "seed": exp.hardness_seed})
+    elif exp.hardness == "diversification":
+        train = transforms.apply_diversification(train, exp.jitter_std, exp.hardness_seed)
+        provenance.append(
+            {"transform": "diversification", "jitter_std": exp.jitter_std, "seed": exp.hardness_seed}
+        )
+    elif exp.hardness == "boundary":
+        oracle, _ = exp.train_model(train, exp.oracle)
+        train = transforms.apply_boundary_shift(train, oracle, exp.eps)
+        provenance.append(
+            {"transform": "boundary", "eps_by_h": list(exp.eps.eps_by_h), "seed": exp.oracle.seed}
+        )
+    train = transforms.inject_label_noise(train, exp.noise)
+    provenance.append({"transform": "noise", "delta": exp.noise.delta, "seed": exp.noise.seed})
+    return train, test, oracle, provenance
 
 
 def config_digest(cfg: dict) -> str:
@@ -185,6 +261,7 @@ class Run:
 
     directory: Path
     config: dict
+    experiment: Experiment
     manifest: dict = field(default_factory=dict)
 
     @staticmethod
@@ -197,6 +274,7 @@ class Run:
         config = stored if config is None else config
         if config is None:
             raise StageError("init", f"no config in {directory}")
+        exp = experiment(config)
         digest = config_digest(config)
         man_path = directory / "manifest.json"
         if man_path.exists():
@@ -207,14 +285,14 @@ class Run:
             manifest = {
                 "run_id": digest[:12],
                 "config_digest": digest,
-                "seed": config["seed"],
+                "seed": exp.seed,
                 "stages": {},
                 "timestamps": {},
             }
         if config != stored:
             directory.mkdir(parents=True, exist_ok=True)
             _write_atomic(cfg_path, json.dumps(config, indent=2, sort_keys=True))
-        return Run(directory=directory, config=config, manifest=manifest)
+        return Run(directory=directory, config=config, experiment=exp, manifest=manifest)
 
     # -- manifest bookkeeping -------------------------------------------------
 
@@ -250,17 +328,6 @@ class Run:
             if _sha256(p) != digest:
                 raise StageError(needed_by, f"artifact {rel} fails its checksum")
 
-    # -- derived config objects ------------------------------------------------
-
-    def grid_spec(self) -> GridSpec:
-        return GridSpec(**{**self.config["grid"], "seed": self.config["seed"]})
-
-    def _model_for(self, dataset: Dataset, seed: int):
-        t = self.config["train"]
-        return init_model(
-            dataset.d, list(t["hidden_sizes"]), t["feature_width"], dataset.K, seed=seed
-        )
-
     def _partition_prefix(self, method_name: str) -> str:
         return "partition_" + method_name.replace("/", "_")
 
@@ -270,44 +337,10 @@ class Run:
 
 
 def stage_gen(run: Run) -> None:
-    cfg = run.config
-    seed = cfg["seed"]
-    spec = run.grid_spec()
-    train, test = generate_base(spec)
-    files: list[Path] = []
-
-    htype = cfg["hardness"]["type"]
-    provenance = [{"transform": "generate_base", "seed": seed}]
-    if htype == "imbalance":
-        train = transforms.apply_imbalance(train, seed=seed + 1)
-        provenance.append({"transform": "imbalance", "seed": seed + 1})
-    elif htype == "diversification":
-        jitter = cfg["hardness"]["jitter_std"]
-        train = transforms.apply_diversification(train, jitter_std=jitter, seed=seed + 1)
-        provenance.append(
-            {"transform": "diversification", "jitter_std": jitter, "seed": seed + 1}
-        )
-    elif htype == "boundary":
-        oracle_cfg = _train_config(cfg, seed=seed + 7, epochs=cfg["oracle"]["epochs"])
-        oracle = run._model_for(train, seed=seed + 7)
-        oracle, _ = train_with_tracing(oracle, train, oracle_cfg)
-        files += save_model(oracle, run.directory / "oracle")
-        if "eps_by_h" in cfg["hardness"]:
-            schedule = transforms.EpsSchedule(tuple(cfg["hardness"]["eps_by_h"]))
-        else:
-            schedule = transforms.EpsSchedule.linear(
-                spec.levels, cfg["hardness"]["eps_max"]
-            )
-        train = transforms.apply_boundary_shift(train, oracle, schedule)
-        provenance.append(
-            {"transform": "boundary", "eps_by_h": list(schedule.eps_by_h), "seed": seed + 7}
-        )
-
-    noise = transforms.NoiseSpec(delta=cfg["noise"]["delta"], seed=seed + 2)
-    train = transforms.inject_label_noise(train, noise)
-    provenance.append({"transform": "noise", "delta": noise.delta, "seed": seed + 2})
-
-    gt = transforms.ground_truth_partition(train, cfg["eval"]["h_threshold"])
+    exp = run.experiment
+    train, test, oracle, provenance = make_datasets(exp)
+    files = [] if oracle is None else save_model(oracle, run.directory / "oracle")
+    gt = transforms.ground_truth_partition(train, exp.h_threshold)
     files += save_dataset(train, run.directory, "train")
     files += save_dataset(test, run.directory, "test")
     gt_path = run.directory / "ground_truth.json"
@@ -329,8 +362,7 @@ def stage_gen(run: Run) -> None:
 def stage_train(run: Run) -> None:
     run.require_stage("gen", "train")
     train = load_dataset(run.directory, "train")
-    model = run._model_for(train, seed=run.config["seed"])
-    model, traces = train_with_tracing(model, train, _train_config(run.config))
+    model, traces = run.experiment.train_model(train, run.experiment.train)
     files = save_model(model, run.directory / "model") + save_traces(traces, run.directory)
     run.mark_complete("train", files)
 
@@ -347,35 +379,31 @@ def stage_partition(run: Run) -> None:
     run.require_stage("metrics", "partition")
     table = load_metric_table(run.directory)
     traces = load_traces(run.directory)
-    gmm_cfg = GmmConfig(seed=run.config["seed"])
+    gmm_cfg = GmmConfig(seed=run.experiment.seed)
     files: list[Path] = []
-    for name in run.config["methods"]:
-        spec = lookup_method(name)
+    for spec in run.experiment.methods:
         part = run_method(spec, table, traces, gmm_cfg)
-        files += save_partition(part, run.directory, run._partition_prefix(name))
+        files += save_partition(part, run.directory, run._partition_prefix(spec.name))
     run.mark_complete("partition", files)
 
 
 def stage_eval(run: Run) -> None:
     run.require_stage("gen", "eval")
     run.require_stage("partition", "eval")
-    cfg = run.config
+    exp = run.experiment
     train = load_dataset(run.directory, "train")
     test = load_dataset(run.directory, "test")
-    gt = transforms.ground_truth_partition(train, cfg["eval"]["h_threshold"])
+    gt = transforms.ground_truth_partition(train, exp.h_threshold)
 
     # Baseline row: the untouched dataset.
     parts = [Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")]
-    parts += [load_partition(run.directory, run._partition_prefix(n)) for n in cfg["methods"]]
+    parts += [load_partition(run.directory, run._partition_prefix(m.name)) for m in exp.methods]
     rows = []
     for part in parts:
         report = score_partition(part, gt, train)
-        if cfg["eval"]["retrain"]:
+        if exp.retrain_seeds:
             acc, std, loss = retrain_on_subset(
-                train, part, _train_config(cfg), test,
-                seeds=tuple(cfg["eval"]["retrain_seeds"]),
-                hidden_sizes=tuple(cfg["train"]["hidden_sizes"]),
-                feature_width=cfg["train"]["feature_width"],
+                train, part, exp.train, test, exp.retrain_seeds, exp.hidden_sizes, exp.feature_width
             )
             report.test_accuracy_mean = acc
             report.test_accuracy_std = std

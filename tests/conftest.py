@@ -1,21 +1,13 @@
 """Shared fixtures: a tiny grid for fast unit tests and one fully trained
 default-grid imbalance run reused by the partition/evaluation tests."""
 
+import time
+
 import numpy as np
 import pytest
 
-from noisesift import (
-    GridSpec,
-    NoiseSpec,
-    TrainConfig,
-    apply_imbalance,
-    compute_metric_table,
-    generate_base,
-    ground_truth_partition,
-    init_model,
-    inject_label_noise,
-    train_with_tracing,
-)
+from noisesift import GridSpec, compute_metric_table, generate_base, ground_truth_partition
+from noisesift.pipeline import experiment, make_datasets
 
 
 @pytest.fixture
@@ -37,17 +29,14 @@ def small_train(small_spec):
 
 @pytest.fixture(scope="session")
 def imbalance_run():
-    """Seed-0 default-grid imbalance run: (dataset, ground truth, model,
-    traces, metric table).  Session-scoped because training dominates the
-    suite's runtime."""
-    seed = 0
-    spec = GridSpec(seed=seed)
-    train, test = generate_base(spec)
-    train = apply_imbalance(train, seed=seed + 1)
-    train = inject_label_noise(train, NoiseSpec(delta=0.4, seed=seed + 2))
-    gt = ground_truth_partition(train, h_threshold=4)
-    model = init_model(train.d, [32], 16, train.K, seed=seed)
-    model, traces = train_with_tracing(model, train, TrainConfig(seed=seed))
+    """Seed-0 run of the default config (imbalance hardness): dataset, ground
+    truth, model, traces, metric table and the seconds it took to build.
+    Session-scoped because training dominates the suite's runtime."""
+    t0 = time.perf_counter()
+    exp = experiment({"seed": 0})
+    train, test, _oracle, _provenance = make_datasets(exp)
+    gt = ground_truth_partition(train, exp.h_threshold)
+    model, traces = exp.train_model(train, exp.train)
     table = compute_metric_table(traces)
     return {
         "train": train,
@@ -56,6 +45,7 @@ def imbalance_run():
         "model": model,
         "traces": traces,
         "table": table,
+        "seconds": time.perf_counter() - t0,
     }
 
 

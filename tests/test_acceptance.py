@@ -14,13 +14,10 @@ import numpy as np
 import pytest
 
 from noisesift import (
-    EpsSchedule,
     GmmConfig,
     GridSpec,
     NoiseSpec,
-    TrainConfig,
     anova_f,
-    apply_boundary_shift,
     apply_diversification,
     apply_imbalance,
     compute_metric_table,
@@ -34,13 +31,12 @@ from noisesift import (
     run_method,
     score_partition,
     spearman_rho,
-    train_with_tracing,
 )
 from noisesift.evaluation import retrain_on_subset
 from noisesift.metrics import jensen_shannon_onehot
 from noisesift.mlp import forward_batch
 from noisesift.partition import ABLATION_METHOD_NAMES, Partition
-from noisesift.pipeline import run_pipeline
+from noisesift.pipeline import experiment, make_datasets, run_pipeline
 
 SEEDS = (0, 1, 2)
 LEVELS = 5
@@ -52,36 +48,28 @@ def _report(num: int, ok: bool, detail: str) -> None:
 
 
 def _train_run(hardness: str, seed: int):
-    """One seeded default-grid run: returns (train, traces, table)."""
-    spec = GridSpec(seed=seed)
-    train, test = generate_base(spec)
-    if hardness == "imbalance":
-        train = apply_imbalance(train, seed=seed + 1)
-    elif hardness == "diversification":
-        train = apply_diversification(train, jitter_std=0.1, seed=seed + 1)
-    elif hardness == "boundary":
-        oracle = init_model(train.d, [32], 16, train.K, seed=seed + 7)
-        oracle, _ = train_with_tracing(
-            oracle, train, TrainConfig(epochs=30, seed=seed + 7)
-        )
-        train = apply_boundary_shift(
-            train, oracle, EpsSchedule.linear(LEVELS, 0.5)
-        )
-    train = inject_label_noise(train, NoiseSpec(delta=0.4, seed=seed + 2))
-    model = init_model(train.d, [32], 16, train.K, seed=seed)
-    model, traces = train_with_tracing(model, train, TrainConfig(seed=seed))
+    """One seeded default-grid run: returns (train, test, traces, table)."""
+    exp = experiment({"seed": seed, "hardness": {"type": hardness}})
+    train, test, _oracle, _provenance = make_datasets(exp)
+    _model, traces = exp.train_model(train, exp.train)
     return train, test, traces, compute_metric_table(traces)
 
 
 @pytest.fixture(scope="module")
-def seeded_runs():
-    """Three seeds x {imbalance, diversification, boundary} with wall time."""
+def seeded_runs(imbalance_run):
+    """Three seeds x {imbalance, diversification, boundary} with wall time.
+    The seed-0 imbalance run is the shared `imbalance_run`, built by the
+    same recipe; its build time is counted here too."""
     t0 = time.perf_counter()
+    shared = tuple(imbalance_run[k] for k in ("train", "test", "traces", "table"))
     runs = {
-        hardness: [_train_run(hardness, seed) for seed in SEEDS]
+        hardness: [
+            shared if (hardness, seed) == ("imbalance", 0) else _train_run(hardness, seed)
+            for seed in SEEDS
+        ]
         for hardness in ("imbalance", "diversification", "boundary")
     }
-    return runs, time.perf_counter() - t0
+    return runs, time.perf_counter() - t0 + imbalance_run["seconds"]
 
 
 def _cell_means(train, values):
@@ -288,9 +276,10 @@ def test_criterion_5_retrain_improvement(seeded_runs):
         unfiltered = Partition(
             ids=train.ids, noisy=np.zeros(len(train), dtype=bool), method_name="all"
         )
-        cfg = TrainConfig(seed=0)
-        acc_f, _, _ = retrain_on_subset(train, part, cfg, test, seeds=SEEDS)
-        acc_u, _, _ = retrain_on_subset(train, unfiltered, cfg, test, seeds=SEEDS)
+        exp = experiment({"seed": 0})
+        shape = (exp.hidden_sizes, exp.feature_width)
+        acc_f, _, _ = retrain_on_subset(train, part, exp.train, test, SEEDS, *shape)
+        acc_u, _, _ = retrain_on_subset(train, unfiltered, exp.train, test, SEEDS, *shape)
         this_ok = acc_f >= acc_u
         ok = ok and this_ok
         details.append(

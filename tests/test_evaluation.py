@@ -96,7 +96,9 @@ def test_score_partition_rejects_reordered_ids():
     with pytest.raises(ConfigurationError, match="partition ids"):
         score_partition(part, gt, ds)
     with pytest.raises(ConfigurationError, match="partition ids"):
-        retrain_on_subset(ds, part, TrainConfig(epochs=1), ds, seeds=(0,))
+        retrain_on_subset(
+            ds, part, TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
+        )
     gt.ids = gt.ids[::-1].copy()
     part = Partition(ids=np.arange(8), noisy=_mask({1, 5}), method_name="ok")
     with pytest.raises(ConfigurationError, match="ground truth ids"):
@@ -107,7 +109,9 @@ def test_retrain_on_subset_rejects_an_empty_clean_subset():
     ds = _tiny_dataset()
     part = Partition(ids=np.arange(8), noisy=np.ones(8, dtype=bool), method_name="none")
     with pytest.raises(ConfigurationError, match="empty"):
-        retrain_on_subset(ds, part, TrainConfig(epochs=1), ds, seeds=(0,))
+        retrain_on_subset(
+            ds, part, TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
+        )
 
 
 def test_eval_report_row_shape():

@@ -79,7 +79,7 @@ def _toy_traces():
 
 def test_trajectory_metrics_against_loops():
     traces = _toy_traces()
-    first, acc, aul, aum = trajectory_metrics(traces)
+    first, acc, aul, aum = trajectory_metrics(traces, traces.loss)
     T, N = traces.T, traces.N
     for i in range(N):
         hits = [t for t in range(T) if traces.pred[t, i] == traces.y_assigned[i]]
@@ -213,8 +213,12 @@ def test_metric_table_roundtrip(tmp_path):
         lambda text: text.split("\n", 1)[1],                # header missing
         lambda text: "",                                    # empty file
         lambda text: text.rstrip().rsplit(",", 1)[0] + ",abc\n",  # not a number
+        # Every row one field short: a reshape of all fields would not notice.
+        lambda text: "\n".join(
+            [text.split("\n", 1)[0]] + [r.rsplit(",", 1)[0] for r in text.split("\n")[1:] if r]
+        ),
     ],
-    ids=["truncated-row", "foreign-header", "no-header", "empty", "not-a-number"],
+    ids=["truncated-row", "foreign-header", "no-header", "empty", "not-a-number", "every-row-short"],
 )
 def test_load_metric_table_rejects_a_damaged_csv(tmp_path, corrupt):
     save_metric_table(compute_metric_table(_toy_traces()), tmp_path)

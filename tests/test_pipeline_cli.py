@@ -168,6 +168,11 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         # Retraining with no seed would report NaN accuracies.
         pytest.param({"eval": {"retrain": True, "retrain_seeds": []}}, id="retrain-no-seeds"),
         pytest.param({"hardness": {"jitter_std": -1}}, id="negative-jitter"),
+        # A bad boundary schedule is refused before gen trains the oracle.
+        pytest.param({"hardness": {"type": "boundary", "eps_max": -0.3}}, id="negative-eps-max"),
+        # No sample of the 5-level default grid is hard at h >= 9.
+        pytest.param({"eval": {"h_threshold": 9}}, id="h-threshold-9"),
+        pytest.param({"eval": {"h_threshold": -1}}, id="h-threshold-negative"),
     ],
 )
 def test_load_config_rejects_unknown_keys(tmp_path, raw):
@@ -206,19 +211,18 @@ def test_cells_csv_covers_the_grid(tmp_path):
 
 def test_cli_run_and_stage_commands(tmp_path):
     cfg_path = _small_config(tmp_path)
-    runner = CliRunner()
     out_dir = tmp_path / "cli-run"
-    result = runner.invoke(
-        main, ["run", "--config", str(cfg_path), "--out", str(out_dir)]
-    )
-    assert result.exit_code == 0, result.output
+    base = ["run", "--config", str(cfg_path), "--out", str(out_dir)]
+    runner = CliRunner()
+    for stage in ("gen", "train"):
+        result = runner.invoke(main, [*base, "--stage", stage])
+        assert result.exit_code == 0, result.output
+    assert sorted(json.loads((out_dir / "manifest.json").read_text())["stages"]) == ["gen", "train"]
+    # The whole pipeline runs the remaining stages; --force re-runs one.
+    for args in (base, [*base, "--stage", "metrics", "--force"]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
     assert (out_dir / "report.csv").exists()
-    # Individual stage command with --force re-runs one stage.
-    result = runner.invoke(
-        main,
-        ["metrics", "--config", str(cfg_path), "--out", str(out_dir), "--force"],
-    )
-    assert result.exit_code == 0, result.output
 
 
 def test_cli_reports_pipeline_errors(tmp_path):
