@@ -8,7 +8,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from . import transforms
 from .data import Dataset, GridSpec, generate_base, load_dataset, save_dataset
 from .errors import ConfigurationError, StageError
-from .evaluation import retrain_on_subset, score_partition
+from .evaluation import EvalReport, retrain_on_subset, score_partition
 from .gmm import GmmConfig
 from .metrics import compute_metric_table, load_metric_table, save_metric_table
 from .mlp import (
@@ -408,25 +408,14 @@ def stage_eval(run: Run) -> None:
             report.test_accuracy_mean = acc
             report.test_accuracy_std = std
             report.test_loss_mean = loss
-        rows.append(report.as_row())
+        rows.append(asdict(report))
 
     path = run.directory / "eval.json"
     path.write_text(json.dumps(rows, indent=2))
     run.mark_complete("eval", [path])
 
 
-REPORT_COLUMNS = (
-    "method",
-    "clean_size",
-    "correct_label_fraction",
-    "precision_n",
-    "recall_n",
-    "recall_h",
-    "estimated_lnl",
-    "test_accuracy_mean",
-    "test_accuracy_std",
-    "test_loss_mean",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(EvalReport))
 
 CELL_METRICS = ("loss_end", "confidence_end", "scd", "acd", "acc_over_training")
 
@@ -452,11 +441,7 @@ def stage_report(run: Run) -> None:
     with open(report_csv, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(REPORT_COLUMNS)
-        for r in rows:
-            w.writerow(
-                ["" if r[c] is None else (r[c] if isinstance(r[c], (str, int)) else repr(float(r[c])))
-                 for c in REPORT_COLUMNS]
-            )
+        w.writerows([r[c] for c in REPORT_COLUMNS] for r in rows)
     files.append(report_csv)
 
     md = run.directory / "report.md"

@@ -1,5 +1,11 @@
 """Partition scoring arithmetic and the ANOVA/Spearman statistics."""
 
+import os
+import subprocess
+import sys
+from dataclasses import asdict
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -116,7 +122,7 @@ def test_retrain_on_subset_rejects_an_empty_clean_subset():
 
 def test_eval_report_row_shape():
     rep = EvalReport("m", 10, 0.9, 0.5, 0.6, 0.7, 0.1)
-    row = rep.as_row()
+    row = asdict(rep)
     assert row["method"] == "m" and row["recall_h"] == 0.7
     assert row["test_accuracy_mean"] is None
 
@@ -141,16 +147,27 @@ def test_anova_matches_scipy_on_random_groups(rng):
     assert p == pytest.approx(ref.pvalue, rel=1e-10)
 
 
-def test_anova_zero_within_variance():
-    values = np.array([1.0, 1.0, 2.0, 2.0])
-    groups = np.array([0, 0, 1, 1])
-    f_stat, _, _, p = anova_f(values, groups)
-    assert np.isinf(f_stat) and p == 0.0
+@pytest.mark.parametrize(
+    "values, groups, dfs",
+    [
+        ([1.0, 1.0, 2.0, 2.0], [0, 0, 1, 1], (1, 2)),
+        # 0.1 and 0.2 are not exact in binary, so computed group means round.
+        ([0.1] * 3 + [0.2] * 3, [0, 0, 0, 1, 1, 1], (1, 4)),
+    ],
+    ids=["integers", "rounding-means"],
+)
+def test_anova_zero_within_variance(values, groups, dfs):
+    f_stat, d1, d2, p = anova_f(np.array(values), np.array(groups))
+    assert np.isinf(f_stat) and (d1, d2) == dfs and p == 0.0
 
 
 def test_anova_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="two groups"):
         anova_f(np.array([1.0, 2.0]), np.array([0, 0]))
+    with pytest.raises(ConfigurationError, match="more values"):
+        anova_f(np.array([1.0, 2.0]), np.array([0, 1]))
+    with pytest.raises(ConfigurationError, match="zero variance everywhere"):
+        anova_f(np.array([3.0, 3.0, 3.0]), np.array([0, 0, 1]))
 
 
 def test_spearman_hand_computed():
@@ -180,4 +197,23 @@ def test_spearman_validation():
     with pytest.raises(ConfigurationError):
         spearman_rho([1.0], [2.0])
     with pytest.raises(ConfigurationError):
-        spearman_rho([1.0, 1.0], [1.0, 2.0])  # zero rank variance
+        spearman_rho([1.0, 2.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ConfigurationError, match="zero rank variance"):
+        spearman_rho([1.0, 1.0], [1.0, 2.0])
+
+
+def test_spearman_with_nan_is_nan():
+    assert np.isnan(spearman_rho([1.0, np.nan, 3.0, 4.0], [1.0, 2.0, 3.0, 5.0]))
+
+
+def test_import_loads_no_scipy():
+    """scipy.stats is imported only when a statistic is computed. A fresh
+    interpreter is needed: the test session itself has scipy loaded."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import sys, noisesift; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
