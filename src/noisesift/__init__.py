@@ -40,7 +40,6 @@ from .partition import (
 )
 from .pipeline import run_pipeline
 from .transforms import (
-    EpsSchedule,
     GroundTruthPartition,
     NoiseSpec,
     apply_boundary_shift,

@@ -27,16 +27,14 @@ class GridSpec:
     cluster_std: float = 1.0
     # Nearest-center distance between class blobs, in units of cluster_std.
     center_spacing: float = 3.0
-    test_per_class: int | None = None
     seed: int = 0
 
     @property
     def n_classes(self) -> int:
         return self.classes_per_cell * self.levels * self.levels
 
-    def resolved_test_per_class(self) -> int:
-        if self.test_per_class is not None:
-            return self.test_per_class
+    @property
+    def test_per_class(self) -> int:
         return max(self.per_class_count // 4, 8)
 
     def validate(self) -> None:
@@ -55,8 +53,6 @@ class GridSpec:
                 "per_class_count must be >= 2^(levels-1) so every "
                 "subsampling level keeps at least one sample"
             )
-        if self.resolved_test_per_class() < 1:
-            raise ConfigurationError("test_per_class must be >= 1")
 
 
 @dataclass
@@ -159,7 +155,6 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
     rng = np.random.default_rng(spec.seed)
     centers = _class_centers(spec, rng)
     K, d, X = spec.n_classes, spec.input_dim, spec.per_class_count
-    tc = spec.resolved_test_per_class()
 
     def _make(count_per_class: int) -> Dataset:
         N = K * count_per_class
@@ -191,7 +186,7 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
             class_cells=cells,
         )
 
-    return _make(X), _make(tc)
+    return _make(X), _make(spec.test_per_class)
 
 
 _COLUMNS = ("ids", "y_true", "y_assigned", "h", "n", "base_id")

@@ -60,24 +60,6 @@ class MetricTable:
     params: dict                    # variant parameters, persisted as sidecar
 
 
-def jensen_shannon_onehot(probs: np.ndarray, assigned: np.ndarray) -> np.ndarray:
-    """JSD in nats between each probability row and the one-hot assigned
-    label; bounded by ln 2."""
-    rows = np.arange(len(assigned))
-    p_c = probs[rows, assigned]
-    m = probs / 2.0
-    m_c = (p_c + 1.0) / 2.0
-    # KL(P || M): the assigned coordinate of M differs from probs/2.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        term = probs * (np.log(probs) - np.log(m))
-        term = np.where(probs > 0, term, 0.0)
-    kl_p = term.sum(axis=1)
-    kl_p += np.where(p_c > 0, p_c * (np.log(m[rows, assigned]) - np.log(m_c)), 0.0)
-    # KL(onehot || M) = -log M[assigned]
-    kl_q = -np.log(m_c)
-    return 0.5 * (kl_p + kl_q)
-
-
 def traces_jsd(traces: TraceStore) -> np.ndarray:
     """JSD at epoch T from stored per-sample probabilities.
 

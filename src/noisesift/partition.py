@@ -35,6 +35,10 @@ METRIC_POLARITY = {
     "scd": HIGH_IS_NOISY,
 }
 
+# The note on every method whose x metric is the plain JSD standing in for
+# the paper's weighted JSD.
+WJSD_NOTE = "jsd-substituted"
+
 
 @dataclass
 class Partition:
@@ -77,7 +81,10 @@ class MethodSpec:
     metric_x: str | CentroidVariant
     metric_y: str | CentroidVariant | None = None
     clusters: int = 2
-    notes: str = ""
+
+    @property
+    def notes(self) -> str:
+        return WJSD_NOTE if self.metric_x == "jsd" else ""
 
     @property
     def polarity_x(self) -> str:
@@ -130,15 +137,14 @@ def partition_gmm1d(
     ids: np.ndarray,
     values: np.ndarray,
     polarity: str = HIGH_IS_NOISY,
-    cfg: GmmConfig | None = None,
+    seed: int = 0,
     method_name: str = "gmm1d",
 ) -> Partition:
     """Two-component 1-D mixture; the component whose mean sits on the
     noisy side is the noisy one, samples assigned by max responsibility
     (ties stay clean).  Degenerate fits fall back to the median threshold."""
-    cfg = replace(cfg or GmmConfig(), k=2)
     try:
-        model = fit_gmm(values, cfg)
+        model = fit_gmm(values, GmmConfig(k=2, seed=seed))
     except DegenerateDataError:
         warnings.warn(f"{method_name}: degenerate fit, falling back to median threshold")
         part = partition_threshold(ids, values, polarity, method_name=method_name)
@@ -163,7 +169,7 @@ def partition_gmm2d(
     polarity_x: str = LOW_IS_NOISY,
     polarity_y: str = HIGH_IS_NOISY,
     clusters: int = 3,
-    cfg: GmmConfig | None = None,
+    seed: int = 0,
     method_name: str = "gmm2d",
 ) -> Partition:
     """k-cluster 2-D mixture on standardized (x, y); the noisy cluster is
@@ -171,10 +177,9 @@ def partition_gmm2d(
     both metrics (for acc/SCD: low accuracy, high distance = top left)."""
     if len(values_x) != len(values_y) or len(values_x) != len(ids):
         raise ConfigurationError("metric streams must cover the same ids")
-    cfg = replace(cfg or GmmConfig(), k=clusters)
     pts = np.column_stack([values_x, values_y])
     try:
-        model = fit_gmm(pts, cfg)
+        model = fit_gmm(pts, GmmConfig(k=clusters, seed=seed))
     except DegenerateDataError:
         warnings.warn(f"{method_name}: degenerate fit, falling back to median threshold")
         part = partition_threshold(ids, values_y, polarity_y, method_name=method_name)
@@ -202,8 +207,6 @@ def partition_gmm2d(
     )
 
 
-WJSD_NOTE = "jsd-substituted"
-
 _ACD_MID = replace(ACD_VARIANT, epoch="mid")
 _ACD_MID_NORM = replace(ACD_VARIANT, epoch="mid", distance="euclidean")
 _ACD_MID_STATIC = replace(ACD_VARIANT, epoch="mid", centroid="static")
@@ -215,33 +218,20 @@ TABLE1_METHODS = (
     MethodSpec("Thres_AUM", "threshold", "aum"),
     MethodSpec("1d-GMM_Loss", "gmm1d", "loss_end"),
     MethodSpec("1d-GMM_AUL", "gmm1d", "aul"),
-    MethodSpec("2d-GMM_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=2, notes=WJSD_NOTE),
+    MethodSpec("2d-GMM_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=2),
     MethodSpec("2d-GMM_acc-SCD", "gmm2d", "acc_over_training", SCD_VARIANT, clusters=3),
 )
 
 # The centroid-distance ablations.
 ABLATION_METHODS = (
-    MethodSpec("2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=2, notes=WJSD_NOTE),
+    MethodSpec("2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=2),
+    MethodSpec("2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM, clusters=2),
+    MethodSpec("2d-GMM_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC, clusters=2),
+    MethodSpec("2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=3),
+    MethodSpec("2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=3),
+    MethodSpec("2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM, clusters=3),
     MethodSpec(
-        "2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM, clusters=2, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC,
-        clusters=2, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=3, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=3, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM,
-        clusters=3, notes=WJSD_NOTE,
-    ),
-    MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC,
-        clusters=3, notes=WJSD_NOTE,
+        "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC, clusters=3
     ),
     MethodSpec("2d-GMM-3clusters_acc-ACD", "gmm2d", "acc_over_training", ACD_VARIANT, clusters=3),
 )
@@ -266,10 +256,11 @@ def run_method(
     spec: MethodSpec,
     table,
     traces=None,
-    gmm_cfg: GmmConfig | None = None,
+    seed: int = 0,
 ) -> Partition:
     """Execute a MethodSpec against a MetricTable (plus TraceStore when a
-    centroid-distance variant must be computed on demand)."""
+    centroid-distance variant must be computed on demand); `seed` seeds
+    the GMM fit."""
     from .metrics import centroid_distance_from_traces
 
     def _values(metric) -> np.ndarray:
@@ -286,14 +277,14 @@ def run_method(
     if spec.kind == "threshold":
         part = partition_threshold(ids, x, spec.polarity_x, method_name=spec.name)
     elif spec.kind == "gmm1d":
-        part = partition_gmm1d(ids, x, spec.polarity_x, gmm_cfg, method_name=spec.name)
+        part = partition_gmm1d(ids, x, spec.polarity_x, seed, method_name=spec.name)
     elif spec.kind == "gmm2d":
         if spec.metric_y is None:
             raise ConfigurationError(f"method {spec.name}: gmm2d needs two metrics")
         y = _values(spec.metric_y)
         part = partition_gmm2d(
             ids, x, y, spec.polarity_x, spec.polarity_y,
-            clusters=spec.clusters, cfg=gmm_cfg, method_name=spec.name,
+            clusters=spec.clusters, seed=seed, method_name=spec.name,
         )
     else:
         raise ConfigurationError(f"unknown method kind {spec.kind!r}")

@@ -17,7 +17,6 @@ from . import transforms
 from .data import Dataset, GridSpec, generate_base, load_dataset, save_dataset
 from .errors import ConfigurationError, StageError
 from .evaluation import EvalReport, retrain_on_subset, score_partition
-from .gmm import GmmConfig
 from .metrics import compute_metric_table, load_metric_table, save_metric_table
 from .mlp import (
     Model,
@@ -64,21 +63,18 @@ DEFAULT_CONFIG = {
 
 
 # Every key a config may hold, each with a value of the type it must have:
-# the keys of DEFAULT_CONFIG, the GridSpec fields (the seed is the top-level
-# one) and the optional hardness schedule.
+# the keys of DEFAULT_CONFIG and the GridSpec fields (the seed is the
+# top-level one).
 _SCHEMA = {
     **DEFAULT_CONFIG,
     "grid": {k: v for k, v in vars(GridSpec()).items() if k != "seed"},
-    "hardness": {**DEFAULT_CONFIG["hardness"], "eps_by_h": [0.0]},
 }
 
 
 def _has_type_of(value, example) -> bool:
     """Whether `value` has the type of the schema's `example`: a float also
-    takes an int, a None example takes an int or null, a list takes a list
-    of items of its first item's type, and only a bool takes a bool."""
-    if example is None:
-        return value is None or _has_type_of(value, 0)
+    takes an int, a list takes a list of items of its first item's type,
+    and only a bool takes a bool."""
     if isinstance(value, bool) or isinstance(example, bool):
         return isinstance(value, bool) and isinstance(example, bool)
     if isinstance(example, float):
@@ -135,7 +131,7 @@ class Experiment:
     hardness: str
     hardness_seed: int
     jitter_std: float
-    eps: transforms.EpsSchedule
+    eps_max: float
     noise: transforms.NoiseSpec
     train: TrainConfig
     oracle: TrainConfig
@@ -169,13 +165,10 @@ def experiment(cfg: dict) -> Experiment:
         raise ConfigurationError(f"unknown hardness type {h['type']!r}")
     if h["jitter_std"] < 0:
         raise ConfigurationError("hardness.jitter_std must be >= 0")
+    if h["eps_max"] < 0:
+        raise ConfigurationError("hardness.eps_max must be >= 0")
     grid = GridSpec(**{**cfg["grid"], "seed": seed})
     grid.validate()
-    if "eps_by_h" in h:
-        eps = transforms.EpsSchedule(tuple(h["eps_by_h"]))
-    else:
-        eps = transforms.EpsSchedule.linear(grid.levels, h["eps_max"])
-    eps.validate(grid.levels)
     noise = transforms.NoiseSpec(delta=cfg["noise"]["delta"], seed=seed + 2)
     noise.validate()
     shape = ("hidden_sizes", "feature_width")  # the model's; the rest make its TrainConfig
@@ -193,7 +186,7 @@ def experiment(cfg: dict) -> Experiment:
         hardness=h["type"],
         hardness_seed=seed + 1,
         jitter_std=h["jitter_std"],
-        eps=eps,
+        eps_max=h["eps_max"],
         noise=noise,
         train=train,
         oracle=oracle,
@@ -222,9 +215,9 @@ def make_datasets(exp: Experiment) -> tuple[Dataset, Dataset, Model | None, list
         )
     elif exp.hardness == "boundary":
         oracle, _ = exp.train_model(train, exp.oracle)
-        train = transforms.apply_boundary_shift(train, oracle, exp.eps)
+        train = transforms.apply_boundary_shift(train, oracle, exp.eps_max)
         provenance.append(
-            {"transform": "boundary", "eps_by_h": list(exp.eps.eps_by_h), "seed": exp.oracle.seed}
+            {"transform": "boundary", "eps_max": exp.eps_max, "seed": exp.oracle.seed}
         )
     train = transforms.inject_label_noise(train, exp.noise)
     provenance.append({"transform": "noise", "delta": exp.noise.delta, "seed": exp.noise.seed})
@@ -379,10 +372,9 @@ def stage_partition(run: Run) -> None:
     run.require_stage("metrics", "partition")
     table = load_metric_table(run.directory)
     traces = load_traces(run.directory)
-    gmm_cfg = GmmConfig(seed=run.experiment.seed)
     files: list[Path] = []
     for spec in run.experiment.methods:
-        part = run_method(spec, table, traces, gmm_cfg)
+        part = run_method(spec, table, traces, seed=run.experiment.seed)
         files += save_partition(part, run.directory, run._partition_prefix(spec.name))
     run.mark_complete("partition", files)
 

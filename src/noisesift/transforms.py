@@ -29,31 +29,6 @@ class NoiseSpec:
             raise ConfigurationError("delta must be in [0, 1]")
 
 
-@dataclass(frozen=True)
-class EpsSchedule:
-    """Per-hardness-level perturbation magnitude for the boundary shift."""
-
-    eps_by_h: tuple[float, ...]
-
-    def validate(self, levels: int) -> None:
-        if len(self.eps_by_h) != levels:
-            raise ConfigurationError(
-                f"eps schedule length {len(self.eps_by_h)} != levels {levels}"
-            )
-        if any(e < 0 for e in self.eps_by_h):
-            raise ConfigurationError("eps values must be non-negative")
-        if any(b < a for a, b in zip(self.eps_by_h, self.eps_by_h[1:])):
-            raise ConfigurationError("eps schedule must be non-decreasing in h")
-
-    @staticmethod
-    def linear(levels: int, eps_max: float) -> "EpsSchedule":
-        if levels == 1:
-            return EpsSchedule((0.0,))
-        return EpsSchedule(
-            tuple(h * eps_max / (levels - 1) for h in range(levels))
-        )
-
-
 @dataclass
 class GroundTruthPartition:
     """Disjoint noisy/hard masks over `ids`, the train set's ids in row
@@ -125,13 +100,15 @@ def apply_diversification(
     return out
 
 
-def apply_boundary_shift(dataset: Dataset, oracle: Model, schedule: EpsSchedule) -> Dataset:
+def apply_boundary_shift(dataset: Dataset, oracle: Model, eps_max: float) -> Dataset:
     """Push samples toward the decision boundary of the trained `oracle`
-    model with a single signed-gradient step of size eps(h), then drop
-    samples whose oracle prediction no longer equals their true label.
-    An oracle of another input width raises ConfigurationError."""
-    schedule.validate(dataset.levels)
-    eps = np.asarray(schedule.eps_by_h)[dataset.h]
+    model with a single signed-gradient step of size
+    eps(h) = h * eps_max / (L-1), then drop samples whose oracle prediction
+    no longer equals their true label.  A negative eps_max or an oracle of
+    another input width raises ConfigurationError."""
+    if eps_max < 0:
+        raise ConfigurationError("eps_max must be >= 0")
+    eps = dataset.h * eps_max / max(dataset.levels - 1, 1)
     grads = input_gradient(oracle, dataset.X, dataset.y_true)
     shifted = dataset.X + eps[:, None] * np.sign(grads)
     keep = forward_batch(oracle, shifted)[0].argmax(axis=1) == dataset.y_true

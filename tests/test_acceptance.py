@@ -33,8 +33,8 @@ from noisesift import (
     spearman_rho,
 )
 from noisesift.evaluation import retrain_on_subset
-from noisesift.metrics import jensen_shannon_onehot
-from noisesift.mlp import forward_batch
+from noisesift.metrics import traces_jsd
+from noisesift.mlp import TraceStore, forward_batch
 from noisesift.partition import ABLATION_METHOD_NAMES, Partition
 from noisesift.pipeline import experiment, make_datasets, run_pipeline
 
@@ -226,7 +226,7 @@ def imbalance_seed0(seeded_runs):
 
 
 def _scored(name, table, traces, gt, train):
-    part = run_method(lookup_method(name), table, traces, GmmConfig(seed=0))
+    part = run_method(lookup_method(name), table, traces, seed=0)
     return score_partition(part, gt, train)
 
 
@@ -271,7 +271,7 @@ def test_criterion_5_retrain_improvement(seeded_runs):
     for hardness in ("imbalance", "diversification"):
         train, test, traces, table = runs[hardness][0]
         part = run_method(
-            lookup_method("2d-GMM_acc-SCD"), table, traces, GmmConfig(seed=0)
+            lookup_method("2d-GMM_acc-SCD"), table, traces, seed=0
         )
         unfiltered = Partition(
             ids=train.ids, noisy=np.zeros(len(train), dtype=bool), method_name="all"
@@ -346,8 +346,15 @@ def test_criterion_6_numerical_kernels():
     rho = spearman_rho([1.0, 2.0, 3.0, 4.0], [2.0, 4.0, 5.0, 9.0])
     spearman_ok = rho == pytest.approx(1.0)
 
-    # (d) JSD reference value.
-    jsd = jensen_shannon_onehot(np.array([[0.5, 0.5]]), np.array([0]))[0]
+    # (d) JSD reference value: one sample whose assigned class has
+    # probability 1/2 at the last (only) epoch.
+    one = np.zeros(1, dtype=np.int64)
+    traces = TraceStore(
+        ids=one, y_assigned=one, pred=one[None, :], p_assigned=np.array([[0.5]]),
+        p_max_other=np.array([[0.5]]), train_acc=np.ones(1),
+        features_mid=np.zeros((1, 1)), features_end=np.zeros((1, 1)), mid_epoch=1,
+    )
+    jsd = traces_jsd(traces)[0]
     jsd_ok = abs(jsd - 0.2157) < 1e-4
 
     elapsed = time.perf_counter() - start

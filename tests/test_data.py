@@ -48,7 +48,7 @@ def test_generate_base_counts_and_labels(small_spec):
     train, test = generate_base(small_spec)
     K, X = small_spec.n_classes, small_spec.per_class_count
     assert len(train) == K * X
-    assert len(test) == K * small_spec.resolved_test_per_class()
+    assert len(test) == K * small_spec.test_per_class
     assert np.array_equal(train.y_true, train.y_assigned)
     assert len(np.unique(train.ids)) == len(train)
     np.testing.assert_array_equal(np.bincount(train.y_true, minlength=K), X)

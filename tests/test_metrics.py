@@ -9,7 +9,6 @@ from noisesift import ACD_VARIANT, SCD_VARIANT, CentroidVariant, compute_metric_
 from noisesift.errors import ConfigurationError
 from noisesift.metrics import (
     centroid_distance,
-    jensen_shannon_onehot,
     load_metric_table,
     save_metric_table,
     trajectory_metrics,
@@ -29,10 +28,30 @@ def _brute_jsd(p, q):
     return 0.5 * _kl(p, m) + 0.5 * _kl(q, m)
 
 
+def _one_epoch_traces(probs, assigned):
+    """A T = 1 TraceStore recording the class probabilities `probs` (N, K)
+    against the assigned labels."""
+    rows = np.arange(len(assigned))
+    others = probs.copy()
+    others[rows, assigned] = -np.inf
+    m = np.zeros((len(assigned), 1))
+    return TraceStore(
+        ids=rows,
+        y_assigned=assigned,
+        pred=probs.argmax(axis=1)[None, :],
+        p_assigned=probs[rows, assigned][None, :],
+        p_max_other=others.max(axis=1)[None, :],
+        train_acc=np.zeros(1),
+        features_mid=m,
+        features_end=m,
+        mid_epoch=1,
+    )
+
+
 def test_jsd_uniform_two_class_value():
     # Reference value: JSD((1/2, 1/2), (1, 0)) = 0.21576 nats.
     p = np.array([[0.5, 0.5]])
-    got = jensen_shannon_onehot(p, np.array([0]))[0]
+    got = traces_jsd(_one_epoch_traces(p, np.array([0])))[0]
     assert abs(got - 0.21576) < 1e-4
     exact = _brute_jsd(p[0], np.array([1.0, 0.0]))
     assert abs(got - exact) < 1e-12
@@ -44,7 +63,7 @@ def test_jsd_matches_brute_force(k, seed):
     rng = np.random.default_rng(seed)
     p = rng.dirichlet(np.ones(k), size=4)
     assigned = rng.integers(0, k, size=4)
-    got = jensen_shannon_onehot(p, assigned)
+    got = traces_jsd(_one_epoch_traces(p, assigned))
     for i in range(4):
         onehot = np.zeros(k)
         onehot[assigned[i]] = 1.0

@@ -1,14 +1,17 @@
 """End-to-end pipeline runs, stage gating, determinism, and the CLI."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from noisesift.cli import main
+from noisesift.data import GridSpec
 from noisesift.errors import ConfigurationError, StageError
 from noisesift.pipeline import (
+    _SCHEMA,
     DEFAULT_CONFIG,
     STAGES,
     Run,
@@ -168,8 +171,14 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         # Retraining with no seed would report NaN accuracies.
         pytest.param({"eval": {"retrain": True, "retrain_seeds": []}}, id="retrain-no-seeds"),
         pytest.param({"hardness": {"jitter_std": -1}}, id="negative-jitter"),
-        # A bad boundary schedule is refused before gen trains the oracle.
+        # A negative eps_max is refused before gen trains the oracle.
         pytest.param({"hardness": {"type": "boundary", "eps_max": -0.3}}, id="negative-eps-max"),
+        # The per-level eps schedule and the test-set size are derived, not set.
+        pytest.param(
+            {"hardness": {"type": "boundary", "eps_by_h": [0, 0.1, 0.2, 0.3, 0.4]}},
+            id="eps-by-h",
+        ),
+        pytest.param({"grid": {"test_per_class": 8}}, id="test-per-class"),
         # No sample of the 5-level default grid is hard at h >= 9.
         pytest.param({"eval": {"h_threshold": 9}}, id="h-threshold-9"),
         pytest.param({"eval": {"h_threshold": -1}}, id="h-threshold-negative"),
@@ -191,6 +200,21 @@ def test_default_config_is_valid():
     digest = config_digest(DEFAULT_CONFIG)
     assert len(digest) == 64
     assert DEFAULT_CONFIG["hardness"]["type"] == "imbalance"
+
+
+def _key_tree(cfg: dict) -> dict:
+    return {k: _key_tree(v) if isinstance(v, dict) else None for k, v in cfg.items()}
+
+
+def test_readme_config_matches_defaults_and_schema():
+    # The JSON block under "### Config format" documents every accepted key
+    # with its default.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Config format", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    documented = json.loads(block)
+    grid = {k: v for k, v in vars(GridSpec()).items() if k != "seed"}
+    assert documented == {**DEFAULT_CONFIG, "grid": grid}
+    assert _key_tree(documented) == _key_tree(_SCHEMA)
 
 
 def test_load_config_rejects_unknown_method(tmp_path):

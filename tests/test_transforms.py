@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisesift import (
-    EpsSchedule,
     GridSpec,
     NoiseSpec,
     apply_boundary_shift,
@@ -132,11 +131,12 @@ def _linear_oracle(train, seed=0):
 
 def test_boundary_shift_moves_by_eps_sign_gradient(small_train):
     oracle = _linear_oracle(small_train)
-    schedule = EpsSchedule((0.0, 0.1, 0.2))
-    out = apply_boundary_shift(small_train, oracle, schedule)
-    # Reconstruct the expected shift for the kept rows.
+    out = apply_boundary_shift(small_train, oracle, 0.2)
+    # Reconstruct the expected shift for the kept rows: eps(h) is linear in
+    # h over the three levels.
     grads = input_gradient(oracle, small_train.X, small_train.y_true)
-    expected = small_train.X + np.asarray(schedule.eps_by_h)[small_train.h][:, None] * np.sign(grads)
+    eps = np.array([0.0, 0.1, 0.2])[small_train.h]
+    expected = small_train.X + eps[:, None] * np.sign(grads)
     id_to_row = {int(i): j for j, i in enumerate(small_train.ids)}
     for row, sample_id in enumerate(out.ids):
         np.testing.assert_array_equal(out.X[row], expected[id_to_row[int(sample_id)]])
@@ -146,22 +146,15 @@ def test_boundary_shift_moves_by_eps_sign_gradient(small_train):
 
 def test_boundary_shift_with_zero_eps_keeps_correct_predictions_only(small_train):
     oracle = _linear_oracle(small_train)
-    schedule = EpsSchedule((0.0, 0.0, 0.0))
-    out = apply_boundary_shift(small_train, oracle, schedule)
+    out = apply_boundary_shift(small_train, oracle, 0.0)
     correct = forward_batch(oracle, small_train.X)[0].argmax(1) == small_train.y_true
     assert len(out) == int(correct.sum())
     np.testing.assert_array_equal(out.X, small_train.X[correct])
 
 
-def test_eps_schedule_validation():
+def test_boundary_shift_rejects_negative_eps(small_train):
     with pytest.raises(ConfigurationError):
-        EpsSchedule((0.0, 0.2)).validate(3)
-    with pytest.raises(ConfigurationError):
-        EpsSchedule((0.2, 0.1, 0.3)).validate(3)  # not non-decreasing
-    with pytest.raises(ConfigurationError):
-        EpsSchedule((-0.1, 0.0, 0.1)).validate(3)
-    lin = EpsSchedule.linear(5, 1.0)
-    assert lin.eps_by_h == (0.0, 0.25, 0.5, 0.75, 1.0)
+        apply_boundary_shift(small_train, init_model(small_train.d, [16], 8, small_train.K), -0.1)
 
 
 def test_noise_never_crosses_strata():
