@@ -26,6 +26,7 @@ from .mlp import (
     evaluate,
     init_model,
     input_gradient,
+    train,
     train_with_tracing,
 )
 from .partition import (

@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError
-from .mlp import TrainConfig, evaluate, init_model, train_with_tracing
+from .mlp import TrainConfig, evaluate, init_model, train
 from .partition import Partition
 from .transforms import GroundTruthPartition
 
@@ -111,19 +111,17 @@ def retrain_on_subset(
     hidden_sizes: tuple[int, ...],
     feature_width: int,
 ) -> tuple[float, float, float]:
-    """Train fresh models on the estimated clean subset, one per seed, and
-    report (mean test accuracy, std, mean test loss) on the clean test set."""
+    """Train fresh models on the estimated clean subset, one per seed, all
+    seeds stacked in one untraced loop, and report (mean test accuracy,
+    std, mean test loss) on the clean test set."""
     _require_aligned(partition.ids, dataset, "partition")
     if partition.noisy.all():
         raise ConfigurationError("estimated clean subset is empty")
     subset = dataset.take(~partition.noisy)
-    accs, losses = [], []
-    for seed in seeds:
-        model = init_model(
-            dataset.d, list(hidden_sizes), feature_width, dataset.K, seed=seed
-        )
-        model, _ = train_with_tracing(model, subset, replace(train_cfg, seed=seed))
-        acc, loss = evaluate(model, test_set)
-        accs.append(acc)
-        losses.append(loss)
+    models = [
+        init_model(dataset.d, list(hidden_sizes), feature_width, dataset.K, seed=seed)
+        for seed in seeds
+    ]
+    models = train(models, subset, [replace(train_cfg, seed=seed) for seed in seeds])
+    accs, losses = zip(*(evaluate(model, test_set) for model in models))
     return float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses))

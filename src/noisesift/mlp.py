@@ -5,13 +5,15 @@ width m -> K logits.  With no hidden layers the feature layer is the
 input itself (pass-through) and the model is plain linear-softmax.
 
 Everything is float64 numpy; training is sequential and deterministic
-given the seed.
+given the seed.  One SGD loop trains a stack of same-shaped models at once,
+weights on a leading seed axis, each seed with its own batch order; the
+forward and backward passes take a single model or such a stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +37,15 @@ class Model:
 
     @property
     def d(self) -> int:
-        return self.weights[0].shape[0]
+        return self.weights[0].shape[-2]
 
     @property
     def m(self) -> int:
-        return self.weights[-1].shape[0]
+        return self.weights[-1].shape[-2]
 
     @property
     def K(self) -> int:
-        return self.weights[-1].shape[1]
+        return self.weights[-1].shape[-1]
 
     def copy(self) -> "Model":
         return Model([w.copy() for w in self.weights], [b.copy() for b in self.biases])
@@ -140,18 +142,20 @@ def init_model(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+    z = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 def forward_batch(
     model: Model, X: np.ndarray, return_cache: bool = False
 ):
-    """Probabilities and feature-layer activations for a batch."""
-    if X.shape[1] != model.d:
+    """Probabilities and feature-layer activations for a batch: X is (B, d)
+    for a single model, (S, B, d) for a stack of S."""
+    if X.shape[-1] != model.d:
         raise ConfigurationError(
-            f"input dimension {X.shape[1]} != model dimension {model.d}"
+            f"input dimension {X.shape[-1]} != model dimension {model.d}"
         )
     acts = [X]
     last = len(model.weights) - 1
@@ -171,14 +175,15 @@ def forward_batch(
 def _backward(
     model: Model, acts: list[np.ndarray], dlogits: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Gradients of all parameters and of the input given d(loss)/d(logits)."""
+    """Gradients of all parameters, each shaped like its parameter, and of
+    the input given d(loss)/d(logits)."""
     grads_w = [None] * len(model.weights)
     grads_b = [None] * len(model.biases)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = acts[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
-        delta = delta @ model.weights[i].T
+        grads_w[i] = np.swapaxes(acts[i], -1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2).reshape(model.biases[i].shape)
+        delta = delta @ np.swapaxes(model.weights[i], -1, -2)
         if 0 < i < len(model.weights) - 1:
             delta = delta * (acts[i] > 0)
     return grads_w, grads_b, delta
@@ -197,6 +202,84 @@ def input_gradient(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return dx
 
 
+def _check_training(models: list[Model], dataset: Dataset, cfgs: list[TrainConfig]) -> None:
+    """Models of one shape, one config each, the configs equal up to the seed."""
+    if not models or len(models) != len(cfgs):
+        raise ConfigurationError(
+            f"need one TrainConfig per model (got {len(models)} models, {len(cfgs)} configs)"
+        )
+    cfgs[0].validate()
+    if any(replace(cfg, seed=cfgs[0].seed) != cfgs[0] for cfg in cfgs):
+        raise ConfigurationError("stacked training configs may differ only in seed")
+    shapes = [w.shape for w in models[0].weights]
+    if any([w.shape for w in m.weights] != shapes for m in models):
+        raise ConfigurationError("stacked models must have the same layer shapes")
+    if dataset.K != models[0].K:
+        raise ConfigurationError(
+            f"dataset has {dataset.K} classes but model outputs {models[0].K}"
+        )
+    if len(dataset) == 0:
+        raise ConfigurationError("dataset is empty")
+
+
+def _stack(models: list[Model]) -> Model:
+    """Weights as (S, fan_in, fan_out), biases as (S, 1, fan_out)."""
+    return Model(
+        [np.stack(ws) for ws in zip(*(m.weights for m in models))],
+        [np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in models))],
+    )
+
+
+def _unstacked(stacked: Model, s: int) -> Model:
+    """Model s of a stack, as views of the stacked arrays."""
+    return Model([w[s] for w in stacked.weights], [b[s, 0] for b in stacked.biases])
+
+
+def _sgd_epochs(stacked: Model, dataset: Dataset, cfgs: list[TrainConfig]):
+    """Mini-batch SGD with momentum and weight decay on cross-entropy vs
+    y_assigned, updating the stacked weights in place and yielding the
+    epoch number after each epoch.  Seed s draws its batch order from
+    default_rng(cfgs[s].seed), so the seeds do not interact: each trains
+    as it would alone."""
+    cfg = cfgs[0]
+    N = len(dataset)
+    X, y = dataset.X, dataset.y_assigned
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    stack_rows = np.arange(len(cfgs))[:, None]  # (S, 1): the model index
+    vel_w = [np.zeros_like(w) for w in stacked.weights]
+    vel_b = [np.zeros_like(b) for b in stacked.biases]
+    for t in range(1, cfg.epochs + 1):
+        orders = np.stack([rng.permutation(N) for rng in rngs])
+        for start in range(0, N, cfg.batch_size):
+            idx = orders[:, start : start + cfg.batch_size]  # (S, B)
+            probs, _, acts = forward_batch(stacked, X[idx], return_cache=True)
+            B = idx.shape[1]
+            dlogits = probs
+            dlogits[stack_rows, np.arange(B), y[idx]] -= 1.0
+            dlogits /= B
+            gw, gb, _ = _backward(stacked, acts, dlogits)
+            for i in range(len(stacked.weights)):
+                g = gw[i] + cfg.weight_decay * stacked.weights[i]
+                vel_w[i] = cfg.momentum * vel_w[i] + g
+                stacked.weights[i] -= cfg.learning_rate * vel_w[i]
+                vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
+                stacked.biases[i] -= cfg.learning_rate * vel_b[i]
+        if not all(np.isfinite(p).all() for p in (*stacked.weights, *stacked.biases)):
+            raise TrainingDivergedError(t)
+        yield t
+
+
+def train(models: list[Model], dataset: Dataset, cfgs: list[TrainConfig]) -> list[Model]:
+    """Train every model on `dataset` in one stacked SGD loop, model s with
+    cfgs[s]; no traces are taken.  The configs may differ only in seed, and
+    each result equals what `train_with_tracing` returns for that model."""
+    _check_training(models, dataset, cfgs)
+    stacked = _stack(models)
+    for _ in _sgd_epochs(stacked, dataset, cfgs):
+        pass
+    return [_unstacked(stacked, s).copy() for s in range(len(models))]
+
+
 def train_with_tracing(
     model: Model, dataset: Dataset, cfg: TrainConfig
 ) -> tuple[Model, TraceStore]:
@@ -207,19 +290,11 @@ def train_with_tracing(
     end-of-epoch training accuracy reaches 0.5, with epoch ceil(T/2) kept
     as fallback if the threshold is never reached.
     """
-    cfg.validate()
-    if dataset.K != model.K:
-        raise ConfigurationError(
-            f"dataset has {dataset.K} classes but model outputs {model.K}"
-        )
-    if len(dataset) == 0:
-        raise ConfigurationError("dataset is empty")
-    model = model.copy()
+    _check_training([model], dataset, [cfg])
+    stacked = _stack([model])
+    model = _unstacked(stacked, 0)  # views: the loop's updates show here
     N, T = len(dataset), cfg.epochs
     X, y = dataset.X, dataset.y_assigned
-    rng = np.random.default_rng(cfg.seed)
-    vel_w = [np.zeros_like(w) for w in model.weights]
-    vel_b = [np.zeros_like(b) for b in model.biases]
 
     pred = np.empty((T, N), dtype=np.int64)
     p_assigned = np.empty((T, N))
@@ -231,29 +306,14 @@ def train_with_tracing(
     mid_epoch = None
 
     rows = np.arange(N)
-    for t in range(1, T + 1):
-        order = rng.permutation(N)
-        for start in range(0, N, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            probs, _, acts = forward_batch(model, X[idx], return_cache=True)
-            B = len(idx)
-            dlogits = probs
-            dlogits[np.arange(B), y[idx]] -= 1.0
-            dlogits /= B
-            gw, gb, _ = _backward(model, acts, dlogits)
-            for i in range(len(model.weights)):
-                g = gw[i] + cfg.weight_decay * model.weights[i]
-                vel_w[i] = cfg.momentum * vel_w[i] + g
-                model.weights[i] -= cfg.learning_rate * vel_w[i]
-                vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
-                model.biases[i] -= cfg.learning_rate * vel_b[i]
-
+    for t in _sgd_epochs(stacked, dataset, [cfg]):
         probs, features = forward_batch(model, X)
         e = t - 1
         p_assigned[e] = probs[rows, y]
         pred[e] = np.argmax(probs, axis=1)
         probs[rows, y] = -np.inf  # probs is not read again this epoch
         p_max_other[e] = probs.max(axis=1) if model.K > 1 else 0.0
+        del probs  # not kept alive through the next epoch's minibatches
         train_acc[e] = float(np.mean(pred[e] == y))
         # Softmax output is in [0, 1] or NaN, so this is the loss's finiteness.
         if not np.isfinite(p_assigned[e]).all():
@@ -280,7 +340,7 @@ def train_with_tracing(
         features_end=features_end,
         mid_epoch=mid_epoch,
     )
-    return model, traces
+    return model.copy(), traces
 
 
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:

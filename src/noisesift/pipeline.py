@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import transforms
+from . import mlp, transforms
 from .data import Dataset, GridSpec, generate_base, load_dataset, save_dataset
 from .errors import ConfigurationError, StageError
 from .evaluation import EvalReport, retrain_on_subset, score_partition
@@ -145,13 +145,15 @@ class Experiment:
     def seed(self) -> int:
         return self.grid.seed
 
-    def train_model(self, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TraceStore]:
-        """Train a fresh model of the run's shape on `dataset`, initialised
-        with `cfg.seed`."""
-        model = init_model(
-            dataset.d, list(self.hidden_sizes), self.feature_width, dataset.K, seed=cfg.seed
+    def new_model(self, dataset: Dataset, seed: int) -> Model:
+        """A fresh model of the run's shape for `dataset`, initialised with `seed`."""
+        return init_model(
+            dataset.d, list(self.hidden_sizes), self.feature_width, dataset.K, seed=seed
         )
-        return train_with_tracing(model, dataset, cfg)
+
+    def train_model(self, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TraceStore]:
+        """Train a fresh model on `dataset` with traces, initialised with `cfg.seed`."""
+        return train_with_tracing(self.new_model(dataset, cfg.seed), dataset, cfg)
 
 
 def experiment(cfg: dict) -> Experiment:
@@ -214,7 +216,7 @@ def make_datasets(exp: Experiment) -> tuple[Dataset, Dataset, Model | None, list
             {"transform": "diversification", "jitter_std": exp.jitter_std, "seed": exp.hardness_seed}
         )
     elif exp.hardness == "boundary":
-        oracle, _ = exp.train_model(train, exp.oracle)
+        [oracle] = mlp.train([exp.new_model(train, exp.oracle.seed)], train, [exp.oracle])
         train = transforms.apply_boundary_shift(train, oracle, exp.eps_max)
         provenance.append(
             {"transform": "boundary", "eps_max": exp.eps_max, "seed": exp.oracle.seed}

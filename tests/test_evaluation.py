@@ -3,7 +3,7 @@
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +14,13 @@ from noisesift import (
     EvalReport,
     TrainConfig,
     anova_f,
+    evaluate,
+    generate_base,
+    init_model,
     retrain_on_subset,
     score_partition,
     spearman_rho,
+    train_with_tracing,
 )
 from noisesift.data import Dataset
 from noisesift.errors import ConfigurationError
@@ -118,6 +122,23 @@ def test_retrain_on_subset_rejects_an_empty_clean_subset():
         retrain_on_subset(
             ds, part, TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
         )
+
+
+def test_retrain_on_subset_matches_one_seed_at_a_time(small_spec):
+    train, test = generate_base(small_spec)
+    noisy = np.arange(len(train)) % 5 == 0
+    part = Partition(ids=train.ids, noisy=noisy, method_name="every fifth")
+    cfg, seeds = TrainConfig(epochs=3, seed=99), (0, 4, 9)
+    got = retrain_on_subset(train, part, cfg, test, seeds, hidden_sizes=(8,), feature_width=4)
+    subset = train.take(~noisy)
+    accs, losses = [], []
+    for seed in seeds:
+        model = init_model(train.d, [8], 4, train.K, seed=seed)
+        model, _ = train_with_tracing(model, subset, replace(cfg, seed=seed))
+        acc, loss = evaluate(model, test)
+        accs.append(acc)
+        losses.append(loss)
+    assert got == (float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses)))
 
 
 def test_eval_report_row_shape():

@@ -1,7 +1,8 @@
 """Classifier numerics: backprop vs finite differences, update rule,
-snapshot policy, and persistence round-trips."""
+snapshot policy, stacked training, and persistence round-trips."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from noisesift import (
     generate_base,
     init_model,
     input_gradient,
+    train,
     train_with_tracing,
 )
 from noisesift.errors import ConfigurationError, TrainingDivergedError
@@ -25,6 +27,7 @@ from noisesift.mlp import (
     save_model,
     save_traces,
 )
+from noisesift.mlp import _stack, _unstacked
 
 
 def _batch_loss(model, X, y):
@@ -171,10 +174,11 @@ def test_mid_snapshot_falls_back_to_half_horizon():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_raises(small_train):
     model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
+    cfg = TrainConfig(epochs=3, learning_rate=1e30, seed=0)
     with pytest.raises(TrainingDivergedError):
-        train_with_tracing(
-            model, small_train, TrainConfig(epochs=3, learning_rate=1e30, seed=0)
-        )
+        train_with_tracing(model, small_train, cfg)
+    with pytest.raises(TrainingDivergedError):
+        train([model, model.copy()], small_train, [cfg, replace(cfg, seed=1)])
 
 
 def test_trace_shapes_and_probability_identities(small_train):
@@ -260,3 +264,61 @@ def test_init_model_rejects_bad_shapes():
         init_model(4, [0], 2, 3)
     with pytest.raises(ConfigurationError):
         init_model(4, [], 2, 3)  # passthrough requires m == d
+
+
+def _assert_same_weights(got, expected):
+    assert len(got.weights) == len(expected.weights)
+    for a, b in zip(got.weights + got.biases, expected.weights + expected.biases):
+        assert a.shape == b.shape
+        assert np.array_equal(a, b)
+
+
+def test_train_one_model_matches_train_with_tracing(small_train):
+    cfg = TrainConfig(epochs=4, seed=3)
+    model = init_model(small_train.d, [8], 4, small_train.K, seed=1)
+    [trained] = train([model], small_train, [cfg])
+    traced, _ = train_with_tracing(model, small_train, cfg)
+    _assert_same_weights(trained, traced)
+
+
+@pytest.mark.parametrize("hidden_sizes", [[], [8], [8, 8]])
+def test_stacked_seeds_match_one_seed_at_a_time(small_train, hidden_sizes):
+    cfgs = [TrainConfig(epochs=3, batch_size=10, seed=s) for s in (0, 1, 2)]
+    assert len(small_train) % cfgs[0].batch_size != 0  # a short last batch
+    m = 4 if hidden_sizes else small_train.d
+    models = [init_model(small_train.d, hidden_sizes, m, small_train.K, seed=s) for s in (5, 6, 7)]
+    stacked = train(models, small_train, cfgs)
+    for model, cfg, got in zip(models, cfgs, stacked):
+        alone, _ = train_with_tracing(model, small_train, cfg)
+        _assert_same_weights(got, alone)
+
+
+def test_forward_batch_on_a_stack_matches_each_slice(small_train):
+    models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1, 2)]
+    stacked = _stack(models)
+    X = np.stack([small_train.X[s :: 3] for s in range(3)])  # (S, B, d)
+    probs, feats = forward_batch(stacked, X)
+    assert (stacked.d, stacked.m, stacked.K) == (small_train.d, 4, small_train.K)
+    for s, model in enumerate(models):
+        _assert_same_weights(_unstacked(stacked, s), model)
+        p, f = forward_batch(model, X[s])
+        assert np.array_equal(probs[s], p)
+        assert np.array_equal(feats[s], f)
+
+
+def test_train_rejects_bad_inputs(small_train):
+    models = [init_model(small_train.d, [8], 4, small_train.K, seed=s) for s in (0, 1)]
+    cfgs = [TrainConfig(epochs=2, seed=s) for s in (0, 1)]
+    with pytest.raises(ConfigurationError, match="only in seed"):
+        train(models, small_train, [cfgs[0], TrainConfig(epochs=3, seed=1)])
+    with pytest.raises(ConfigurationError, match="one TrainConfig per model"):
+        train(models, small_train, cfgs[:1])
+    wider = init_model(small_train.d, [9], 4, small_train.K, seed=1)
+    with pytest.raises(ConfigurationError, match="same layer shapes"):
+        train([models[0], wider], small_train, cfgs)
+    wrong_k = [init_model(small_train.d, [8], 4, small_train.K + 1, seed=s) for s in (0, 1)]
+    with pytest.raises(ConfigurationError, match="classes"):
+        train(wrong_k, small_train, cfgs)
+    empty = small_train.take(np.zeros(len(small_train), dtype=bool))
+    with pytest.raises(ConfigurationError, match="empty"):
+        train(models, empty, cfgs)
