@@ -37,7 +37,7 @@ class GridSpec:
     def test_per_class(self) -> int:
         return max(self.per_class_count // 4, 8)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.levels < 1:
             raise ConfigurationError("levels must be >= 1")
         if self.classes_per_cell < 1:
@@ -60,7 +60,8 @@ class Dataset:
     """Column-oriented sample store.
 
     Arrays are parallel: row i describes sample ids[i].  base_id is -1 for
-    samples that are not augmented copies of another sample.
+    samples that are not augmented copies of another sample.  The class
+    count K is the size of the cell map and the input width d that of X.
     """
 
     ids: np.ndarray
@@ -70,14 +71,19 @@ class Dataset:
     h: np.ndarray
     n: np.ndarray
     base_id: np.ndarray
-    K: int
-    d: int
     levels: int
-    classes_per_cell: int
     class_cells: dict[int, tuple[int, int]]
 
     def __len__(self) -> int:
         return len(self.ids)
+
+    @property
+    def K(self) -> int:
+        return len(self.class_cells)
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
 
     def take(self, mask_or_index: np.ndarray | slice) -> "Dataset":
         """New Dataset restricted to the given boolean mask, index array or
@@ -91,10 +97,7 @@ class Dataset:
             h=self.h[sel].copy(),
             n=self.n[sel].copy(),
             base_id=self.base_id[sel].copy(),
-            K=self.K,
-            d=self.d,
             levels=self.levels,
-            classes_per_cell=self.classes_per_cell,
             class_cells=dict(self.class_cells),
         )
 
@@ -108,7 +111,6 @@ def allocate_cells(spec: GridSpec) -> dict[int, tuple[int, int]]:
     Class c = P*(L*(L-1-n) + h) + beta for beta in [0, P), so each cell
     owns exactly P consecutive-by-beta classes.
     """
-    spec.validate()
     L, P = spec.levels, spec.classes_per_cell
     cells: dict[int, tuple[int, int]] = {}
     for n in range(L):
@@ -150,7 +152,6 @@ def _class_centers(spec: GridSpec, rng: np.random.Generator) -> np.ndarray:
 def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
     """Clean balanced train/test pair: X train samples per class, Gaussian
     blobs around hypersphere centers, y_assigned == y_true everywhere."""
-    spec.validate()
     cells = allocate_cells(spec)
     rng = np.random.default_rng(spec.seed)
     centers = _class_centers(spec, rng)
@@ -179,10 +180,7 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
             h=hh,
             n=nn,
             base_id=np.full(N, -1, dtype=np.int64),
-            K=K,
-            d=d,
             levels=spec.levels,
-            classes_per_cell=spec.classes_per_cell,
             class_cells=cells,
         )
 
@@ -198,7 +196,6 @@ def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[P
         "K": dataset.K,
         "d": dataset.d,
         "L": dataset.levels,
-        "P": dataset.classes_per_cell,
         "class_cells": {str(c): list(hn) for c, hn in sorted(dataset.class_cells.items())},
     }
     columns = {c: getattr(dataset, c) for c in _COLUMNS}
@@ -211,9 +208,6 @@ def load_dataset(directory: str | Path, prefix: str) -> Dataset:
     )
     return Dataset(
         **arrays,
-        K=meta["K"],
-        d=meta["d"],
         levels=meta["L"],
-        classes_per_cell=meta["P"],
         class_cells={int(c): tuple(hn) for c, hn in meta["class_cells"].items()},
     )

@@ -35,7 +35,7 @@ class GmmConfig:
     k: int = 2
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
 
@@ -200,7 +200,6 @@ def _em_once(
 
 def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
     """EM fit with restarts; deterministic given cfg.seed."""
-    cfg.validate()
     pts_raw = _as_2d(points)
     if len(pts_raw) < cfg.k:
         raise ConfigurationError(

@@ -26,7 +26,7 @@ class CentroidVariant:
     centroid: str = "adaptive"  # "static" | "adaptive"
     adaptive_conf_threshold: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epoch not in ("mid", "end"):
             raise ConfigurationError(f"unknown snapshot epoch {self.epoch!r}")
         if self.distance not in ("euclidean", "cosine"):
@@ -40,17 +40,23 @@ class CentroidVariant:
 SCD_VARIANT = CentroidVariant(epoch="mid", distance="euclidean", centroid="static")
 ACD_VARIANT = CentroidVariant(epoch="end", distance="cosine", centroid="adaptive")
 
-COLUMNS = (
-    "loss_end",
-    "confidence_end",
-    "first_pred_epoch",
-    "acc_over_training",
-    "aul",
-    "aum",
-    "jsd",
-    "acd",
-    "scd",
-)
+HIGH_IS_NOISY = "high-is-noisy"
+LOW_IS_NOISY = "low-is-noisy"
+
+# Every metric column, in table order, with the side of it that is noisy.
+METRIC_POLARITY = {
+    "loss_end": HIGH_IS_NOISY,
+    "confidence_end": LOW_IS_NOISY,
+    "first_pred_epoch": HIGH_IS_NOISY,
+    "acc_over_training": LOW_IS_NOISY,
+    "aul": HIGH_IS_NOISY,
+    "aum": LOW_IS_NOISY,
+    "jsd": HIGH_IS_NOISY,
+    "acd": HIGH_IS_NOISY,
+    "scd": HIGH_IS_NOISY,
+}
+
+COLUMNS = tuple(METRIC_POLARITY)
 
 
 @dataclass
@@ -122,7 +128,6 @@ def centroid_distance(
     the adaptive rule fall back to the static centroid; their indices are
     returned for provenance.
     """
-    variant.validate()
     classes = np.unique(assigned)
     centroids = np.zeros((int(classes.max()) + 1, features.shape[1]))
     fallbacks: list[int] = []

@@ -60,7 +60,7 @@ class TrainConfig:
     weight_decay: float = 5e-4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
@@ -208,7 +208,6 @@ def _check_training(models: list[Model], dataset: Dataset, cfgs: list[TrainConfi
         raise ConfigurationError(
             f"need one TrainConfig per model (got {len(models)} models, {len(cfgs)} configs)"
         )
-    cfgs[0].validate()
     if any(replace(cfg, seed=cfgs[0].seed) != cfgs[0] for cfg in cfgs):
         raise ConfigurationError("stacked training configs may differ only in seed")
     shapes = [w.shape for w in models[0].weights]

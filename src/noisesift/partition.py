@@ -17,23 +17,15 @@ import numpy as np
 from .artifacts import load_arrays, save_arrays
 from .errors import ConfigurationError, DegenerateDataError, UnknownMethodError
 from .gmm import GmmConfig, fit_gmm, responsibilities
-from .metrics import ACD_VARIANT, SCD_VARIANT, CentroidVariant
-
-HIGH_IS_NOISY = "high-is-noisy"
-LOW_IS_NOISY = "low-is-noisy"
-
-# Polarity of every standard metric column.
-METRIC_POLARITY = {
-    "loss_end": HIGH_IS_NOISY,
-    "confidence_end": LOW_IS_NOISY,
-    "first_pred_epoch": HIGH_IS_NOISY,
-    "acc_over_training": LOW_IS_NOISY,
-    "aul": HIGH_IS_NOISY,
-    "aum": LOW_IS_NOISY,
-    "jsd": HIGH_IS_NOISY,
-    "acd": HIGH_IS_NOISY,
-    "scd": HIGH_IS_NOISY,
-}
+from .metrics import (
+    ACD_VARIANT,
+    HIGH_IS_NOISY,
+    LOW_IS_NOISY,
+    METRIC_POLARITY,
+    SCD_VARIANT,
+    CentroidVariant,
+    centroid_distance_from_traces,
+)
 
 # The note on every method whose x metric is the plain JSD standing in for
 # the paper's weighted JSD.
@@ -44,7 +36,8 @@ WJSD_NOTE = "jsd-substituted"
 class Partition:
     """A clean/noisy split held as masks over `ids`, which keep the row
     order of the metric table the partition came from.  cluster_label is
-    -1 where the method assigns no cluster (the default for every row)."""
+    -1 where the method assigns no cluster (the default for every row).
+    A mask of another length than `ids` raises ConfigurationError."""
 
     ids: np.ndarray
     noisy: np.ndarray
@@ -55,6 +48,11 @@ class Partition:
     def __post_init__(self) -> None:
         if self.cluster_label is None:
             self.cluster_label = np.full(len(self.ids), -1, dtype=np.int64)
+        for name, mask in (("noisy", self.noisy), ("cluster_label", self.cluster_label)):
+            if len(mask) != len(self.ids):
+                raise ConfigurationError(
+                    f"partition {self.method_name}: {len(mask)} {name} rows for {len(self.ids)} ids"
+                )
 
 
 def _polarity(metric: str | CentroidVariant | None) -> str:
@@ -73,7 +71,9 @@ class MethodSpec:
 
     metric_x / metric_y are MetricTable column names, or a CentroidVariant
     for an on-demand centroid-distance metric.  1-D methods use only
-    metric_x.  Each metric's polarity follows from the metric itself.
+    metric_x.  Each metric's polarity follows from the metric itself.  An
+    unknown kind or column, or a gmm2d method without metric_y, raises
+    ConfigurationError.
     """
 
     name: str
@@ -81,6 +81,14 @@ class MethodSpec:
     metric_x: str | CentroidVariant
     metric_y: str | CentroidVariant | None = None
     clusters: int = 2
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("threshold", "gmm1d", "gmm2d"):
+            raise ConfigurationError(f"method {self.name}: unknown kind {self.kind!r}")
+        if self.kind == "gmm2d" and self.metric_y is None:
+            raise ConfigurationError(f"method {self.name}: gmm2d needs two metrics")
+        _polarity(self.metric_x)
+        _polarity(self.metric_y)
 
     @property
     def notes(self) -> str:
@@ -175,7 +183,7 @@ def partition_gmm2d(
     """k-cluster 2-D mixture on standardized (x, y); the noisy cluster is
     the one whose standardized mean lies furthest on the noisy side of
     both metrics (for acc/SCD: low accuracy, high distance = top left)."""
-    if len(values_x) != len(values_y) or len(values_x) != len(ids):
+    if len(values_x) != len(values_y):
         raise ConfigurationError("metric streams must cover the same ids")
     pts = np.column_stack([values_x, values_y])
     try:
@@ -252,23 +260,13 @@ def lookup_method(name: str) -> MethodSpec:
     raise UnknownMethodError(f"unknown partition method {name!r}")
 
 
-def run_method(
-    spec: MethodSpec,
-    table,
-    traces=None,
-    seed: int = 0,
-) -> Partition:
-    """Execute a MethodSpec against a MetricTable (plus TraceStore when a
-    centroid-distance variant must be computed on demand); `seed` seeds
-    the GMM fit."""
-    from .metrics import centroid_distance_from_traces
+def run_method(spec: MethodSpec, table, traces, seed: int = 0) -> Partition:
+    """Execute a MethodSpec against a MetricTable, with the TraceStore it
+    came from for the centroid-distance variants computed on demand;
+    `seed` seeds the GMM fit."""
 
     def _values(metric) -> np.ndarray:
         if isinstance(metric, CentroidVariant):
-            if traces is None:
-                raise ConfigurationError(
-                    f"method {spec.name} needs a TraceStore for its centroid variant"
-                )
             return centroid_distance_from_traces(traces, metric)
         return table.values[metric]
 
@@ -278,16 +276,12 @@ def run_method(
         part = partition_threshold(ids, x, spec.polarity_x, method_name=spec.name)
     elif spec.kind == "gmm1d":
         part = partition_gmm1d(ids, x, spec.polarity_x, seed, method_name=spec.name)
-    elif spec.kind == "gmm2d":
-        if spec.metric_y is None:
-            raise ConfigurationError(f"method {spec.name}: gmm2d needs two metrics")
+    else:
         y = _values(spec.metric_y)
         part = partition_gmm2d(
             ids, x, y, spec.polarity_x, spec.polarity_y,
             clusters=spec.clusters, seed=seed, method_name=spec.name,
         )
-    else:
-        raise ConfigurationError(f"unknown method kind {spec.kind!r}")
     part.parameters["method"] = spec.describe()
     return part
 

@@ -38,24 +38,21 @@ from .partition import (
     save_partition,
 )
 
-STAGES = ("gen", "train", "metrics", "partition", "eval", "report")
-
 HARDNESS_TYPES = ("none", "imbalance", "diversification", "boundary")
+
+
+def _field_defaults(spec: type) -> dict:
+    """The default of every field of a spec class but its seed, which a
+    config sets once at the top level."""
+    return {f.name: f.default for f in fields(spec) if f.name != "seed"}
+
 
 DEFAULT_CONFIG = {
     "seed": 0,
     "grid": {},
     "hardness": {"type": "imbalance", "jitter_std": 0.1, "eps_max": 0.5},
-    "noise": {"delta": 0.4},
-    "train": {
-        "epochs": 80,
-        "batch_size": 64,
-        "learning_rate": 0.01,
-        "momentum": 0.9,
-        "weight_decay": 5e-4,
-        "hidden_sizes": [32],
-        "feature_width": 16,
-    },
+    "noise": _field_defaults(transforms.NoiseSpec),
+    "train": {**_field_defaults(TrainConfig), "hidden_sizes": [32], "feature_width": 16},
     "oracle": {"epochs": 30},
     "methods": ["2d-GMM_acc-SCD"],
     "eval": {"retrain": False, "retrain_seeds": [0, 1, 2], "h_threshold": 4},
@@ -63,12 +60,8 @@ DEFAULT_CONFIG = {
 
 
 # Every key a config may hold, each with a value of the type it must have:
-# the keys of DEFAULT_CONFIG and the GridSpec fields (the seed is the
-# top-level one).
-_SCHEMA = {
-    **DEFAULT_CONFIG,
-    "grid": {k: v for k, v in vars(GridSpec()).items() if k != "seed"},
-}
+# the keys of DEFAULT_CONFIG and the GridSpec fields.
+_SCHEMA = {**DEFAULT_CONFIG, "grid": _field_defaults(GridSpec)}
 
 
 def _has_type_of(value, example) -> bool:
@@ -169,15 +162,11 @@ def experiment(cfg: dict) -> Experiment:
         raise ConfigurationError("hardness.jitter_std must be >= 0")
     if h["eps_max"] < 0:
         raise ConfigurationError("hardness.eps_max must be >= 0")
-    grid = GridSpec(**{**cfg["grid"], "seed": seed})
-    grid.validate()
-    noise = transforms.NoiseSpec(delta=cfg["noise"]["delta"], seed=seed + 2)
-    noise.validate()
+    grid = GridSpec(**cfg["grid"], seed=seed)
+    noise = transforms.NoiseSpec(**cfg["noise"], seed=seed + 2)
     shape = ("hidden_sizes", "feature_width")  # the model's; the rest make its TrainConfig
     train = TrainConfig(seed=seed, **{k: v for k, v in t.items() if k not in shape})
     oracle = replace(train, epochs=cfg["oracle"]["epochs"], seed=seed + 7)
-    train.validate()
-    oracle.validate()
     layer_sizes(grid.input_dim, t["hidden_sizes"], t["feature_width"], grid.n_classes)
     if ev["retrain"] and not ev["retrain_seeds"]:
         raise ConfigurationError("eval.retrain needs at least one of eval.retrain_seeds")
@@ -481,6 +470,8 @@ STAGE_FUNCS = {
     "eval": stage_eval,
     "report": stage_report,
 }
+
+STAGES = tuple(STAGE_FUNCS)
 
 
 def run_stage(run: Run, stage: str, force: bool = False) -> bool:

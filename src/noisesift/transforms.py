@@ -24,7 +24,7 @@ class NoiseSpec:
     delta: float = 0.4
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError("delta must be in [0, 1]")
 
@@ -121,7 +121,6 @@ def inject_label_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     """Redraw each sample's assigned label with probability
     delta * n / (L-1), uniformly over the classes in the same n-stratum
     (the redraw may land back on the true class)."""
-    spec.validate()
     L = dataset.levels
     out = dataset.take(slice(None))
     rng = np.random.default_rng(spec.seed)

@@ -1,5 +1,7 @@
 """Dataset generation: cell allocation, blob geometry, and file round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -97,6 +99,19 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.h, small_train.h)
     np.testing.assert_array_equal(loaded.n, small_train.n)
     assert loaded.class_cells == small_train.class_cells
+    assert (loaded.K, loaded.d) == (small_train.K, small_train.d)
+
+
+def test_train_json_with_the_old_keys_still_loads(tmp_path, small_train):
+    # Older run directories also stored the classes per cell as "P".
+    save_dataset(small_train, tmp_path, "train")
+    meta_path = tmp_path / "train.json"
+    meta = json.loads(meta_path.read_text())
+    assert "P" not in meta
+    meta_path.write_text(json.dumps({**meta, "P": 1, "K": small_train.K}))
+    loaded = load_dataset(tmp_path, "train")
+    assert (loaded.K, loaded.d) == (small_train.K, small_train.d)
+    np.testing.assert_array_equal(loaded.X, small_train.X)
 
 
 def test_take_restricts_rows(small_train):
@@ -119,4 +134,4 @@ def test_take_restricts_rows(small_train):
 )
 def test_invalid_grid_specs_are_rejected(kwargs):
     with pytest.raises(ConfigurationError):
-        GridSpec(**kwargs).validate()
+        GridSpec(**kwargs)

@@ -42,10 +42,7 @@ def _tiny_dataset():
         h=h,
         n=np.zeros(N, dtype=np.int64),
         base_id=np.full(N, -1),
-        K=2,
-        d=2,
         levels=5,
-        classes_per_cell=1,
         class_cells={0: (0, 0), 1: (4, 0)},
     )
 

@@ -206,11 +206,11 @@ def test_scd_acd_default_corners():
 
 def test_variant_validation():
     with pytest.raises(ConfigurationError):
-        CentroidVariant(epoch="start").validate()
+        CentroidVariant(epoch="start")
     with pytest.raises(ConfigurationError):
-        CentroidVariant(distance="manhattan").validate()
+        CentroidVariant(distance="manhattan")
     with pytest.raises(ConfigurationError):
-        CentroidVariant(adaptive_conf_threshold=1.5).validate()
+        CentroidVariant(adaptive_conf_threshold=1.5)
 
 
 def test_metric_table_roundtrip(tmp_path):

@@ -158,10 +158,7 @@ def test_mid_snapshot_falls_back_to_half_horizon():
         h=np.zeros(N, dtype=np.int64),
         n=np.zeros(N, dtype=np.int64),
         base_id=np.full(N, -1),
-        K=3,
-        d=2,
         levels=1,
-        classes_per_cell=3,
         class_cells={0: (0, 0), 1: (0, 0), 2: (0, 0)},
     )
     cfg = TrainConfig(epochs=7, learning_rate=0.001, seed=0)

@@ -100,6 +100,23 @@ def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
     assert set(range(200, 300)) <= set(clean_ids(part))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda ids, v: partition_threshold(ids, v),
+        lambda ids, v: partition_gmm1d(ids, v),
+        lambda ids, v: partition_gmm2d(ids, v, v[::-1], clusters=2),
+    ],
+    ids=["threshold", "gmm1d", "gmm2d"],
+)
+def test_partitioners_reject_ids_of_another_length(make, rng):
+    values = np.concatenate([rng.normal(0.0, 0.1, 30), rng.normal(5.0, 0.1, 10)])
+    with pytest.raises(ConfigurationError, match="40 noisy rows for 39 ids"):
+        make(np.arange(39), values)
+    with pytest.raises(ConfigurationError, match="39 cluster_label rows for 40 ids"):
+        Partition(np.arange(40), values > 1.0, "m", {}, np.zeros(39, dtype=np.int64))
+
+
 def test_metric_polarity_covers_every_metric_column():
     assert sorted(METRIC_POLARITY) == sorted(COLUMNS)
     assert set(METRIC_POLARITY.values()) == {HIGH_IS_NOISY, LOW_IS_NOISY}

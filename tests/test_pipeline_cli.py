@@ -1,6 +1,9 @@
 """End-to-end pipeline runs, stage gating, determinism, and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -215,6 +218,24 @@ def test_readme_config_matches_defaults_and_schema():
     grid = {k: v for k, v in vars(GridSpec()).items() if k != "seed"}
     assert documented == {**DEFAULT_CONFIG, "grid": grid}
     assert _key_tree(documented) == _key_tree(_SCHEMA)
+
+
+def test_readme_python_examples_run():
+    # README's python blocks run as written, in a fresh interpreter;
+    # the first prints the default recipe's noisy and hard recall.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text()
+    code = "\n".join(b.split("```", 1)[0] for b in readme.split("```python\n")[1:])
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    recall_n, recall_h = map(float, out.stdout.splitlines()[0].split())
+    assert f"{recall_n:.3f} {recall_h:.3f}" == "0.964 0.452"
 
 
 def test_load_config_rejects_unknown_method(tmp_path):

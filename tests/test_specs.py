@@ -1,0 +1,29 @@
+"""Every spec checks its values when it is built."""
+
+from dataclasses import replace
+
+import pytest
+
+from noisesift import CentroidVariant, GmmConfig, MethodSpec, NoiseSpec, TrainConfig
+from noisesift.errors import ConfigurationError
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: TrainConfig(epochs=0), id="epochs-0"),
+        pytest.param(lambda: TrainConfig(batch_size=0), id="batch-size-0"),
+        pytest.param(lambda: TrainConfig(learning_rate=0.0), id="learning-rate-0"),
+        pytest.param(lambda: NoiseSpec(delta=-0.1), id="delta-negative"),
+        pytest.param(lambda: NoiseSpec(delta=1.5), id="delta-above-1"),
+        pytest.param(lambda: GmmConfig(k=0), id="gmm-k-0"),
+        pytest.param(lambda: MethodSpec("m", "kmeans", "aum"), id="unknown-kind"),
+        pytest.param(lambda: MethodSpec("m", "gmm2d", "aum"), id="gmm2d-without-y"),
+        pytest.param(lambda: MethodSpec("m", "gmm2d", "aum", "margin"), id="unknown-column"),
+        pytest.param(lambda: replace(TrainConfig(), epochs=0), id="replace-rechecks"),
+        pytest.param(lambda: replace(CentroidVariant(), epoch="start"), id="variant-replace"),
+    ],
+)
+def test_specs_refuse_bad_values_when_built(build):
+    with pytest.raises(ConfigurationError):
+        build()
