@@ -193,7 +193,6 @@ _COLUMNS = ("ids", "y_true", "y_assigned", "h", "n", "base_id")
 def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[Path]:
     """Write <prefix>.json (sizes and cell map) and one .npy per column."""
     meta = {
-        "K": dataset.K,
         "d": dataset.d,
         "L": dataset.levels,
         "class_cells": {str(c): list(hn) for c, hn in sorted(dataset.class_cells.items())},

@@ -8,7 +8,6 @@ are SCD = (mid, euclidean, static) and ACD = (end, cosine, adaptive).
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -203,11 +202,11 @@ def save_metric_table(table: MetricTable, directory: str | Path) -> list[Path]:
     params_path = directory / "metrics.json"
     params_path.write_text(json.dumps(table.params, indent=2))
     csv_path = directory / "metrics.csv"
-    with open(csv_path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["id"] + list(COLUMNS))
-        # csv writes a Python float as its repr, so the bytes round-trip.
-        w.writerows(zip(table.ids.tolist(), *(table.values[c].tolist() for c in COLUMNS)))
+    # A Python float's repr round-trips, and "\r\n" ends every line as in
+    # the csv module's default dialect.
+    rows = zip(table.ids.tolist(), *(table.values[c].tolist() for c in COLUMNS))
+    lines = [",".join(["id", *COLUMNS]), *(",".join(map(repr, row)) for row in rows), ""]
+    csv_path.write_text("\r\n".join(lines), newline="")
     return [csv_path, params_path]
 
 

@@ -8,6 +8,13 @@ Everything is float64 numpy; training is sequential and deterministic
 given the seed.  One SGD loop trains a stack of same-shaped models at once,
 weights on a leading seed axis, each seed with its own batch order; the
 forward and backward passes take a single model or such a stack.
+
+The stacked weights are views into one flat buffer and the stacked biases
+into another; the gradients and velocities have buffers of the same layout,
+so each minibatch updates every layer with a few in-place calls per buffer.
+Each element still goes through `g + wd*w`, `mom*v + g`, `w - lr*v` (no
+decay on biases) in that order, so the trained weights are bit-identical to
+a plain per-layer loop that allocates every intermediate.
 """
 
 from __future__ import annotations
@@ -142,10 +149,11 @@ def init_model(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=-1, keepdims=True)
-    return z
+    """Softmax over the last axis, computed in place in `logits`."""
+    logits -= logits.max(axis=-1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=-1, keepdims=True)
+    return logits
 
 
 def forward_batch(
@@ -160,12 +168,14 @@ def forward_batch(
     acts = [X]
     last = len(model.weights) - 1
     for i in range(last):
-        a = acts[-1] @ model.weights[i] + model.biases[i]
+        a = acts[-1] @ model.weights[i]
+        a += model.biases[i]
         if i < last - 1:  # every layer before the feature layer is ReLU
             np.maximum(a, 0.0, out=a)
         acts.append(a)
     features = acts[-1]
-    logits = features @ model.weights[last] + model.biases[last]
+    logits = features @ model.weights[last]
+    logits += model.biases[last]
     probs = _softmax(logits)
     if return_cache:
         return probs, features, acts
@@ -173,20 +183,25 @@ def forward_batch(
 
 
 def _backward(
-    model: Model, acts: list[np.ndarray], dlogits: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    """Gradients of all parameters, each shaped like its parameter, and of
-    the input given d(loss)/d(logits)."""
-    grads_w = [None] * len(model.weights)
-    grads_b = [None] * len(model.biases)
+    model: Model,
+    acts: list[np.ndarray],
+    dlogits: np.ndarray,
+    grads_w: list[np.ndarray],
+    grads_b: list[np.ndarray],
+) -> np.ndarray:
+    """Write the gradient of every parameter, given d(loss)/d(logits), into
+    the matching array of grads_w/grads_b (each shaped like its parameter)
+    and return d(loss)/d(output of layer 0)."""
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = np.swapaxes(acts[i], -1, -2) @ delta
-        grads_b[i] = delta.sum(axis=-2).reshape(model.biases[i].shape)
+        np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=grads_w[i])
+        np.sum(delta, axis=-2, out=grads_b[i].reshape(delta.shape[:-2] + (-1,)))
+        if i == 0:
+            break
         delta = delta @ np.swapaxes(model.weights[i], -1, -2)
-        if 0 < i < len(model.weights) - 1:
-            delta = delta * (acts[i] > 0)
-    return grads_w, grads_b, delta
+        if i < len(model.weights) - 1:
+            delta *= acts[i] > 0
+    return delta
 
 
 def input_gradient(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -198,8 +213,10 @@ def input_gradient(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     probs, _, acts = forward_batch(model, X, return_cache=True)
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
-    _, _, dx = _backward(model, acts, dlogits)
-    return dx
+    grads_w = [np.empty_like(w) for w in model.weights]
+    grads_b = [np.empty_like(b) for b in model.biases]
+    delta = _backward(model, acts, dlogits, grads_w, grads_b)
+    return delta @ model.weights[0].T
 
 
 def _check_training(models: list[Model], dataset: Dataset, cfgs: list[TrainConfig]) -> None:
@@ -221,12 +238,25 @@ def _check_training(models: list[Model], dataset: Dataset, cfgs: list[TrainConfi
         raise ConfigurationError("dataset is empty")
 
 
-def _stack(models: list[Model]) -> Model:
-    """Weights as (S, fan_in, fan_out), biases as (S, 1, fan_out)."""
-    return Model(
-        [np.stack(ws) for ws in zip(*(m.weights for m in models))],
-        [np.stack(bs)[:, None, :] for bs in zip(*(m.biases for m in models))],
-    )
+def _flat_views(shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed float64 buffer and, in order, a view of it for each shape."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = np.zeros(sum(sizes))
+    starts = np.cumsum([0, *sizes]).tolist()
+    views = [flat[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
+    return flat, views
+
+
+def _stack(models: list[Model]) -> tuple[Model, np.ndarray, np.ndarray]:
+    """Weights as (S, fan_in, fan_out), biases as (S, 1, fan_out): views
+    into one flat weight buffer and one flat bias buffer, also returned."""
+    S = len(models)
+    w_flat, weights = _flat_views([(S, *w.shape) for w in models[0].weights])
+    b_flat, biases = _flat_views([(S, 1, *b.shape) for b in models[0].biases])
+    for i, (w, b) in enumerate(zip(weights, biases)):
+        np.stack([m.weights[i] for m in models], out=w)
+        np.stack([m.biases[i] for m in models], out=b[:, 0])
+    return Model(weights, biases), w_flat, b_flat
 
 
 def _unstacked(stacked: Model, s: int) -> Model:
@@ -234,36 +264,54 @@ def _unstacked(stacked: Model, s: int) -> Model:
     return Model([w[s] for w in stacked.weights], [b[s, 0] for b in stacked.biases])
 
 
-def _sgd_epochs(stacked: Model, dataset: Dataset, cfgs: list[TrainConfig]):
+def _sgd_epochs(
+    stacked: Model,
+    w_flat: np.ndarray,
+    b_flat: np.ndarray,
+    dataset: Dataset,
+    cfgs: list[TrainConfig],
+):
     """Mini-batch SGD with momentum and weight decay on cross-entropy vs
-    y_assigned, updating the stacked weights in place and yielding the
-    epoch number after each epoch.  Seed s draws its batch order from
-    default_rng(cfgs[s].seed), so the seeds do not interact: each trains
-    as it would alone."""
+    y_assigned, updating the stack from `_stack` (its views and flat
+    buffers) in place and yielding the epoch number after each epoch.
+    Seed s draws its batch order from default_rng(cfgs[s].seed), so the
+    seeds do not interact: each trains as it would alone."""
     cfg = cfgs[0]
     N = len(dataset)
-    X, y = dataset.X, dataset.y_assigned
     rngs = [np.random.default_rng(c.seed) for c in cfgs]
     stack_rows = np.arange(len(cfgs))[:, None]  # (S, 1): the model index
-    vel_w = [np.zeros_like(w) for w in stacked.weights]
-    vel_b = [np.zeros_like(b) for b in stacked.biases]
+    batch_rows = np.arange(cfg.batch_size)
+    gw_flat, grads_w = _flat_views([w.shape for w in stacked.weights])
+    gb_flat, grads_b = _flat_views([b.shape for b in stacked.biases])
+    vw_flat = np.zeros_like(w_flat)
+    vb_flat = np.zeros_like(b_flat)
+    decay = np.empty_like(w_flat)
     for t in range(1, cfg.epochs + 1):
         orders = np.stack([rng.permutation(N) for rng in rngs])
+        X, y = dataset.X[orders], dataset.y_assigned[orders]  # (S, N, d), (S, N)
         for start in range(0, N, cfg.batch_size):
-            idx = orders[:, start : start + cfg.batch_size]  # (S, B)
-            probs, _, acts = forward_batch(stacked, X[idx], return_cache=True)
-            B = idx.shape[1]
+            batch = slice(start, start + cfg.batch_size)
+            probs, _, acts = forward_batch(stacked, X[:, batch], return_cache=True)
+            yb = y[:, batch]
+            B = yb.shape[1]
             dlogits = probs
-            dlogits[stack_rows, np.arange(B), y[idx]] -= 1.0
+            dlogits[stack_rows, batch_rows[:B], yb] -= 1.0
             dlogits /= B
-            gw, gb, _ = _backward(stacked, acts, dlogits)
-            for i in range(len(stacked.weights)):
-                g = gw[i] + cfg.weight_decay * stacked.weights[i]
-                vel_w[i] = cfg.momentum * vel_w[i] + g
-                stacked.weights[i] -= cfg.learning_rate * vel_w[i]
-                vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
-                stacked.biases[i] -= cfg.learning_rate * vel_b[i]
-        if not all(np.isfinite(p).all() for p in (*stacked.weights, *stacked.biases)):
+            _backward(stacked, acts, dlogits, grads_w, grads_b)
+            # v = mom*v + (g + wd*w), then w -= lr*v.  Once v is updated the
+            # gradient buffers are free until the next _backward, so they
+            # hold lr*v.
+            np.multiply(w_flat, cfg.weight_decay, out=decay)
+            gw_flat += decay
+            vw_flat *= cfg.momentum
+            vw_flat += gw_flat
+            np.multiply(vw_flat, cfg.learning_rate, out=gw_flat)
+            w_flat -= gw_flat
+            vb_flat *= cfg.momentum
+            vb_flat += gb_flat
+            np.multiply(vb_flat, cfg.learning_rate, out=gb_flat)
+            b_flat -= gb_flat
+        if not (np.isfinite(w_flat).all() and np.isfinite(b_flat).all()):
             raise TrainingDivergedError(t)
         yield t
 
@@ -273,8 +321,8 @@ def train(models: list[Model], dataset: Dataset, cfgs: list[TrainConfig]) -> lis
     cfgs[s]; no traces are taken.  The configs may differ only in seed, and
     each result equals what `train_with_tracing` returns for that model."""
     _check_training(models, dataset, cfgs)
-    stacked = _stack(models)
-    for _ in _sgd_epochs(stacked, dataset, cfgs):
+    stacked, w_flat, b_flat = _stack(models)
+    for _ in _sgd_epochs(stacked, w_flat, b_flat, dataset, cfgs):
         pass
     return [_unstacked(stacked, s).copy() for s in range(len(models))]
 
@@ -290,7 +338,7 @@ def train_with_tracing(
     as fallback if the threshold is never reached.
     """
     _check_training([model], dataset, [cfg])
-    stacked = _stack([model])
+    stacked, w_flat, b_flat = _stack([model])
     model = _unstacked(stacked, 0)  # views: the loop's updates show here
     N, T = len(dataset), cfg.epochs
     X, y = dataset.X, dataset.y_assigned
@@ -305,7 +353,7 @@ def train_with_tracing(
     mid_epoch = None
 
     rows = np.arange(N)
-    for t in _sgd_epochs(stacked, dataset, [cfg]):
+    for t in _sgd_epochs(stacked, w_flat, b_flat, dataset, [cfg]):
         probs, features = forward_batch(model, X)
         e = t - 1
         p_assigned[e] = probs[rows, y]

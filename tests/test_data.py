@@ -103,11 +103,12 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, small_train):
 
 
 def test_train_json_with_the_old_keys_still_loads(tmp_path, small_train):
-    # Older run directories also stored the classes per cell as "P".
+    # Older run directories also stored the classes per cell as "P" and
+    # the class count as "K"; the classes now come from the cell map.
     save_dataset(small_train, tmp_path, "train")
     meta_path = tmp_path / "train.json"
     meta = json.loads(meta_path.read_text())
-    assert "P" not in meta
+    assert "P" not in meta and "K" not in meta
     meta_path.write_text(json.dumps({**meta, "P": 1, "K": small_train.K}))
     loaded = load_dataset(tmp_path, "train")
     assert (loaded.K, loaded.d) == (small_train.K, small_train.d)

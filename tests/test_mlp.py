@@ -40,7 +40,9 @@ def _param_grads(model, X, y):
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
-    gw, gb, _ = _backward(model, acts, dlogits)
+    gw = [np.empty_like(w) for w in model.weights]
+    gb = [np.empty_like(b) for b in model.biases]
+    _backward(model, acts, dlogits, gw, gb)
     return gw, gb
 
 
@@ -290,9 +292,83 @@ def test_stacked_seeds_match_one_seed_at_a_time(small_train, hidden_sizes):
         _assert_same_weights(got, alone)
 
 
+def _reference_train(models, dataset, cfgs):
+    """The plain stacked SGD loop: rows gathered per batch, every layer
+    updated on its own and every intermediate a fresh array."""
+    cfg = cfgs[0]
+    N = len(dataset)
+    X, y = dataset.X, dataset.y_assigned
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
+    stack_rows = np.arange(len(cfgs))[:, None]
+    ws = [np.stack(w) for w in zip(*(m.weights for m in models))]
+    bs = [np.stack(b)[:, None, :] for b in zip(*(m.biases for m in models))]
+    vel_w = [np.zeros_like(w) for w in ws]
+    vel_b = [np.zeros_like(b) for b in bs]
+    last = len(ws) - 1
+    for _ in range(cfg.epochs):
+        orders = np.stack([rng.permutation(N) for rng in rngs])
+        for start in range(0, N, cfg.batch_size):
+            idx = orders[:, start : start + cfg.batch_size]
+            acts = [X[idx]]
+            for i in range(last):
+                a = acts[-1] @ ws[i] + bs[i]
+                acts.append(np.maximum(a, 0.0) if i < last - 1 else a)
+            logits = acts[-1] @ ws[last] + bs[last]
+            z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+            dlogits = z / z.sum(axis=-1, keepdims=True)
+            B = idx.shape[1]
+            dlogits[stack_rows, np.arange(B), y[idx]] -= 1.0
+            delta = dlogits / B
+            gw, gb = [None] * len(ws), [None] * len(bs)
+            for i in range(last, -1, -1):
+                gw[i] = np.swapaxes(acts[i], -1, -2) @ delta
+                gb[i] = delta.sum(axis=-2, keepdims=True)
+                delta = delta @ np.swapaxes(ws[i], -1, -2)
+                if 0 < i < last:
+                    delta = delta * (acts[i] > 0)
+            for i in range(len(ws)):
+                g = gw[i] + cfg.weight_decay * ws[i]
+                vel_w[i] = cfg.momentum * vel_w[i] + g
+                ws[i] = ws[i] - cfg.learning_rate * vel_w[i]
+                vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
+                bs[i] = bs[i] - cfg.learning_rate * vel_b[i]
+    return [Model([w[s] for w in ws], [b[s, 0] for b in bs]) for s in range(len(models))]
+
+
+@pytest.mark.parametrize("hidden_sizes", [[], [6], [6, 5]])
+@pytest.mark.parametrize("S", [1, 3])
+def test_train_is_bitwise_equal_to_the_plain_sgd_loop(small_train, hidden_sizes, S):
+    cfgs = [
+        TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, momentum=0.9,
+                    weight_decay=0.01, seed=s)
+        for s in range(S)
+    ]
+    assert len(small_train) % cfgs[0].batch_size != 0  # a short last batch
+    m = 4 if hidden_sizes else small_train.d
+    models = [init_model(small_train.d, hidden_sizes, m, small_train.K, seed=5 + s) for s in range(S)]
+    expected = _reference_train(models, small_train, cfgs)
+    for got, want in zip(train(models, small_train, cfgs), expected):
+        assert len(got.weights) == len(want.weights)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            np.testing.assert_array_equal(a, b)
+
+
+def test_trained_models_share_no_memory(small_train):
+    models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1)]
+    cfgs = [TrainConfig(epochs=1, seed=s) for s in (0, 1)]
+    traced, _ = train_with_tracing(models[0], small_train, cfgs[0])
+    arrays = [a for m in [*train(models, small_train, cfgs), traced] for a in m.weights + m.biases]
+    inputs = [a for m in models for a in m.weights + m.biases]
+    inputs += [small_train.X, small_train.y_assigned]
+    for i, a in enumerate(arrays):
+        assert a.base is None  # not a view that keeps a training buffer alive
+        for b in arrays[i + 1 :] + inputs:
+            assert not np.shares_memory(a, b)
+
+
 def test_forward_batch_on_a_stack_matches_each_slice(small_train):
     models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1, 2)]
-    stacked = _stack(models)
+    stacked, _, _ = _stack(models)
     X = np.stack([small_train.X[s :: 3] for s in range(3)])  # (S, B, d)
     probs, feats = forward_batch(stacked, X)
     assert (stacked.d, stacked.m, stacked.K) == (small_train.d, 4, small_train.K)
