@@ -5,11 +5,13 @@ transform is recorded on the model); initialization is farthest-point
 seeding plus a few hard-assignment refinement steps, with the best of
 several restarts kept by final log-likelihood.
 
-Because D <= 2, each EM iteration works on all k components at once: the
-points are held as one (D, N) array, the 1x1/2x2 Gaussian log-densities
-are written out in closed form over (k, D, N), and the covariance update
-is one stacked matmul.  `np.linalg` is called only when a covariance falls
-below the eigenvalue floor.
+Because D <= 2, each EM iteration works on all k components of every
+restart still running at once: the points are held as one (D, N) array,
+the restarts' parameters are stacked on a leading restart axis, the
+1x1/2x2 Gaussian log-densities are written out in closed form over
+(R, k, D, N), and the covariance update is one stacked matmul.
+`np.linalg` is called only when a covariance falls below the eigenvalue
+floor.
 """
 
 from __future__ import annotations
@@ -88,47 +90,59 @@ def _as_2d(points: np.ndarray) -> np.ndarray:
 
 
 def _floor_cov(covs: np.ndarray) -> np.ndarray:
-    """Raise every eigenvalue of each (D, D) matrix in the (k, D, D) stack
-    to at least COV_FLOOR.  The smallest eigenvalue is found in closed form;
-    the stack comes back unchanged when no matrix is below the floor."""
-    a = covs[:, 0, 0]
-    if covs.shape[1] == 1:
+    """Raise every eigenvalue of the (D, D) matrices in a (..., k, D, D)
+    stack to at least COV_FLOOR, in place.  The smallest eigenvalue is found
+    in closed form; each set of k matrices with one below the floor is
+    rebuilt whole from its eigendecomposition, and the other sets are left
+    as they are."""
+    a = covs[..., 0, 0]
+    if covs.shape[-1] == 1:
         smallest = a
     else:
-        b, c = covs[:, 1, 0], covs[:, 1, 1]
+        b, c = covs[..., 1, 0], covs[..., 1, 1]
         smallest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    if np.all(smallest >= COV_FLOOR):
-        return covs
-    vals, vecs = np.linalg.eigh(covs)
-    return (vecs * np.maximum(vals, COV_FLOOR)[:, None, :]) @ vecs.swapaxes(1, 2)
+    low = ~np.all(smallest >= COV_FLOOR, axis=-1)
+    if low.any():
+        vals, vecs = np.linalg.eigh(covs[low])
+        covs[low] = (vecs * np.maximum(vals, COV_FLOOR)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    return covs
 
 
-def _component_logpdf(model_means, model_covs, model_weights, pts) -> np.ndarray:
-    """(k, N) array of log(w_j * N(x | mu_j, cov_j)) for (D, N) points.
+def _component_logpdf(diff, covs, weights, out=None, work=None) -> np.ndarray:
+    """(..., k, N) array of log(w_j * N(x | mu_j, cov_j)) from the
+    (..., k, D, N) centred points x - mu_j.
 
     The 1x1/2x2 Cholesky factor L of each covariance, the triangular solve
     z = L^-1 (x - mu) and log|L| are written out elementwise over all
-    components at once."""
-    D = pts.shape[0]
-    diff = pts[None, :, :] - model_means[:, :, None]
-    l00 = np.sqrt(model_covs[:, 0, 0])
-    z0 = diff[:, 0] / l00[:, None]
-    maha = z0**2
+    components at once.  `out` and `work` are optional (..., k, N) arrays;
+    the result is written to `out` and `work` is overwritten."""
+    D = diff.shape[-2]
+    l00 = np.sqrt(covs[..., 0, 0])
+    z = np.divide(diff[..., 0, :], l00[..., None], out=work)
+    maha = np.square(z, out=out)
     log_det = np.log(l00)
     if D == 2:
-        l10 = model_covs[:, 1, 0] / l00
-        l11 = np.sqrt(model_covs[:, 1, 1] - l10**2)
-        z1 = (diff[:, 1] - l10[:, None] * z0) / l11[:, None]
-        maha += z1**2
+        l10 = covs[..., 1, 0] / l00
+        l11 = np.sqrt(covs[..., 1, 1] - l10**2)
+        np.multiply(l10[..., None], z, out=z)
+        np.subtract(diff[..., 1, :], z, out=z)
+        np.divide(z, l11[..., None], out=z)
+        maha += np.square(z, out=z)
         log_det += np.log(l11)
-    const = np.log(np.maximum(model_weights, 1e-300)) - 0.5 * D * np.log(2.0 * np.pi) - log_det
-    return const[:, None] - 0.5 * maha
+    const = np.log(np.maximum(weights, 1e-300)) - 0.5 * D * np.log(2.0 * np.pi) - log_det
+    maha *= 0.5
+    return np.subtract(const[..., None], maha, out=maha)
 
 
-def _logsumexp(a: np.ndarray) -> np.ndarray:
-    """log of the sum of exp over the component axis (axis 0)."""
-    mx = a.max(axis=0)
-    return mx + np.log(np.exp(a - mx).sum(axis=0))
+def _logsumexp(a: np.ndarray, out=None, work=None) -> np.ndarray:
+    """log of the sum of exp over the component axis (axis -2).  `out`
+    (shape of the result) and `work` (shape of `a`) are optional."""
+    mx = a.max(axis=-2)
+    e = np.subtract(a, mx[..., None, :], out=work)
+    s = np.sum(np.exp(e, out=e), axis=-2, out=out)
+    np.log(s, out=s)
+    s += mx
+    return s
 
 
 def _standardize_params(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,45 +176,17 @@ def _init_means(pts: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     return means
 
 
-def _em_once(
-    pts: np.ndarray, cfg: GmmConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, int, list[float]]:
-    """One EM run on (D, N) standardized points."""
-    D, N = pts.shape
-    k = cfg.k
-    means = _init_means(pts, k, rng)
-    assign = _nearest(pts, means)
-    weights = np.maximum(np.bincount(assign, minlength=k) / N, 1.0 / (10 * N))
-    weights /= weights.sum()
-    base_cov = np.cov(pts, bias=True).reshape(1, D, D)
-    covs = np.repeat(_floor_cov(base_cov), k, axis=0)
-
-    history: list[float] = []
-    ll_prev = -np.inf
-    for it in range(1, MAX_ITER + 1):
-        joint = _component_logpdf(means, covs, weights, pts)
-        log_norm = _logsumexp(joint)
-        ll = float(log_norm.sum())
-        history.append(ll)
-        resp = np.exp(joint - log_norm)
-        nk = np.maximum(resp.sum(axis=1), 1e-12)
-        weights = nk / N
-        means = (resp @ pts.T) / nk[:, None]
-        diff = pts[None, :, :] - means[:, :, None]
-        covs = (resp[:, None, :] * diff) @ diff.swapaxes(1, 2) / nk[:, None, None]
-        covs = _floor_cov(covs)
-        if ll - ll_prev < TOL and it > 1:
-            break
-        ll_prev = ll
-    # Final likelihood under the last parameter update.
-    final_ll = float(_logsumexp(_component_logpdf(means, covs, weights, pts)).sum())
-    history.append(final_ll)
-    return weights, means, covs, final_ll, it, history
-
-
 def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
-    """EM fit with restarts; deterministic given cfg.seed."""
+    """EM fit with restarts; deterministic given cfg.seed.
+
+    The RESTARTS runs go in lockstep: their weights, means and covariances
+    are stacked on a leading restart axis over the one (D, N) point array,
+    and a run leaves the stack as soon as it stops.  Each run is seeded,
+    stopped and scored as if it ran alone; the best final log-likelihood
+    wins, the earliest run on a tie."""
     pts_raw = _as_2d(points)
+    if not np.isfinite(pts_raw).all():
+        raise ConfigurationError("points must be finite (no NaN or inf)")
     if len(pts_raw) < cfg.k:
         raise ConfigurationError(
             f"{len(pts_raw)} points cannot support {cfg.k} components"
@@ -209,23 +195,74 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
         raise DegenerateDataError("all points identical; cannot fit k > 1 mixture")
     mu0, sd0 = _standardize_params(pts_raw)
     pts = np.ascontiguousarray(((pts_raw - mu0) / sd0).T)
+    D, N = pts.shape
+    k = cfg.k
 
-    best = None
+    means = np.empty((RESTARTS, k, D))
+    weights = np.empty((RESTARTS, k))
     for r in range(RESTARTS):
-        rng = np.random.default_rng([cfg.seed, r])
-        weights, means, covs, ll, iters, history = _em_once(pts, cfg, rng)
-        if best is None or ll > best[3]:
-            best = (weights, means, covs, ll, iters, history)
-    weights, means, covs, ll, iters, history = best
+        means[r] = _init_means(pts, k, np.random.default_rng([cfg.seed, r]))
+        counts = np.bincount(_nearest(pts, means[r]), minlength=k)
+        weights[r] = np.maximum(counts / N, 1.0 / (10 * N))
+        weights[r] /= weights[r].sum()
+    base_cov = _floor_cov(np.cov(pts, bias=True).reshape(1, D, D))
+    covs = np.broadcast_to(base_cov, (RESTARTS, k, D, D)).copy()
+
+    # Work arrays; the runs still going fill their leading rows.
+    diff = np.empty((RESTARTS, k, D, N))
+    weighted = np.empty_like(diff)
+    joint = np.empty((RESTARTS, k, N))
+    work = np.empty_like(joint)
+    log_norm = np.empty((RESTARTS, N))
+
+    active = list(range(RESTARTS))  # the run in each stack row
+    histories: list[list[float]] = [[] for _ in range(RESTARTS)]
+    results: dict[int, tuple] = {}
+    stopped = np.zeros(RESTARTS, dtype=bool)
+    ll_prev = np.full(RESTARTS, -np.inf)
+    np.subtract(pts, means[..., None], out=diff)
+    for it in range(1, MAX_ITER + 2):
+        m = len(active)
+        _component_logpdf(diff[:m], covs, weights, joint[:m], work[:m])
+        _logsumexp(joint[:m], log_norm[:m], work[:m])
+        ll = log_norm[:m].sum(axis=-1)
+        for r, value in zip(active, ll.tolist()):
+            histories[r].append(value)
+        if stopped.any():
+            # A run that stopped after the last update has just had its
+            # final likelihood computed under that update.
+            for row in np.flatnonzero(stopped):
+                r = active[row]
+                results[r] = (weights[row].copy(), means[row].copy(), covs[row].copy(), it - 1)
+            keep = ~stopped
+            active = [r for r, s in zip(active, stopped) if not s]
+            if not active:
+                break
+            joint[: len(active)] = joint[:m][keep]
+            log_norm[: len(active)] = log_norm[:m][keep]
+            m = len(active)
+            weights, means, covs, ll, ll_prev = (a[keep] for a in (weights, means, covs, ll, ll_prev))
+        resp = np.exp(np.subtract(joint[:m], log_norm[:m, None, :], out=joint[:m]), out=joint[:m])
+        nk = np.maximum(resp.sum(axis=-1), 1e-12)
+        weights = nk / N
+        means = (resp @ pts.T) / nk[..., None]
+        np.subtract(pts, means[..., None], out=diff[:m])
+        np.multiply(resp[:, :, None, :], diff[:m], out=weighted[:m])
+        covs = _floor_cov(weighted[:m] @ diff[:m].swapaxes(-1, -2) / nk[..., None, None])
+        stopped = ((ll - ll_prev < TOL) & (it > 1)) | (it == MAX_ITER)
+        ll_prev = ll
+
+    best = max(range(RESTARTS), key=lambda r: histories[r][-1])
+    weights, means, covs, iters = results[best]
     return GmmModel(
         weights=weights,
         means=means,
         covariances=covs,
-        log_likelihood=ll,
+        log_likelihood=histories[best][-1],
         n_iter=iters,
         standardize_mean=mu0,
         standardize_std=sd0,
-        ll_history=history,
+        ll_history=histories[best],
     )
 
 
@@ -235,7 +272,7 @@ def _joint(model: GmmModel, points: np.ndarray) -> np.ndarray:
     if pts.shape[1] != model.dim:
         raise ConfigurationError("dimension mismatch")
     pts = np.ascontiguousarray(((pts - model.standardize_mean) / model.standardize_std).T)
-    return _component_logpdf(model.means, model.covariances, model.weights, pts)
+    return _component_logpdf(pts - model.means[:, :, None], model.covariances, model.weights)
 
 
 def responsibilities(model: GmmModel, points: np.ndarray) -> np.ndarray:

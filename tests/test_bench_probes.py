@@ -34,7 +34,8 @@ def test_every_benchmark_probe_resolves_in_the_package(monkeypatch):
 def test_tracer_reads_the_arguments_it_counts(tmp_path, monkeypatch):
     """The counting probes read `fit_gmm`'s config and result, the
     trainer's dataset and config, and the trace codec's directory by
-    argument position; a run under the tracer must count real work."""
+    argument position; a run under the tracer must count real work, and
+    its one GMM fit as one `fit_gmm` call."""
     from noisesift.data import load_dataset
     from noisesift.pipeline import run_pipeline
 
@@ -50,6 +51,7 @@ def test_tracer_reads_the_arguments_it_counts(tmp_path, monkeypatch):
         run_dir = run_pipeline(cfg_path, tmp_path / "run")
     metrics = tracer.layer_metrics(t.op)
     assert metrics["gmm.em_iters"] > 0
+    assert metrics["gmm.fit_gmm_calls"] == 1
     assert metrics["mlp.sample_epochs"] == len(load_dataset(run_dir, "train")) * epochs
     assert metrics["mlp.trace_mb"] > 0
     assert metrics["mlp.train_with_tracing_calls"] == 1

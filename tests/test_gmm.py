@@ -1,11 +1,13 @@
 """EM mixture fitting: likelihood monotonicity, parameter recovery,
-responsibilities, and equivalence with a per-component reference EM."""
+responsibilities, input checks, and equivalence with a per-component
+reference EM and with the serial restart loop."""
 
 import numpy as np
 import pytest
 
 from noisesift import GmmConfig, fit_gmm, gmm, log_likelihood, responsibilities
 from noisesift.errors import ConfigurationError, DegenerateDataError
+from noisesift.partition import partition_gmm1d
 
 
 def _two_component_1d(rng, n=5000, w0=0.35):
@@ -232,3 +234,169 @@ def test_stacked_em_matches_per_component_reference(kind, k, rng, monkeypatch):
     assert model.n_iter == ref_iter
     np.testing.assert_allclose(resp, ref_resp, rtol=0, atol=1e-9)
     np.testing.assert_array_equal(resp.argmax(axis=1), ref_resp.argmax(axis=1))
+
+
+# Reference oracle: the serial restart loop that fit_gmm's lockstep
+# restarts replaced, kept as it was.  Each restart runs EM alone on the
+# (D, N) points; the floor and the log-densities work on one (k, ...) stack.
+
+
+def _serial_floor_cov(covs):
+    a = covs[:, 0, 0]
+    if covs.shape[1] == 1:
+        smallest = a
+    else:
+        b, c = covs[:, 1, 0], covs[:, 1, 1]
+        smallest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    if np.all(smallest >= gmm.COV_FLOOR):
+        return covs
+    vals, vecs = np.linalg.eigh(covs)
+    return (vecs * np.maximum(vals, gmm.COV_FLOOR)[:, None, :]) @ vecs.swapaxes(1, 2)
+
+
+def _serial_component_logpdf(model_means, model_covs, model_weights, pts):
+    D = pts.shape[0]
+    diff = pts[None, :, :] - model_means[:, :, None]
+    l00 = np.sqrt(model_covs[:, 0, 0])
+    z0 = diff[:, 0] / l00[:, None]
+    maha = z0**2
+    log_det = np.log(l00)
+    if D == 2:
+        l10 = model_covs[:, 1, 0] / l00
+        l11 = np.sqrt(model_covs[:, 1, 1] - l10**2)
+        z1 = (diff[:, 1] - l10[:, None] * z0) / l11[:, None]
+        maha += z1**2
+        log_det += np.log(l11)
+    const = np.log(np.maximum(model_weights, 1e-300)) - 0.5 * D * np.log(2.0 * np.pi) - log_det
+    return const[:, None] - 0.5 * maha
+
+
+def _serial_logsumexp(a):
+    mx = a.max(axis=0)
+    return mx + np.log(np.exp(a - mx).sum(axis=0))
+
+
+def _serial_em_once(pts, cfg, rng):
+    D, N = pts.shape
+    k = cfg.k
+    means = gmm._init_means(pts, k, rng)
+    assign = gmm._nearest(pts, means)
+    weights = np.maximum(np.bincount(assign, minlength=k) / N, 1.0 / (10 * N))
+    weights /= weights.sum()
+    base_cov = np.cov(pts, bias=True).reshape(1, D, D)
+    covs = np.repeat(_serial_floor_cov(base_cov), k, axis=0)
+
+    history = []
+    ll_prev = -np.inf
+    for it in range(1, gmm.MAX_ITER + 1):
+        joint = _serial_component_logpdf(means, covs, weights, pts)
+        log_norm = _serial_logsumexp(joint)
+        ll = float(log_norm.sum())
+        history.append(ll)
+        resp = np.exp(joint - log_norm)
+        nk = np.maximum(resp.sum(axis=1), 1e-12)
+        weights = nk / N
+        means = (resp @ pts.T) / nk[:, None]
+        diff = pts[None, :, :] - means[:, :, None]
+        covs = (resp[:, None, :] * diff) @ diff.swapaxes(1, 2) / nk[:, None, None]
+        covs = _serial_floor_cov(covs)
+        if ll - ll_prev < gmm.TOL and it > 1:
+            break
+        ll_prev = ll
+    final_ll = float(_serial_logsumexp(_serial_component_logpdf(means, covs, weights, pts)).sum())
+    history.append(final_ll)
+    return weights, means, covs, final_ll, it, history
+
+
+def _serial_fit(points, cfg):
+    """(model, iterations of each restart) from the serial restart loop."""
+    pts_raw = gmm._as_2d(points)
+    mu0, sd0 = gmm._standardize_params(pts_raw)
+    pts = np.ascontiguousarray(((pts_raw - mu0) / sd0).T)
+
+    best = None
+    restart_iters = []
+    for r in range(gmm.RESTARTS):
+        rng = np.random.default_rng([cfg.seed, r])
+        weights, means, covs, ll, iters, history = _serial_em_once(pts, cfg, rng)
+        restart_iters.append(iters)
+        if best is None or ll > best[3]:
+            best = (weights, means, covs, ll, iters, history)
+    weights, means, covs, ll, iters, history = best
+    model = gmm.GmmModel(weights, means, covs, ll, iters, mu0, sd0, history)
+    return model, restart_iters
+
+
+def _assert_same_model(got, want):
+    for name in ("weights", "means", "covariances", "standardize_mean", "standardize_std"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+    assert got.log_likelihood == want.log_likelihood
+    assert got.n_iter == want.n_iter
+    assert got.ll_history == want.ll_history
+
+
+def _spike_data(rng):
+    # A tight spike beside a broad cloud: a component collapses onto the
+    # spike at a different iteration in each restart, and the restarts
+    # stop at different iterations.
+    return np.concatenate([np.full(40, 3.0), rng.normal(-1.0, 1.0, 360)])
+
+
+_LOCKSTEP_CASES = (
+    [(kind, k) for kind in ("1d", "2d") for k in (1, 2, 3)]
+    + [("collinear", 2), ("collinear", 3), ("two-valued", 3), ("spike", 2)]
+)
+
+
+@pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "max-iter-3"])
+@pytest.mark.parametrize("kind,k", _LOCKSTEP_CASES)
+def test_lockstep_restarts_are_bitwise_equal_to_the_serial_loop(kind, k, cap, rng, monkeypatch):
+    pts = _spike_data(rng) if kind == "spike" else _equivalence_data(kind, rng)
+    if cap is not None:
+        monkeypatch.setattr(gmm, "MAX_ITER", cap)
+    cfg = GmmConfig(k=k, seed=0)
+    want, restart_iters = _serial_fit(pts, cfg)
+    if cap is not None:
+        assert restart_iters == [cap] * gmm.RESTARTS or k == 1
+    elif kind == "spike":
+        assert len(set(restart_iters)) > 1
+    _assert_same_model(fit_gmm(pts, cfg), want)
+
+
+def test_floor_cov_rebuilds_only_the_sets_below_the_floor(rng):
+    a = rng.normal(size=(4, 3, 2, 2))
+    covs = a @ a.swapaxes(-1, -2) + 0.1 * np.eye(2)
+    covs[1, 2] = [[1.0, 1.0], [1.0, 1.0]]  # singular: set 1 is below the floor
+    covs[3, 0] = [[4.0, 2.0], [2.0, 1.0]]  # and so is set 3
+    want = np.stack([_serial_floor_cov(c.copy()) for c in covs])
+    got = gmm._floor_cov(covs.copy())
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got[[0, 2]], covs[[0, 2]])
+
+
+def test_fitted_models_share_no_memory(rng):
+    pts = _equivalence_data("2d", rng)
+    first = fit_gmm(pts, GmmConfig(k=3, seed=0))
+    kept = {name: np.copy(getattr(first, name)) for name in ("weights", "means", "covariances")}
+    second = fit_gmm(pts[::-1], GmmConfig(k=3, seed=1))
+    arrays = lambda m: [m.weights, m.means, m.covariances, m.standardize_mean, m.standardize_std]
+    for a in arrays(first):
+        assert a.flags.owndata
+        for b in arrays(second):
+            assert not np.shares_memory(a, b)
+    for name, value in kept.items():
+        np.testing.assert_array_equal(getattr(first, name), value)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_non_finite_points_are_rejected(bad, dim, rng):
+    # Not DegenerateDataError: that would take the partitioners' silent
+    # median fallback.
+    pts = rng.normal(size=(51, dim))
+    pts[17, -1] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        fit_gmm(pts.squeeze(axis=1) if dim == 1 else pts, GmmConfig(k=2, seed=0))
+    if dim == 1:
+        with pytest.raises(ConfigurationError, match="finite"):
+            partition_gmm1d(np.arange(51), pts[:, 0])
