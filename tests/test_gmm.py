@@ -379,11 +379,12 @@ def test_fitted_models_share_no_memory(rng):
     first = fit_gmm(pts, GmmConfig(k=3, seed=0))
     kept = {name: np.copy(getattr(first, name)) for name in ("weights", "means", "covariances")}
     second = fit_gmm(pts[::-1], GmmConfig(k=3, seed=1))
-    arrays = lambda m: [m.weights, m.means, m.covariances, m.standardize_mean, m.standardize_std]
-    for a in arrays(first):
+    names = ("weights", "means", "covariances", "standardize_mean", "standardize_std")
+    for a in (getattr(first, name) for name in names):
+        # A model array that owns its memory is no view into a work array.
         assert a.flags.owndata
-        for b in arrays(second):
-            assert not np.shares_memory(a, b)
+        for name in names:
+            assert not np.shares_memory(a, getattr(second, name))
     for name, value in kept.items():
         np.testing.assert_array_equal(getattr(first, name), value)
 
