@@ -104,24 +104,35 @@ def spearman_rho(xs: np.ndarray, ys: np.ndarray) -> float:
 
 def retrain_on_subset(
     dataset: Dataset,
-    partition: Partition,
+    partitions: list[Partition],
     train_cfg: TrainConfig,
     test_set: Dataset,
     seeds: tuple[int, ...],
     hidden_sizes: tuple[int, ...],
     feature_width: int,
-) -> tuple[float, float, float]:
-    """Train fresh models on the estimated clean subset, one per seed, all
-    seeds stacked in one untraced loop, and report (mean test accuracy,
-    std, mean test loss) on the clean test set."""
-    _require_aligned(partition.ids, dataset, "partition")
-    if partition.noisy.all():
-        raise ConfigurationError("estimated clean subset is empty")
-    subset = dataset.take(~partition.noisy)
+) -> list[tuple[float, float, float]]:
+    """Train fresh models on each partition's estimated clean subset, one
+    per seed, all of them in one untraced stacked loop, and report (mean
+    test accuracy, std, mean test loss) on the clean test set for each
+    partition, in order."""
+    subsets = []
+    for part in partitions:
+        _require_aligned(part.ids, dataset, "partition")
+        if part.noisy.all():
+            raise ConfigurationError(f"estimated clean subset of {part.method_name!r} is empty")
+        subsets.append(dataset.take(~part.noisy))
+    # The stack copies each model in, so a seed's initial model can repeat.
     models = [
         init_model(dataset.d, list(hidden_sizes), feature_width, dataset.K, seed=seed)
         for seed in seeds
     ]
-    models = train(models, subset, [replace(train_cfg, seed=seed) for seed in seeds])
-    accs, losses = zip(*(evaluate(model, test_set) for model in models))
-    return float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses))
+    cfgs = [replace(train_cfg, seed=seed) for seed in seeds]
+    trained = train(
+        models * len(subsets), [s for s in subsets for _ in seeds], cfgs * len(subsets)
+    )
+    results = []
+    for i in range(0, len(trained), len(seeds)):
+        # One model at a time: a stacked pass would hold S test-set copies.
+        accs, losses = zip(*(evaluate(model, test_set) for model in trained[i : i + len(seeds)]))
+        results.append((float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses))))
+    return results

@@ -6,19 +6,22 @@ input itself (pass-through) and the model is plain linear-softmax.
 
 Everything is float64 numpy; training is sequential and deterministic
 given the seed.  One SGD loop trains a stack of same-shaped models at once,
-weights on a leading seed axis, each seed with its own batch order; the
-forward and backward passes take a single model or such a stack.
+weights on a leading model axis, each model with its own training set (of
+any size) and its own batch order; the forward and backward passes take a
+single model or such a stack.
 
-The stacked weights are views into one flat buffer and the stacked biases
-into another; the gradients and velocities have buffers of the same layout,
-so each minibatch updates every layer with a few in-place calls per buffer.
-Each element still goes through `g + wd*w`, `mom*v + g`, `w - lr*v` (no
-decay on biases) in that order, so the trained weights are bit-identical to
-a plain per-layer loop that allocates every intermediate.
+The stacked weights are views into one model-major (S, P) buffer and the
+stacked biases into another; the gradients and velocities have buffers of
+the same layout, so a step over any contiguous run of models updates every
+layer with a few in-place calls on that run's rows.  Each element still
+goes through `g + wd*w`, `mom*v + g`, `w - lr*v` (no decay on biases) in
+that order, so the trained weights are bit-identical to a plain per-layer
+loop that allocates every intermediate and trains each model alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -157,24 +160,27 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def forward_batch(
-    model: Model, X: np.ndarray, return_cache: bool = False
+    model: Model, X: np.ndarray, return_cache: bool = False, work: list | None = None
 ):
     """Probabilities and feature-layer activations for a batch: X is (B, d)
-    for a single model, (S, B, d) for a stack of S."""
+    for a single model, (S, B, d) for a stack of S.  `work`, if given, holds
+    one array per layer shaped like its output, which the pass fills
+    instead of allocating; the last one becomes the probabilities."""
     if X.shape[-1] != model.d:
         raise ConfigurationError(
             f"input dimension {X.shape[-1]} != model dimension {model.d}"
         )
+    work = work or [None] * len(model.weights)
     acts = [X]
     last = len(model.weights) - 1
     for i in range(last):
-        a = acts[-1] @ model.weights[i]
+        a = np.matmul(acts[-1], model.weights[i], out=work[i])
         a += model.biases[i]
         if i < last - 1:  # every layer before the feature layer is ReLU
             np.maximum(a, 0.0, out=a)
         acts.append(a)
     features = acts[-1]
-    logits = features @ model.weights[last]
+    logits = np.matmul(features, model.weights[last], out=work[last])
     logits += model.biases[last]
     probs = _softmax(logits)
     if return_cache:
@@ -188,17 +194,21 @@ def _backward(
     dlogits: np.ndarray,
     grads_w: list[np.ndarray],
     grads_b: list[np.ndarray],
+    work: list | None = None,
 ) -> np.ndarray:
     """Write the gradient of every parameter, given d(loss)/d(logits), into
     the matching array of grads_w/grads_b (each shaped like its parameter)
-    and return d(loss)/d(output of layer 0)."""
+    and return d(loss)/d(output of layer 0).  `work`, if given, holds for
+    i = 1, 2, ... an array shaped like acts[i], which takes d(loss)/d(acts[i])
+    instead of a new array."""
+    work = work or [None] * len(model.weights)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
         np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=grads_w[i])
         np.sum(delta, axis=-2, out=grads_b[i].reshape(delta.shape[:-2] + (-1,)))
         if i == 0:
             break
-        delta = delta @ np.swapaxes(model.weights[i], -1, -2)
+        delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2), out=work[i - 1])
         if i < len(model.weights) - 1:
             delta *= acts[i] > 0
     return delta
@@ -219,40 +229,51 @@ def input_gradient(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return delta @ model.weights[0].T
 
 
-def _check_training(models: list[Model], dataset: Dataset, cfgs: list[TrainConfig]) -> None:
-    """Models of one shape, one config each, the configs equal up to the seed."""
+def _check_training(
+    models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig]
+) -> None:
+    """Models of one shape, one non-empty training set of their d and K and
+    one config each, the configs equal up to the seed."""
     if not models or len(models) != len(cfgs):
         raise ConfigurationError(
             f"need one TrainConfig per model (got {len(models)} models, {len(cfgs)} configs)"
+        )
+    if len(datasets) != len(models):
+        raise ConfigurationError(
+            f"need one training set per model (got {len(models)} models, {len(datasets)} sets)"
         )
     if any(replace(cfg, seed=cfgs[0].seed) != cfgs[0] for cfg in cfgs):
         raise ConfigurationError("stacked training configs may differ only in seed")
     shapes = [w.shape for w in models[0].weights]
     if any([w.shape for w in m.weights] != shapes for m in models):
         raise ConfigurationError("stacked models must have the same layer shapes")
-    if dataset.K != models[0].K:
-        raise ConfigurationError(
-            f"dataset has {dataset.K} classes but model outputs {models[0].K}"
-        )
-    if len(dataset) == 0:
-        raise ConfigurationError("dataset is empty")
+    d, K = models[0].d, models[0].K
+    for s, dataset in enumerate(datasets):
+        if len(dataset) == 0:
+            raise ConfigurationError(f"training set {s} is empty")
+        if dataset.d != d or dataset.K != K:
+            raise ConfigurationError(
+                f"training set {s} has d={dataset.d} and {dataset.K} classes, "
+                f"but the models take d={d} and output {K}"
+            )
 
 
-def _flat_views(shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
-    """A zeroed float64 buffer and, in order, a view of it for each shape."""
+def _flat_views(S: int, shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """A zeroed model-major (S, P) float64 buffer and, in order, a view of it
+    shaped (S, *shape) for each shape: row s holds model s's arrays."""
     sizes = [math.prod(shape) for shape in shapes]
-    flat = np.zeros(sum(sizes))
+    flat = np.zeros((S, sum(sizes)))
     starts = np.cumsum([0, *sizes]).tolist()
-    views = [flat[a:b].reshape(shape) for a, b, shape in zip(starts, starts[1:], shapes)]
+    views = [flat[:, a:b].reshape(S, *shape) for a, b, shape in zip(starts, starts[1:], shapes)]
     return flat, views
 
 
 def _stack(models: list[Model]) -> tuple[Model, np.ndarray, np.ndarray]:
     """Weights as (S, fan_in, fan_out), biases as (S, 1, fan_out): views
-    into one flat weight buffer and one flat bias buffer, also returned."""
+    into a model-major weight buffer and bias buffer, also returned."""
     S = len(models)
-    w_flat, weights = _flat_views([(S, *w.shape) for w in models[0].weights])
-    b_flat, biases = _flat_views([(S, 1, *b.shape) for b in models[0].biases])
+    w_flat, weights = _flat_views(S, [w.shape for w in models[0].weights])
+    b_flat, biases = _flat_views(S, [(1, *b.shape) for b in models[0].biases])
     for i, (w, b) in enumerate(zip(weights, biases)):
         np.stack([m.weights[i] for m in models], out=w)
         np.stack([m.biases[i] for m in models], out=b[:, 0])
@@ -264,67 +285,150 @@ def _unstacked(stacked: Model, s: int) -> Model:
     return Model([w[s] for w in stacked.weights], [b[s, 0] for b in stacked.biases])
 
 
-def _sgd_epochs(
-    stacked: Model,
-    w_flat: np.ndarray,
-    b_flat: np.ndarray,
-    dataset: Dataset,
-    cfgs: list[TrainConfig],
-):
+@dataclass
+class _SgdRows:
+    """A contiguous run of a stack's models: their stacked model and their
+    rows of the model-major (S, P) weight, bias, gradient, velocity and
+    decay buffers, with the gradient arrays as views of the gradient rows."""
+
+    model: Model
+    w: np.ndarray
+    b: np.ndarray
+    gw: np.ndarray
+    gb: np.ndarray
+    vw: np.ndarray
+    vb: np.ndarray
+    decay: np.ndarray
+    grads_w: list[np.ndarray]
+    grads_b: list[np.ndarray]
+
+    @classmethod
+    def of(cls, models: list[Model]) -> "_SgdRows":
+        """All of a new stack of `models`, with zero velocities."""
+        stacked, w, b = _stack(models)
+        gw, grads_w = _flat_views(len(models), [a.shape[1:] for a in stacked.weights])
+        gb, grads_b = _flat_views(len(models), [a.shape[1:] for a in stacked.biases])
+        return cls(stacked, w, b, gw, gb, np.zeros_like(w), np.zeros_like(b),
+                   np.empty_like(w), grads_w, grads_b)
+
+    def rows(self, lo: int, hi: int) -> "_SgdRows":
+        """Models lo..hi-1, as views."""
+        r = slice(lo, hi)
+        model = Model([a[r] for a in self.model.weights], [a[r] for a in self.model.biases])
+        return _SgdRows(model, self.w[r], self.b[r], self.gw[r], self.gb[r], self.vw[r],
+                        self.vb[r], self.decay[r], [a[r] for a in self.grads_w],
+                        [a[r] for a in self.grads_b])
+
+    def update(self, cfg: TrainConfig) -> None:
+        """v = mom*v + (g + wd*w), then w -= lr*v; biases get no decay.
+        Once v is updated the gradient buffers are free until the next
+        _backward, so they hold lr*v."""
+        np.multiply(self.w, cfg.weight_decay, out=self.decay)
+        self.gw += self.decay
+        self.vw *= cfg.momentum
+        self.vw += self.gw
+        np.multiply(self.vw, cfg.learning_rate, out=self.gw)
+        self.w -= self.gw
+        self.vb *= cfg.momentum
+        self.vb += self.gb
+        np.multiply(self.vb, cfg.learning_rate, out=self.gb)
+        self.b -= self.gb
+
+
+def _epoch_steps(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:
+    """The SGD steps of one epoch over sets of the given sizes, largest
+    first: (first row of the batch, rows in it, models lo..hi-1).  At each
+    batch start the models that still have a full batch are one step, and
+    each run of equal-size models on its short last batch is another."""
+    steps = []
+    for start in range(0, sizes[0], batch_size):
+        full = sum(n >= start + batch_size for n in sizes)
+        if full:
+            steps.append((start, batch_size, 0, full))
+        lo = full
+        for n, run in itertools.groupby(sizes[full:]):
+            hi = lo + len(list(run))
+            if n > start:
+                steps.append((start, n - start, lo, hi))
+            lo = hi
+    return steps
+
+
+def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig]):
     """Mini-batch SGD with momentum and weight decay on cross-entropy vs
-    y_assigned, updating the stack from `_stack` (its views and flat
-    buffers) in place and yielding the epoch number after each epoch.
-    Seed s draws its batch order from default_rng(cfgs[s].seed), so the
-    seeds do not interact: each trains as it would alone."""
-    cfg = cfgs[0]
-    N = len(dataset)
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    stack_rows = np.arange(len(cfgs))[:, None]  # (S, 1): the model index
-    batch_rows = np.arange(cfg.batch_size)
-    gw_flat, grads_w = _flat_views([w.shape for w in stacked.weights])
-    gb_flat, grads_b = _flat_views([b.shape for b in stacked.biases])
-    vw_flat = np.zeros_like(w_flat)
-    vb_flat = np.zeros_like(b_flat)
-    decay = np.empty_like(w_flat)
+    y_assigned: model s trains on datasets[s] with cfgs[s].  Yields (epoch,
+    views) after each epoch, views[s] being model s's weights as views that
+    the loop keeps updating in place.
+
+    Model s draws its batch order from default_rng(cfgs[s].seed), so the
+    models do not interact: each trains as it would alone.  The stack is
+    ordered by set size, largest first (a stable sort), so each step of
+    `_epoch_steps` is a contiguous run of models: one forward, one backward
+    and one update over its rows of the model-major buffers."""
+    cfg, B = cfgs[0], cfgs[0].batch_size
+    order = sorted(range(len(models)), key=lambda s: -len(datasets[s]))
+    datasets = [datasets[s] for s in order]
+    sizes = [len(ds) for ds in datasets]
+    S = len(sizes)
+    stack = _SgdRows.of([models[s] for s in order])
+    views = [None] * S
+    for row, s in enumerate(order):
+        views[s] = _unstacked(stack.model, row)
+
+    # Each distinct training set once: the rows of model s are X[offsets[s] + i].
+    distinct = list({id(ds): ds for ds in datasets}.values())
+    X = np.concatenate([ds.X for ds in distinct])
+    y = np.concatenate([ds.y_assigned for ds in distinct])
+    starts = dict(zip(map(id, distinct), np.cumsum([0, *map(len, distinct)]).tolist()))
+    offsets = [starts[id(ds)] for ds in datasets]
+
+    # Scratch that every step reuses: each layer's output, then the loss
+    # gradient at the output of each layer but the last.  A fresh array of
+    # a large stack's size costs page faults at every step.
+    L = len(stack.model.weights)
+    widths = [w.shape[-1] for w in stack.model.weights]
+    widths += widths[:-1]
+    scratch = [np.empty(S * B * n) for n in widths]
+    # Per step: its block of the (S, N_max) epoch order, its batch size,
+    # the (model, row) index of its logits, its rows of the stack, and
+    # its scratch for the forward and the backward pass.
+    steps = []
+    for start, b, lo, hi in _epoch_steps(sizes, B):
+        work = [f[: (hi - lo) * b * n].reshape(hi - lo, b, n) for f, n in zip(scratch, widths)]
+        block = (slice(lo, hi), slice(start, start + b))
+        cells = (np.arange(hi - lo)[:, None], np.arange(b))
+        steps.append((block, b, cells, stack.rows(lo, hi), work[:L], work[L:]))
+
+    rngs = [np.random.default_rng(cfgs[s].seed) for s in order]
+    orders = np.zeros((S, sizes[0]), dtype=np.int64)  # row s: model s's epoch order, padded
     for t in range(1, cfg.epochs + 1):
-        orders = np.stack([rng.permutation(N) for rng in rngs])
-        X, y = dataset.X[orders], dataset.y_assigned[orders]  # (S, N, d), (S, N)
-        for start in range(0, N, cfg.batch_size):
-            batch = slice(start, start + cfg.batch_size)
-            probs, _, acts = forward_batch(stacked, X[:, batch], return_cache=True)
-            yb = y[:, batch]
-            B = yb.shape[1]
+        for s, (rng, n) in enumerate(zip(rngs, sizes)):
+            np.add(rng.permutation(n), offsets[s], out=orders[s, :n])
+        labels = y.take(orders)
+        for block, b, (models_i, rows_i), part, fwd, bwd in steps:
+            rows = X.take(orders[block], axis=0)
+            probs, _, acts = forward_batch(part.model, rows, return_cache=True, work=fwd)
             dlogits = probs
-            dlogits[stack_rows, batch_rows[:B], yb] -= 1.0
-            dlogits /= B
-            _backward(stacked, acts, dlogits, grads_w, grads_b)
-            # v = mom*v + (g + wd*w), then w -= lr*v.  Once v is updated the
-            # gradient buffers are free until the next _backward, so they
-            # hold lr*v.
-            np.multiply(w_flat, cfg.weight_decay, out=decay)
-            gw_flat += decay
-            vw_flat *= cfg.momentum
-            vw_flat += gw_flat
-            np.multiply(vw_flat, cfg.learning_rate, out=gw_flat)
-            w_flat -= gw_flat
-            vb_flat *= cfg.momentum
-            vb_flat += gb_flat
-            np.multiply(vb_flat, cfg.learning_rate, out=gb_flat)
-            b_flat -= gb_flat
-        if not (np.isfinite(w_flat).all() and np.isfinite(b_flat).all()):
+            dlogits[models_i, rows_i, labels[block]] -= 1.0
+            dlogits /= b
+            _backward(part.model, acts, dlogits, part.grads_w, part.grads_b, work=bwd)
+            part.update(cfg)
+        if not (np.isfinite(stack.w).all() and np.isfinite(stack.b).all()):
             raise TrainingDivergedError(t)
-        yield t
+        yield t, views
 
 
-def train(models: list[Model], dataset: Dataset, cfgs: list[TrainConfig]) -> list[Model]:
-    """Train every model on `dataset` in one stacked SGD loop, model s with
-    cfgs[s]; no traces are taken.  The configs may differ only in seed, and
-    each result equals what `train_with_tracing` returns for that model."""
-    _check_training(models, dataset, cfgs)
-    stacked, w_flat, b_flat = _stack(models)
-    for _ in _sgd_epochs(stacked, w_flat, b_flat, dataset, cfgs):
+def train(
+    models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig]
+) -> list[Model]:
+    """Train every model in one stacked SGD loop, model s on datasets[s]
+    with cfgs[s]; no traces are taken.  The sets may differ in size and the
+    same set may repeat; the configs may differ only in seed.  Each result
+    equals what `train_with_tracing` returns for that model and set."""
+    _check_training(models, datasets, cfgs)
+    for _, views in _sgd_epochs(models, datasets, cfgs):
         pass
-    return [_unstacked(stacked, s).copy() for s in range(len(models))]
+    return [view.copy() for view in views]
 
 
 def train_with_tracing(
@@ -337,9 +441,7 @@ def train_with_tracing(
     end-of-epoch training accuracy reaches 0.5, with epoch ceil(T/2) kept
     as fallback if the threshold is never reached.
     """
-    _check_training([model], dataset, [cfg])
-    stacked, w_flat, b_flat = _stack([model])
-    model = _unstacked(stacked, 0)  # views: the loop's updates show here
+    _check_training([model], [dataset], [cfg])
     N, T = len(dataset), cfg.epochs
     X, y = dataset.X, dataset.y_assigned
 
@@ -353,8 +455,8 @@ def train_with_tracing(
     mid_epoch = None
 
     rows = np.arange(N)
-    for t in _sgd_epochs(stacked, w_flat, b_flat, dataset, [cfg]):
-        probs, features = forward_batch(model, X)
+    for t, [model] in _sgd_epochs([model], [dataset], [cfg]):
+        probs, features = forward_batch(model, X)  # model: views the loop updates
         e = t - 1
         p_assigned[e] = probs[rows, y]
         pred[e] = np.argmax(probs, axis=1)

@@ -205,7 +205,7 @@ def make_datasets(exp: Experiment) -> tuple[Dataset, Dataset, Model | None, list
             {"transform": "diversification", "jitter_std": exp.jitter_std, "seed": exp.hardness_seed}
         )
     elif exp.hardness == "boundary":
-        [oracle] = mlp.train([exp.new_model(train, exp.oracle.seed)], train, [exp.oracle])
+        [oracle] = mlp.train([exp.new_model(train, exp.oracle.seed)], [train], [exp.oracle])
         train = transforms.apply_boundary_shift(train, oracle, exp.eps_max)
         provenance.append(
             {"transform": "boundary", "eps_max": exp.eps_max, "seed": exp.oracle.seed}
@@ -381,17 +381,16 @@ def stage_eval(run: Run) -> None:
     # Baseline row: the untouched dataset.
     parts = [Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")]
     parts += [load_partition(run.directory, run._partition_prefix(m.name)) for m in exp.methods]
-    rows = []
-    for part in parts:
-        report = score_partition(part, gt, train)
-        if exp.retrain_seeds:
-            acc, std, loss = retrain_on_subset(
-                train, part, exp.train, test, exp.retrain_seeds, exp.hidden_sizes, exp.feature_width
-            )
+    reports = [score_partition(part, gt, train) for part in parts]
+    if exp.retrain_seeds:
+        retrained = retrain_on_subset(
+            train, parts, exp.train, test, exp.retrain_seeds, exp.hidden_sizes, exp.feature_width
+        )
+        for report, (acc, std, loss) in zip(reports, retrained):
             report.test_accuracy_mean = acc
             report.test_accuracy_std = std
             report.test_loss_mean = loss
-        rows.append(asdict(report))
+    rows = [asdict(report) for report in reports]
 
     path = run.directory / "eval.json"
     path.write_text(json.dumps(rows, indent=2))

@@ -278,8 +278,9 @@ def test_criterion_5_retrain_improvement(seeded_runs):
         )
         exp = experiment({"seed": 0})
         shape = (exp.hidden_sizes, exp.feature_width)
-        acc_f, _, _ = retrain_on_subset(train, part, exp.train, test, SEEDS, *shape)
-        acc_u, _, _ = retrain_on_subset(train, unfiltered, exp.train, test, SEEDS, *shape)
+        (acc_f, _, _), (acc_u, _, _) = retrain_on_subset(
+            train, [part, unfiltered], exp.train, test, SEEDS, *shape
+        )
         this_ok = acc_f >= acc_u
         ok = ok and this_ok
         details.append(

@@ -104,7 +104,7 @@ def test_score_partition_rejects_reordered_ids():
         score_partition(part, gt, ds)
     with pytest.raises(ConfigurationError, match="partition ids"):
         retrain_on_subset(
-            ds, part, TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
+            ds, [part], TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
         )
     gt.ids = gt.ids[::-1].copy()
     part = Partition(ids=np.arange(8), noisy=_mask({1, 5}), method_name="ok")
@@ -114,28 +114,40 @@ def test_score_partition_rejects_reordered_ids():
 
 def test_retrain_on_subset_rejects_an_empty_clean_subset():
     ds = _tiny_dataset()
-    part = Partition(ids=np.arange(8), noisy=np.ones(8, dtype=bool), method_name="none")
-    with pytest.raises(ConfigurationError, match="empty"):
+    some = Partition(ids=np.arange(8), noisy=_mask({1, 5}), method_name="some")
+    none = Partition(ids=np.arange(8), noisy=np.ones(8, dtype=bool), method_name="none")
+    with pytest.raises(ConfigurationError, match="subset of 'none' is empty"):
         retrain_on_subset(
-            ds, part, TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
+            ds, [some, none], TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,),
+            feature_width=2,
         )
 
 
 def test_retrain_on_subset_matches_one_seed_at_a_time(small_spec):
+    """Every partition in one call equals a loop over the partitions that
+    trains one seed at a time."""
     train, test = generate_base(small_spec)
-    noisy = np.arange(len(train)) % 5 == 0
-    part = Partition(ids=train.ids, noisy=noisy, method_name="every fifth")
+    rows = np.arange(len(train))
+    parts = [
+        Partition(ids=train.ids, noisy=rows % 5 == 0, method_name="every fifth"),
+        Partition(ids=train.ids, noisy=np.zeros(len(train), dtype=bool), method_name="none"),
+        Partition(ids=train.ids, noisy=rows >= 7, method_name="first seven"),
+        Partition(ids=train.ids, noisy=rows % 5 == 1, method_name="same size, other rows"),
+    ]
     cfg, seeds = TrainConfig(epochs=3, seed=99), (0, 4, 9)
-    got = retrain_on_subset(train, part, cfg, test, seeds, hidden_sizes=(8,), feature_width=4)
-    subset = train.take(~noisy)
-    accs, losses = [], []
-    for seed in seeds:
-        model = init_model(train.d, [8], 4, train.K, seed=seed)
-        model, _ = train_with_tracing(model, subset, replace(cfg, seed=seed))
-        acc, loss = evaluate(model, test)
-        accs.append(acc)
-        losses.append(loss)
-    assert got == (float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses)))
+    got = retrain_on_subset(train, parts, cfg, test, seeds, hidden_sizes=(8,), feature_width=4)
+    expected = []
+    for part in parts:
+        subset = train.take(~part.noisy)
+        accs, losses = [], []
+        for seed in seeds:
+            model = init_model(train.d, [8], 4, train.K, seed=seed)
+            model, _ = train_with_tracing(model, subset, replace(cfg, seed=seed))
+            acc, loss = evaluate(model, test)
+            accs.append(acc)
+            losses.append(loss)
+        expected.append((float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses))))
+    assert got == expected
 
 
 def test_eval_report_row_shape():

@@ -177,7 +177,7 @@ def test_divergence_raises(small_train):
     with pytest.raises(TrainingDivergedError):
         train_with_tracing(model, small_train, cfg)
     with pytest.raises(TrainingDivergedError):
-        train([model, model.copy()], small_train, [cfg, replace(cfg, seed=1)])
+        train([model, model.copy()], [small_train] * 2, [cfg, replace(cfg, seed=1)])
 
 
 def test_trace_shapes_and_probability_identities(small_train):
@@ -275,7 +275,7 @@ def _assert_same_weights(got, expected):
 def test_train_one_model_matches_train_with_tracing(small_train):
     cfg = TrainConfig(epochs=4, seed=3)
     model = init_model(small_train.d, [8], 4, small_train.K, seed=1)
-    [trained] = train([model], small_train, [cfg])
+    [trained] = train([model], [small_train], [cfg])
     traced, _ = train_with_tracing(model, small_train, cfg)
     _assert_same_weights(trained, traced)
 
@@ -286,78 +286,118 @@ def test_stacked_seeds_match_one_seed_at_a_time(small_train, hidden_sizes):
     assert len(small_train) % cfgs[0].batch_size != 0  # a short last batch
     m = 4 if hidden_sizes else small_train.d
     models = [init_model(small_train.d, hidden_sizes, m, small_train.K, seed=s) for s in (5, 6, 7)]
-    stacked = train(models, small_train, cfgs)
+    stacked = train(models, [small_train] * 3, cfgs)
     for model, cfg, got in zip(models, cfgs, stacked):
         alone, _ = train_with_tracing(model, small_train, cfg)
         _assert_same_weights(got, alone)
 
 
-def _reference_train(models, dataset, cfgs):
-    """The plain stacked SGD loop: rows gathered per batch, every layer
-    updated on its own and every intermediate a fresh array."""
-    cfg = cfgs[0]
-    N = len(dataset)
-    X, y = dataset.X, dataset.y_assigned
-    rngs = [np.random.default_rng(c.seed) for c in cfgs]
-    stack_rows = np.arange(len(cfgs))[:, None]
-    ws = [np.stack(w) for w in zip(*(m.weights for m in models))]
-    bs = [np.stack(b)[:, None, :] for b in zip(*(m.biases for m in models))]
-    vel_w = [np.zeros_like(w) for w in ws]
-    vel_b = [np.zeros_like(b) for b in bs]
-    last = len(ws) - 1
-    for _ in range(cfg.epochs):
-        orders = np.stack([rng.permutation(N) for rng in rngs])
-        for start in range(0, N, cfg.batch_size):
-            idx = orders[:, start : start + cfg.batch_size]
-            acts = [X[idx]]
-            for i in range(last):
-                a = acts[-1] @ ws[i] + bs[i]
-                acts.append(np.maximum(a, 0.0) if i < last - 1 else a)
-            logits = acts[-1] @ ws[last] + bs[last]
-            z = np.exp(logits - logits.max(axis=-1, keepdims=True))
-            dlogits = z / z.sum(axis=-1, keepdims=True)
-            B = idx.shape[1]
-            dlogits[stack_rows, np.arange(B), y[idx]] -= 1.0
-            delta = dlogits / B
-            gw, gb = [None] * len(ws), [None] * len(bs)
-            for i in range(last, -1, -1):
-                gw[i] = np.swapaxes(acts[i], -1, -2) @ delta
-                gb[i] = delta.sum(axis=-2, keepdims=True)
-                delta = delta @ np.swapaxes(ws[i], -1, -2)
-                if 0 < i < last:
-                    delta = delta * (acts[i] > 0)
-            for i in range(len(ws)):
-                g = gw[i] + cfg.weight_decay * ws[i]
-                vel_w[i] = cfg.momentum * vel_w[i] + g
-                ws[i] = ws[i] - cfg.learning_rate * vel_w[i]
-                vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
-                bs[i] = bs[i] - cfg.learning_rate * vel_b[i]
-    return [Model([w[s] for w in ws], [b[s, 0] for b in bs]) for s in range(len(models))]
+def _reference_train(models, datasets, cfgs):
+    """The plain SGD loop, each model alone on its own set: rows gathered
+    per batch, every layer updated on its own and every intermediate a
+    fresh array.  Arrays keep a leading model axis of length one."""
+    trained = []
+    for model, dataset, cfg in zip(models, datasets, cfgs):
+        N = len(dataset)
+        X, y = dataset.X, dataset.y_assigned
+        rng = np.random.default_rng(cfg.seed)
+        ws = [w[None] for w in model.weights]
+        bs = [b[None, None] for b in model.biases]
+        vel_w = [np.zeros_like(w) for w in ws]
+        vel_b = [np.zeros_like(b) for b in bs]
+        last = len(ws) - 1
+        for _ in range(cfg.epochs):
+            order = rng.permutation(N)
+            for start in range(0, N, cfg.batch_size):
+                idx = order[None, start : start + cfg.batch_size]
+                acts = [X[idx]]
+                for i in range(last):
+                    a = acts[-1] @ ws[i] + bs[i]
+                    acts.append(np.maximum(a, 0.0) if i < last - 1 else a)
+                logits = acts[-1] @ ws[last] + bs[last]
+                z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+                dlogits = z / z.sum(axis=-1, keepdims=True)
+                B = idx.shape[1]
+                dlogits[0, np.arange(B), y[idx[0]]] -= 1.0
+                delta = dlogits / B
+                gw, gb = [None] * len(ws), [None] * len(bs)
+                for i in range(last, -1, -1):
+                    gw[i] = np.swapaxes(acts[i], -1, -2) @ delta
+                    gb[i] = delta.sum(axis=-2, keepdims=True)
+                    delta = delta @ np.swapaxes(ws[i], -1, -2)
+                    if 0 < i < last:
+                        delta = delta * (acts[i] > 0)
+                for i in range(len(ws)):
+                    g = gw[i] + cfg.weight_decay * ws[i]
+                    vel_w[i] = cfg.momentum * vel_w[i] + g
+                    ws[i] = ws[i] - cfg.learning_rate * vel_w[i]
+                    vel_b[i] = cfg.momentum * vel_b[i] + gb[i]
+                    bs[i] = bs[i] - cfg.learning_rate * vel_b[i]
+        trained.append(Model([w[0] for w in ws], [b[0, 0] for b in bs]))
+    return trained
+
+
+def _assert_bitwise_equal_to_the_reference(models, datasets, cfgs):
+    expected = _reference_train(models, datasets, cfgs)
+    for got, want in zip(train(models, datasets, cfgs), expected, strict=True):
+        assert len(got.weights) == len(want.weights)
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            np.testing.assert_array_equal(a, b)
+
+
+def _sgd_cfg(seed):
+    return TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, momentum=0.9,
+                       weight_decay=0.01, seed=seed)
 
 
 @pytest.mark.parametrize("hidden_sizes", [[], [6], [6, 5]])
 @pytest.mark.parametrize("S", [1, 3])
 def test_train_is_bitwise_equal_to_the_plain_sgd_loop(small_train, hidden_sizes, S):
-    cfgs = [
-        TrainConfig(epochs=4, batch_size=10, learning_rate=0.05, momentum=0.9,
-                    weight_decay=0.01, seed=s)
-        for s in range(S)
-    ]
+    cfgs = [_sgd_cfg(s) for s in range(S)]
     assert len(small_train) % cfgs[0].batch_size != 0  # a short last batch
     m = 4 if hidden_sizes else small_train.d
     models = [init_model(small_train.d, hidden_sizes, m, small_train.K, seed=5 + s) for s in range(S)]
-    expected = _reference_train(models, small_train, cfgs)
-    for got, want in zip(train(models, small_train, cfgs), expected):
-        assert len(got.weights) == len(want.weights)
-        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
-            np.testing.assert_array_equal(a, b)
+    _assert_bitwise_equal_to_the_reference(models, [small_train] * S, cfgs)
+
+
+# Per model, the index of its training set in `sizes`; an index that repeats
+# is the same Dataset object.  The batch is 10 rows.
+PER_MODEL_SETS = {
+    # Not ordered by size; N = 1; below the batch; a multiple of it, twice
+    # with different rows; the full set, with a short last batch.
+    "mixed": ([13, 144, 1, 20, 7, 20], [0, 1, 2, 3, 4, 5]),
+    "same-object-twice": ([13, 20], [0, 1, 0]),
+    "all-below-the-batch": ([7, 3, 7], [0, 1, 2]),
+    "multiples-of-the-batch": ([10, 30, 20, 30], [0, 1, 2, 3]),
+}
+
+
+@pytest.mark.parametrize("hidden_sizes", [[], [6], [6, 5]])
+@pytest.mark.parametrize("case", sorted(PER_MODEL_SETS))
+def test_train_on_per_model_sets_is_bitwise_equal_to_the_plain_sgd_loop(
+    small_train, hidden_sizes, case
+):
+    sizes, which = PER_MODEL_SETS[case]
+    assert len(small_train) == 144
+    sets = [
+        small_train.take(np.random.default_rng(i).permutation(len(small_train))[:n])
+        for i, n in enumerate(sizes)
+    ]
+    datasets = [sets[i] for i in which]
+    m = 4 if hidden_sizes else small_train.d
+    models = [
+        init_model(small_train.d, hidden_sizes, m, small_train.K, seed=5 + s)
+        for s in range(len(datasets))
+    ]
+    _assert_bitwise_equal_to_the_reference(models, datasets, [_sgd_cfg(s) for s in range(len(datasets))])
 
 
 def test_trained_models_share_no_memory(small_train):
     models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1)]
     cfgs = [TrainConfig(epochs=1, seed=s) for s in (0, 1)]
     traced, _ = train_with_tracing(models[0], small_train, cfgs[0])
-    arrays = [a for m in [*train(models, small_train, cfgs), traced] for a in m.weights + m.biases]
+    trained = train(models, [small_train] * 2, cfgs)
+    arrays = [a for m in [*trained, traced] for a in m.weights + m.biases]
     inputs = [a for m in models for a in m.weights + m.biases]
     inputs += [small_train.X, small_train.y_assigned]
     for i, a in enumerate(arrays):
@@ -383,15 +423,20 @@ def test_train_rejects_bad_inputs(small_train):
     models = [init_model(small_train.d, [8], 4, small_train.K, seed=s) for s in (0, 1)]
     cfgs = [TrainConfig(epochs=2, seed=s) for s in (0, 1)]
     with pytest.raises(ConfigurationError, match="only in seed"):
-        train(models, small_train, [cfgs[0], TrainConfig(epochs=3, seed=1)])
+        train(models, [small_train] * 2, [cfgs[0], TrainConfig(epochs=3, seed=1)])
     with pytest.raises(ConfigurationError, match="one TrainConfig per model"):
-        train(models, small_train, cfgs[:1])
+        train(models, [small_train] * 2, cfgs[:1])
     wider = init_model(small_train.d, [9], 4, small_train.K, seed=1)
     with pytest.raises(ConfigurationError, match="same layer shapes"):
-        train([models[0], wider], small_train, cfgs)
+        train([models[0], wider], [small_train] * 2, cfgs)
     wrong_k = [init_model(small_train.d, [8], 4, small_train.K + 1, seed=s) for s in (0, 1)]
-    with pytest.raises(ConfigurationError, match="classes"):
-        train(wrong_k, small_train, cfgs)
+    with pytest.raises(ConfigurationError, match="training set 0 has d=4 and 9 classes"):
+        train(wrong_k, [small_train] * 2, cfgs)
     empty = small_train.take(np.zeros(len(small_train), dtype=bool))
-    with pytest.raises(ConfigurationError, match="empty"):
-        train(models, empty, cfgs)
+    with pytest.raises(ConfigurationError, match="training set 1 is empty"):
+        train(models, [small_train, empty], cfgs)
+    with pytest.raises(ConfigurationError, match="one training set per model"):
+        train(models, [small_train], cfgs)
+    narrow = replace(small_train, X=small_train.X[:, :-1].copy())
+    with pytest.raises(ConfigurationError, match="training set 1 has d=3"):
+        train(models, [small_train, narrow], cfgs)
