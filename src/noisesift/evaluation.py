@@ -132,7 +132,8 @@ def retrain_on_subset(
     )
     results = []
     for i in range(0, len(trained), len(seeds)):
-        # One model at a time: a stacked pass would hold S test-set copies.
+        # Each model on its own: a stacked test pass would hold a
+        # (models, test rows, K) array.
         accs, losses = zip(*(evaluate(model, test_set) for model in trained[i : i + len(seeds)]))
         results.append((float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses))))
     return results
