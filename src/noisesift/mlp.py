@@ -77,6 +77,10 @@ class TrainConfig:
             raise ConfigurationError("batch_size must be >= 1")
         if self.learning_rate <= 0:
             raise ConfigurationError("learning_rate must be > 0")
+        if not 0 <= self.momentum < 1:
+            raise ConfigurationError("momentum must be in [0, 1)")
+        if self.weight_decay < 0:
+            raise ConfigurationError("weight_decay must be >= 0")
 
 
 @dataclass

@@ -34,25 +34,21 @@ WJSD_NOTE = "jsd-substituted"
 
 @dataclass
 class Partition:
-    """A clean/noisy split held as masks over `ids`, which keep the row
-    order of the metric table the partition came from.  cluster_label is
-    -1 where the method assigns no cluster (the default for every row).
-    A mask of another length than `ids` raises ConfigurationError."""
+    """A clean/noisy split held as a noisy mask over `ids`, which keep the
+    row order of the metric table the partition came from.  A mask of
+    another length than `ids` raises ConfigurationError."""
 
     ids: np.ndarray
     noisy: np.ndarray
     method_name: str
     parameters: dict = field(default_factory=dict)
-    cluster_label: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.cluster_label is None:
-            self.cluster_label = np.full(len(self.ids), -1, dtype=np.int64)
-        for name, mask in (("noisy", self.noisy), ("cluster_label", self.cluster_label)):
-            if len(mask) != len(self.ids):
-                raise ConfigurationError(
-                    f"partition {self.method_name}: {len(mask)} {name} rows for {len(self.ids)} ids"
-                )
+        if len(self.noisy) != len(self.ids):
+            raise ConfigurationError(
+                f"partition {self.method_name}: "
+                f"{len(self.noisy)} noisy rows for {len(self.ids)} ids"
+            )
 
 
 def _polarity(metric: str | CentroidVariant | None) -> str:
@@ -211,7 +207,6 @@ def partition_gmm2d(
             "noisy_cluster": noisy_cluster,
             "gmm": model.to_json(),
         },
-        cluster_label=labels.astype(np.int64),
     )
 
 
@@ -287,20 +282,17 @@ def run_method(spec: MethodSpec, table, traces, seed: int = 0) -> Partition:
 
 
 def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[Path]:
-    """Write <prefix>.json (name and parameters) and the ids, the noisy
-    flag and the cluster label, row for row."""
+    """Write <prefix>.json (name and parameters) and the ids and the noisy
+    flag, row for row."""
     return save_arrays(
         directory,
         prefix,
         {"method_name": part.method_name, "parameters": part.parameters},
         ids=part.ids,
         noisy=part.noisy,
-        cluster_label=part.cluster_label,
     )
 
 
 def load_partition(directory: str | Path, prefix: str) -> Partition:
-    meta, arrays = load_arrays(
-        directory, prefix, {"ids": ("N",), "noisy": ("N",), "cluster_label": ("N",)}
-    )
+    meta, arrays = load_arrays(directory, prefix, {"ids": ("N",), "noisy": ("N",)})
     return Partition(method_name=meta["method_name"], parameters=meta["parameters"], **arrays)

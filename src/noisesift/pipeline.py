@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -65,13 +66,13 @@ _SCHEMA = {**DEFAULT_CONFIG, "grid": _field_defaults(GridSpec)}
 
 
 def _has_type_of(value, example) -> bool:
-    """Whether `value` has the type of the schema's `example`: a float also
-    takes an int, a list takes a list of items of its first item's type,
-    and only a bool takes a bool."""
+    """Whether `value` has the type of the schema's `example`: a float takes
+    an int or a finite float, a list takes a list of items of its first
+    item's type, and only a bool takes a bool."""
     if isinstance(value, bool) or isinstance(example, bool):
         return isinstance(value, bool) and isinstance(example, bool)
     if isinstance(example, float):
-        return isinstance(value, (int, float))
+        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
     if isinstance(example, list):
         return isinstance(value, list) and all(_has_type_of(v, example[0]) for v in value)
     return isinstance(value, type(example))
@@ -162,6 +163,8 @@ def experiment(cfg: dict) -> Experiment:
         raise ConfigurationError("hardness.jitter_std must be >= 0")
     if h["eps_max"] < 0:
         raise ConfigurationError("hardness.eps_max must be >= 0")
+    if seed < 0 or any(s < 0 for s in ev["retrain_seeds"]):
+        raise ConfigurationError("seed and eval.retrain_seeds must be >= 0")
     grid = GridSpec(**cfg["grid"], seed=seed)
     noise = transforms.NoiseSpec(**cfg["noise"], seed=seed + 2)
     shape = ("hidden_sizes", "feature_width")  # the model's; the rest make its TrainConfig

@@ -11,6 +11,7 @@ from noisesift import (
     partition_threshold,
     run_method,
 )
+from noisesift.artifacts import save_arrays
 from noisesift.errors import ConfigurationError, UnknownMethodError
 from noisesift.metrics import COLUMNS, SCD_VARIANT
 from noisesift.partition import (
@@ -63,7 +64,6 @@ def test_gmm1d_degenerate_falls_back_to_median():
         part = partition_gmm1d(ids, values, HIGH_IS_NOISY)
     assert part.parameters.get("fallback") == "median-threshold"
     assert noisy_ids(part) == []  # all tied at the median -> all clean
-    assert (part.cluster_label == -1).all()
 
 
 def test_gmm2d_flags_the_low_acc_high_distance_cluster(rng):
@@ -81,8 +81,6 @@ def test_gmm2d_flags_the_low_acc_high_distance_cluster(rng):
         polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=2,
     )
     assert noisy_ids(part) == list(range(200, 300))
-    assert part.cluster_label.dtype == np.int64
-    assert len(part.cluster_label) == 300 and (part.cluster_label >= 0).all()
 
 
 def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
@@ -113,8 +111,6 @@ def test_partitioners_reject_ids_of_another_length(make, rng):
     values = np.concatenate([rng.normal(0.0, 0.1, 30), rng.normal(5.0, 0.1, 10)])
     with pytest.raises(ConfigurationError, match="40 noisy rows for 39 ids"):
         make(np.arange(39), values)
-    with pytest.raises(ConfigurationError, match="39 cluster_label rows for 40 ids"):
-        Partition(np.arange(40), values > 1.0, "m", {}, np.zeros(39, dtype=np.int64))
 
 
 def test_metric_polarity_covers_every_metric_column():
@@ -169,7 +165,6 @@ def test_run_method_covers_all_ids(imbalance_run):
         part = run_method(lookup_method(name), table, traces)
         np.testing.assert_array_equal(part.ids, train.ids)
         assert part.noisy.dtype == bool and part.noisy.shape == train.ids.shape
-        assert part.cluster_label.shape == train.ids.shape
         assert part.method_name == name
 
 
@@ -181,11 +176,12 @@ def test_partition_save_load_roundtrip(tmp_path, rng):
     loaded = load_partition(tmp_path, "p")
     np.testing.assert_array_equal(loaded.ids, part.ids)
     np.testing.assert_array_equal(loaded.noisy, part.noisy)
-    np.testing.assert_array_equal(loaded.cluster_label, np.full(50, -1))
     assert loaded.method_name == part.method_name
 
 
-def test_partition_with_cluster_labels_roundtrip(tmp_path, rng):
+def test_partition_with_an_older_cluster_label_file_loads(tmp_path, rng):
+    """Older run directories hold a third array, <prefix>_cluster_label.npy,
+    next to each partition; load_partition reads only ids and noisy."""
     pts = np.vstack(
         [
             np.column_stack([rng.normal(0.9, 0.02, 60), rng.normal(1.0, 0.1, 60)]),
@@ -194,35 +190,32 @@ def test_partition_with_cluster_labels_roundtrip(tmp_path, rng):
     )
     ids = np.arange(100)
     part = partition_gmm2d(ids, pts[:, 0], pts[:, 1], LOW_IS_NOISY, HIGH_IS_NOISY, 2)
-    save_partition(part, tmp_path, "p2")
+    meta = {"method_name": part.method_name, "parameters": part.parameters}
+    save_arrays(
+        tmp_path, "p2", meta, ids=part.ids, noisy=part.noisy, cluster_label=np.zeros(100, np.int64)
+    )
     loaded = load_partition(tmp_path, "p2")
-    np.testing.assert_array_equal(loaded.cluster_label, part.cluster_label)
+    np.testing.assert_array_equal(loaded.ids, part.ids)
     np.testing.assert_array_equal(loaded.noisy, part.noisy)
+    assert (loaded.method_name, loaded.parameters) == (part.method_name, part.parameters)
 
 
 @pytest.mark.parametrize(
     "part",
     [
-        Partition(
-            np.array([300, 7, 40, 2, 99]),
-            np.array([False, False, False, True, True]),
-            "m",
-            {},
-            np.array([-1, 1, -1, -1, 0]),
-        ),
+        Partition(np.array([300, 7, 40, 2, 99]), np.array([False, False, False, True, True]), "m"),
         Partition(np.array([3]), np.array([False]), "m"),
         Partition(np.array([], dtype=np.int64), np.array([], dtype=bool), "m"),
     ],
 )
 def test_save_partition_arrays_match_per_id_lookup(tmp_path, part):
     """The saved arrays are the partition's own, row for row, in its id
-    order (not sorted)."""
-    save_partition(part, tmp_path, "p")
+    order (not sorted), and nothing else is written."""
+    paths = save_partition(part, tmp_path, "p")
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert sorted(p.name for p in paths) == written == ["p.json", "p_ids.npy", "p_noisy.npy"]
     np.testing.assert_array_equal(np.load(tmp_path / "p_ids.npy"), part.ids)
     np.testing.assert_array_equal(np.load(tmp_path / "p_noisy.npy"), part.noisy)
-    np.testing.assert_array_equal(
-        np.load(tmp_path / "p_cluster_label.npy"), part.cluster_label
-    )
     loaded = load_partition(tmp_path, "p")
     np.testing.assert_array_equal(loaded.ids, part.ids)
-    np.testing.assert_array_equal(loaded.cluster_label, part.cluster_label)
+    np.testing.assert_array_equal(loaded.noisy, part.noisy)

@@ -19,6 +19,7 @@ from noisesift.pipeline import (
     STAGES,
     Run,
     config_digest,
+    experiment,
     load_config,
     run_pipeline,
     run_stage,
@@ -69,6 +70,8 @@ def test_full_pipeline_produces_all_artifacts(tmp_path):
     run_dir = run_pipeline(cfg_path, tmp_path / "run")
     for name in EXPECTED_ARTIFACTS:
         assert (run_dir / name).exists(), name
+    # A partition is its JSON, ids and noisy mask; no cluster labels.
+    assert not list(run_dir.glob("*_cluster_label.npy"))
     rows = json.loads((run_dir / "eval.json").read_text())
     methods = [r["method"] for r in rows]
     assert methods == ["Original dataset", "Thres_Loss", "2d-GMM_acc-SCD"]
@@ -185,6 +188,19 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         # No sample of the 5-level default grid is hard at h >= 9.
         pytest.param({"eval": {"h_threshold": 9}}, id="h-threshold-9"),
         pytest.param({"eval": {"h_threshold": -1}}, id="h-threshold-negative"),
+        # Training ranges that TrainConfig checks.
+        pytest.param({"train": {"momentum": 1.5}}, id="momentum-1.5"),
+        pytest.param({"train": {"weight_decay": -1.0}}, id="negative-weight-decay"),
+        # Seeds numpy refuses, caught before the run directory is made.
+        pytest.param({"seed": -3}, id="negative-seed"),
+        pytest.param(
+            {"eval": {"retrain": True, "retrain_seeds": [0, -1]}}, id="negative-retrain-seed"
+        ),
+        # JSON's NaN and Infinity pass every `x < 0` range check.
+        pytest.param('{"train": {"learning_rate": NaN}}', id="nan-learning-rate"),
+        pytest.param('{"hardness": {"jitter_std": Infinity}}', id="infinite-jitter"),
+        pytest.param('{"hardness": {"eps_max": NaN}}', id="nan-eps-max"),
+        pytest.param('{"grid": {"cluster_std": NaN}}', id="nan-cluster-std"),
     ],
 )
 def test_load_config_rejects_unknown_keys(tmp_path, raw):
@@ -197,6 +213,24 @@ def test_load_config_rejects_unknown_keys(tmp_path, raw):
     )
     assert result.exit_code == 1
     assert "error:" in result.output
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_experiment_rejects_non_finite_floats(value):
+    with pytest.raises(ConfigurationError, match="learning_rate"):
+        experiment({"train": {"learning_rate": value}})
+
+
+def test_cli_rejects_a_negative_seed_before_writing(tmp_path):
+    cfg_path = _small_config(tmp_path)
+    out_dir = tmp_path / "run"
+    result = CliRunner().invoke(
+        main, ["run", "--config", str(cfg_path), "--out", str(out_dir), "--seed", "-3"]
+    )
+    assert result.exit_code == 1
+    assert result.output.startswith("error: ")
+    assert not out_dir.exists()
 
 
 def test_default_config_is_valid():

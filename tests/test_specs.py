@@ -14,6 +14,9 @@ from noisesift.errors import ConfigurationError
         pytest.param(lambda: TrainConfig(epochs=0), id="epochs-0"),
         pytest.param(lambda: TrainConfig(batch_size=0), id="batch-size-0"),
         pytest.param(lambda: TrainConfig(learning_rate=0.0), id="learning-rate-0"),
+        pytest.param(lambda: TrainConfig(momentum=1.0), id="momentum-1"),
+        pytest.param(lambda: TrainConfig(momentum=-0.1), id="momentum-negative"),
+        pytest.param(lambda: TrainConfig(weight_decay=-1.0), id="weight-decay-negative"),
         pytest.param(lambda: NoiseSpec(delta=-0.1), id="delta-negative"),
         pytest.param(lambda: NoiseSpec(delta=1.5), id="delta-above-1"),
         pytest.param(lambda: GmmConfig(k=0), id="gmm-k-0"),
@@ -27,3 +30,7 @@ from noisesift.errors import ConfigurationError
 def test_specs_refuse_bad_values_when_built(build):
     with pytest.raises(ConfigurationError):
         build()
+
+
+def test_train_config_accepts_the_ends_of_its_ranges():
+    TrainConfig(momentum=0.0, weight_decay=0.0)
