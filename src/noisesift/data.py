@@ -7,6 +7,7 @@ the class will be made to learn, n how noisy its labels will become.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -44,10 +45,13 @@ class GridSpec:
             raise ConfigurationError("classes_per_cell must be >= 1")
         if self.input_dim < 1:
             raise ConfigurationError("input_dim must be >= 1")
-        if self.cluster_std <= 0:
-            raise ConfigurationError("cluster_std must be > 0")
-        if self.center_spacing <= 0:
-            raise ConfigurationError("center_spacing must be > 0")
+        # Written so that NaN fails each check.
+        if not (self.cluster_std > 0 and math.isfinite(self.cluster_std)):
+            raise ConfigurationError("cluster_std must be finite and > 0")
+        if not (self.center_spacing > 0 and math.isfinite(self.center_spacing)):
+            raise ConfigurationError("center_spacing must be finite and > 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
         if self.per_class_count < 2 ** (self.levels - 1):
             raise ConfigurationError(
                 "per_class_count must be >= 2^(levels-1) so every "

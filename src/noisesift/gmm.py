@@ -40,6 +40,8 @@ class GmmConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ConfigurationError("k must be >= 1")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass

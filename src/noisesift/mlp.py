@@ -10,13 +10,18 @@ weights on a leading model axis, each model with its own training set (of
 any size) and its own batch order; the forward and backward passes take a
 single model or such a stack.
 
-The stacked weights are views into one model-major (S, P) buffer and the
-stacked biases into another; the gradients and velocities have buffers of
-the same layout, so a step over any contiguous run of models updates every
-layer with a few in-place calls on that run's rows.  Each element still
-goes through `g + wd*w`, `mom*v + g`, `w - lr*v` (no decay on biases) in
-that order, so the trained weights are bit-identical to a plain per-layer
-loop that allocates every intermediate and trains each model alone.
+The stacked weights and biases are views into one model-major (S, P)
+buffer, each row a model's weights and then its biases; the gradients and
+velocities have buffers of the same layout, so a step over any contiguous
+run of models updates every layer with a few in-place calls on that run's
+rows.  Each element still goes through `g + wd*w`, `mom*v + g`, `w - lr*v`
+(no decay on biases) in that order, so the trained weights are
+bit-identical to a plain per-layer loop that allocates every intermediate
+and trains each model alone.
+
+The traced full pass at each epoch's end likewise writes every layer's
+(N, width) output into arrays allocated once per training; the feature
+snapshots are copies of them.
 """
 
 from __future__ import annotations
@@ -75,12 +80,15 @@ class TrainConfig:
             raise ConfigurationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ConfigurationError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be > 0")
+        # Written so that NaN fails each check.
+        if not (self.learning_rate > 0 and math.isfinite(self.learning_rate)):
+            raise ConfigurationError("learning_rate must be finite and > 0")
         if not 0 <= self.momentum < 1:
             raise ConfigurationError("momentum must be in [0, 1)")
-        if self.weight_decay < 0:
-            raise ConfigurationError("weight_decay must be >= 0")
+        if not (self.weight_decay >= 0 and math.isfinite(self.weight_decay)):
+            raise ConfigurationError("weight_decay must be finite and >= 0")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass
@@ -157,9 +165,9 @@ def init_model(
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in `logits`."""
-    logits -= logits.max(axis=-1, keepdims=True)
+    logits -= np.maximum.reduce(logits, axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=-1, keepdims=True)
+    logits /= np.add.reduce(logits, axis=-1, keepdims=True)
     return logits
 
 
@@ -201,18 +209,19 @@ def _backward(
     work: list | None = None,
 ) -> np.ndarray:
     """Write the gradient of every parameter, given d(loss)/d(logits), into
-    the matching array of grads_w/grads_b (each shaped like its parameter)
-    and return d(loss)/d(output of layer 0).  `work`, if given, holds for
-    i = 1, 2, ... an array shaped like acts[i], which takes d(loss)/d(acts[i])
-    instead of a new array."""
+    the matching array of grads_w/grads_b and return d(loss)/d(output of
+    layer 0).  grads_w[i] is shaped like weights[i]; grads_b[i] is (n,) for
+    a single model and (S, n) for a stack, without the stacked bias's batch
+    axis.  `work`, if given, holds for i = 1, 2, ... an array shaped like
+    acts[i], which takes d(loss)/d(acts[i]) instead of a new array."""
     work = work or [None] * len(model.weights)
     delta = dlogits
     for i in range(len(model.weights) - 1, -1, -1):
-        np.matmul(np.swapaxes(acts[i], -1, -2), delta, out=grads_w[i])
-        np.sum(delta, axis=-2, out=grads_b[i].reshape(delta.shape[:-2] + (-1,)))
+        np.matmul(acts[i].swapaxes(-1, -2), delta, out=grads_w[i])
+        np.add.reduce(delta, axis=-2, out=grads_b[i])
         if i == 0:
             break
-        delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2), out=work[i - 1])
+        delta = np.matmul(delta, model.weights[i].swapaxes(-1, -2), out=work[i - 1])
         if i < len(model.weights) - 1:
             delta *= acts[i] > 0
     return delta
@@ -272,16 +281,18 @@ def _flat_views(S: int, shapes: list[tuple[int, ...]]) -> tuple[np.ndarray, list
     return flat, views
 
 
-def _stack(models: list[Model]) -> tuple[Model, np.ndarray, np.ndarray]:
+def _stack(models: list[Model]) -> tuple[Model, np.ndarray]:
     """Weights as (S, fan_in, fan_out), biases as (S, 1, fan_out): views
-    into a model-major weight buffer and bias buffer, also returned."""
-    S = len(models)
-    w_flat, weights = _flat_views(S, [w.shape for w in models[0].weights])
-    b_flat, biases = _flat_views(S, [(1, *b.shape) for b in models[0].biases])
+    into one model-major (S, P) buffer, also returned, whose row s holds
+    model s's weights and then its biases."""
+    S, L = len(models), len(models[0].weights)
+    shapes = [w.shape for w in models[0].weights] + [(1, *b.shape) for b in models[0].biases]
+    flat, views = _flat_views(S, shapes)
+    weights, biases = views[:L], views[L:]
     for i, (w, b) in enumerate(zip(weights, biases)):
         np.stack([m.weights[i] for m in models], out=w)
         np.stack([m.biases[i] for m in models], out=b[:, 0])
-    return Model(weights, biases), w_flat, b_flat
+    return Model(weights, biases), flat
 
 
 def _unstacked(stacked: Model, s: int) -> Model:
@@ -291,17 +302,19 @@ def _unstacked(stacked: Model, s: int) -> Model:
 
 @dataclass
 class _SgdRows:
-    """A contiguous run of a stack's models: their stacked model and their
-    rows of the model-major (S, P) weight, bias, gradient, velocity and
-    decay buffers, with the gradient arrays as views of the gradient rows."""
+    """A contiguous run of a stack's models: their stacked model; their rows
+    of the model-major (S, P) parameter, gradient and velocity buffers,
+    each row a model's weights and then its biases; the weight columns of
+    the parameter and gradient rows, with a decay buffer of their shape;
+    and the gradient arrays as views of the gradient rows (the bias
+    gradients (S, n), as `_backward` writes them)."""
 
     model: Model
+    p: np.ndarray
+    g: np.ndarray
+    v: np.ndarray
     w: np.ndarray
-    b: np.ndarray
     gw: np.ndarray
-    gb: np.ndarray
-    vw: np.ndarray
-    vb: np.ndarray
     decay: np.ndarray
     grads_w: list[np.ndarray]
     grads_b: list[np.ndarray]
@@ -309,34 +322,32 @@ class _SgdRows:
     @classmethod
     def of(cls, models: list[Model]) -> "_SgdRows":
         """All of a new stack of `models`, with zero velocities."""
-        stacked, w, b = _stack(models)
-        gw, grads_w = _flat_views(len(models), [a.shape[1:] for a in stacked.weights])
-        gb, grads_b = _flat_views(len(models), [a.shape[1:] for a in stacked.biases])
-        return cls(stacked, w, b, gw, gb, np.zeros_like(w), np.zeros_like(b),
-                   np.empty_like(w), grads_w, grads_b)
+        stacked, p = _stack(models)
+        S, L = len(models), len(stacked.weights)
+        shapes = [a.shape[1:] for a in stacked.weights] + [a.shape[2:] for a in stacked.biases]
+        g, grads = _flat_views(S, shapes)
+        n_w = sum(a[0].size for a in stacked.weights)
+        return cls(stacked, p, g, np.zeros_like(p), p[:, :n_w], g[:, :n_w],
+                   np.empty((S, n_w)), grads[:L], grads[L:])
 
     def rows(self, lo: int, hi: int) -> "_SgdRows":
         """Models lo..hi-1, as views."""
         r = slice(lo, hi)
         model = Model([a[r] for a in self.model.weights], [a[r] for a in self.model.biases])
-        return _SgdRows(model, self.w[r], self.b[r], self.gw[r], self.gb[r], self.vw[r],
-                        self.vb[r], self.decay[r], [a[r] for a in self.grads_w],
+        return _SgdRows(model, self.p[r], self.g[r], self.v[r], self.w[r], self.gw[r],
+                        self.decay[r], [a[r] for a in self.grads_w],
                         [a[r] for a in self.grads_b])
 
     def update(self, cfg: TrainConfig) -> None:
         """v = mom*v + (g + wd*w), then w -= lr*v; biases get no decay.
-        Once v is updated the gradient buffers are free until the next
-        _backward, so they hold lr*v."""
+        Once v is updated the gradient buffer is free until the next
+        _backward, so it holds lr*v."""
         np.multiply(self.w, cfg.weight_decay, out=self.decay)
         self.gw += self.decay
-        self.vw *= cfg.momentum
-        self.vw += self.gw
-        np.multiply(self.vw, cfg.learning_rate, out=self.gw)
-        self.w -= self.gw
-        self.vb *= cfg.momentum
-        self.vb += self.gb
-        np.multiply(self.vb, cfg.learning_rate, out=self.gb)
-        self.b -= self.gb
+        self.v *= cfg.momentum
+        self.v += self.g
+        np.multiply(self.v, cfg.learning_rate, out=self.g)
+        self.p -= self.g
 
 
 def _epoch_steps(sizes: list[int], batch_size: int) -> list[tuple[int, int, int, int]]:
@@ -394,14 +405,18 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
     widths += widths[:-1]
     scratch = [np.empty(S * B * n) for n in widths]
     # Per step: its block of the (S, N_max) epoch order, its batch size,
-    # the (model, row) index of its logits, its rows of the stack, and
-    # its scratch for the forward and the backward pass.
+    # its rows of the stack, its scratch for the forward and the backward
+    # pass, and its probabilities' scratch flattened.  cells[s, i] is the
+    # flat index there of the first class of model s's i-th sample in the
+    # epoch, so cells + label is the flat index of its assigned class.
     steps = []
+    cells = np.zeros((S, sizes[0]), dtype=np.int64)
+    K = widths[L - 1]
     for start, b, lo, hi in _epoch_steps(sizes, B):
         work = [f[: (hi - lo) * b * n].reshape(hi - lo, b, n) for f, n in zip(scratch, widths)]
         block = (slice(lo, hi), slice(start, start + b))
-        cells = (np.arange(hi - lo)[:, None], np.arange(b))
-        steps.append((block, b, cells, stack.rows(lo, hi), work[:L], work[L:]))
+        cells[block] = np.arange(0, (hi - lo) * b * K, K).reshape(hi - lo, b)
+        steps.append((block, b, stack.rows(lo, hi), work[:L], work[L:], work[L - 1].reshape(-1)))
 
     rngs = [np.random.default_rng(cfgs[s].seed) for s in order]
     orders = np.zeros((S, sizes[0]), dtype=np.int64)  # row s: model s's epoch order, padded
@@ -409,15 +424,16 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
         for s, (rng, n) in enumerate(zip(rngs, sizes)):
             np.add(rng.permutation(n), offsets[s], out=orders[s, :n])
         labels = y.take(orders)
-        for block, b, (models_i, rows_i), part, fwd, bwd in steps:
+        labels += cells
+        for block, b, part, fwd, bwd, flat_probs in steps:
             rows = X.take(orders[block], axis=0)
             probs, _, acts = forward_batch(part.model, rows, return_cache=True, work=fwd)
+            flat_probs[labels[block]] -= 1.0
             dlogits = probs
-            dlogits[models_i, rows_i, labels[block]] -= 1.0
             dlogits /= b
             _backward(part.model, acts, dlogits, part.grads_w, part.grads_b, work=bwd)
             part.update(cfg)
-        if not (np.isfinite(stack.w).all() and np.isfinite(stack.b).all()):
+        if not np.isfinite(stack.p).all():
             raise TrainingDivergedError(t)
         yield t, views
 
@@ -458,15 +474,20 @@ def train_with_tracing(
     features_fallback = None
     mid_epoch = None
 
-    rows = np.arange(N)
+    # The full pass writes each layer's (N, width) output into the same
+    # arrays at every epoch; fresh ones would be faulted in again each time.
+    work = [np.empty((N, w.shape[-1])) for w in model.weights]
+    assigned = np.arange(0, N * model.K, model.K) + y  # flat index of probs[i, y[i]]
     for t, [model] in _sgd_epochs([model], [dataset], [cfg]):
-        probs, features = forward_batch(model, X)  # model: views the loop updates
+        probs, features = forward_batch(model, X, work=work)  # model: views the loop updates
         e = t - 1
-        p_assigned[e] = probs[rows, y]
-        pred[e] = np.argmax(probs, axis=1)
-        probs[rows, y] = -np.inf  # probs is not read again this epoch
-        p_max_other[e] = probs.max(axis=1) if model.K > 1 else 0.0
-        del probs  # not kept alive through the next epoch's minibatches
+        probs.take(assigned, out=p_assigned[e])
+        np.argmax(probs, axis=1, out=pred[e])
+        probs.put(assigned, -np.inf)  # probs is not read again this epoch
+        if model.K > 1:
+            np.maximum.reduce(probs, axis=1, out=p_max_other[e])
+        else:
+            p_max_other[e] = 0.0
         train_acc[e] = float(np.mean(pred[e] == y))
         # Softmax output is in [0, 1] or NaN, so this is the loss's finiteness.
         if not np.isfinite(p_assigned[e]).all():

@@ -67,12 +67,15 @@ _SCHEMA = {**DEFAULT_CONFIG, "grid": _field_defaults(GridSpec)}
 
 def _has_type_of(value, example) -> bool:
     """Whether `value` has the type of the schema's `example`: a float takes
-    an int or a finite float, a list takes a list of items of its first
-    item's type, and only a bool takes a bool."""
+    an int or a float that is finite as a float, a list takes a list of
+    items of its first item's type, and only a bool takes a bool."""
     if isinstance(value, bool) or isinstance(example, bool):
         return isinstance(value, bool) and isinstance(example, bool)
     if isinstance(example, float):
-        return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+        try:
+            return isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an int too large for a float
+            return False
     if isinstance(example, list):
         return isinstance(value, list) and all(_has_type_of(v, example[0]) for v in value)
     return isinstance(value, type(example))
@@ -244,12 +247,15 @@ def _write_atomic(path: Path, text: str) -> None:
 
 @dataclass
 class Run:
-    """A run directory with its config and manifest."""
+    """A run directory with its config and manifest, and what `read` has
+    parsed from its verified artifacts."""
 
     directory: Path
     config: dict
     experiment: Experiment
     manifest: dict = field(default_factory=dict)
+    # {stage: {(load, args, that stage's file digests): parsed value}}
+    _reads: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def open(directory: str | Path, config: dict | None = None) -> "Run":
@@ -293,6 +299,7 @@ class Run:
         return self.manifest["stages"].get(stage, {}).get("complete", False)
 
     def mark_complete(self, stage: str, files: list[Path]) -> None:
+        self._reads.pop(stage, None)
         self.manifest["stages"][stage] = {
             "complete": True,
             "files": {
@@ -314,6 +321,19 @@ class Run:
                 raise StageError(needed_by, f"artifact {rel} is missing")
             if _sha256(p) != digest:
                 raise StageError(needed_by, f"artifact {rel} fails its checksum")
+
+    def read(self, stage: str, load, *args):
+        """`load(self.directory, *args)` on files that `stage` wrote, parsed
+        once per recording of that stage and then shared: the result must
+        not be changed.  Call it only after `require_stage(stage, ...)` has
+        verified the files, so that a file changed on disk since the last
+        parse stops the caller before it reads the stale result."""
+        digests = tuple(self.manifest["stages"][stage]["files"].values())
+        memo = self._reads.setdefault(stage, {})
+        key = (load, args, digests)
+        if key not in memo:
+            memo[key] = load(self.directory, *args)
+        return memo[key]
 
     def _partition_prefix(self, method_name: str) -> str:
         return "partition_" + method_name.replace("/", "_")
@@ -348,7 +368,7 @@ def stage_gen(run: Run) -> None:
 
 def stage_train(run: Run) -> None:
     run.require_stage("gen", "train")
-    train = load_dataset(run.directory, "train")
+    train = run.read("gen", load_dataset, "train")
     model, traces = run.experiment.train_model(train, run.experiment.train)
     files = save_model(model, run.directory / "model") + save_traces(traces, run.directory)
     run.mark_complete("train", files)
@@ -364,7 +384,7 @@ def stage_metrics(run: Run) -> None:
 def stage_partition(run: Run) -> None:
     run.require_stage("train", "partition")
     run.require_stage("metrics", "partition")
-    table = load_metric_table(run.directory)
+    table = run.read("metrics", load_metric_table)
     traces = load_traces(run.directory)
     files: list[Path] = []
     for spec in run.experiment.methods:
@@ -377,8 +397,8 @@ def stage_eval(run: Run) -> None:
     run.require_stage("gen", "eval")
     run.require_stage("partition", "eval")
     exp = run.experiment
-    train = load_dataset(run.directory, "train")
-    test = load_dataset(run.directory, "test")
+    train = run.read("gen", load_dataset, "train")
+    test = run.read("gen", load_dataset, "test")
     gt = transforms.ground_truth_partition(train, exp.h_threshold)
 
     # Baseline row: the untouched dataset.
@@ -444,8 +464,8 @@ def stage_report(run: Run) -> None:
     files.append(md)
 
     # Per-cell aggregates for plotting metric-vs-(h, n) behavior.
-    table = load_metric_table(run.directory)
-    train = load_dataset(run.directory, "train")
+    table = run.read("metrics", load_metric_table)
+    train = run.read("gen", load_dataset, "train")
     if not np.array_equal(table.ids, train.ids):
         raise StageError("report", "metrics.csv ids do not match the train set")
     cells_csv = run.directory / "cells.csv"

@@ -27,6 +27,8 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if not 0.0 <= self.delta <= 1.0:
             raise ConfigurationError("delta must be in [0, 1]")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be >= 0")
 
 
 @dataclass

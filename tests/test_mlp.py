@@ -27,7 +27,7 @@ from noisesift.mlp import (
     save_model,
     save_traces,
 )
-from noisesift.mlp import _stack, _unstacked
+from noisesift.mlp import _sgd_epochs, _stack, _unstacked
 
 
 def _batch_loss(model, X, y):
@@ -200,6 +200,43 @@ def test_trace_shapes_and_probability_identities(small_train):
     np.testing.assert_array_equal(
         traces.p_max_other < traces.p_assigned, agree
     )
+
+
+@pytest.mark.parametrize("hidden_sizes", [[], [8], [6, 5]])
+def test_traces_equal_an_allocating_full_pass_at_each_epoch(small_train, hidden_sizes):
+    # The traced pass writes into buffers it reuses every epoch; each
+    # epoch's records must be those of a fresh pass on that epoch's weights.
+    cfg = TrainConfig(epochs=8, learning_rate=0.05, seed=2)
+    m = 4 if hidden_sizes else small_train.d
+    model = init_model(small_train.d, hidden_sizes, m, small_train.K, seed=1)
+    X, y = small_train.X, small_train.y_assigned
+    rows = np.arange(len(small_train))
+    passes = [
+        forward_batch(view.copy(), X) for _, [view] in _sgd_epochs([model], [small_train], [cfg])
+    ]
+    _, traces = train_with_tracing(model, small_train, cfg)
+    assert traces.T == len(passes)
+    for e, (probs, _) in enumerate(passes):
+        assert np.array_equal(traces.pred[e], probs.argmax(axis=1))
+        assert np.array_equal(traces.p_assigned[e], probs[rows, y])
+        others = probs.copy()
+        others[rows, y] = -np.inf
+        assert np.array_equal(traces.p_max_other[e], others.max(axis=1))
+    assert np.array_equal(traces.features_mid, passes[traces.mid_epoch - 1][1])
+    assert np.array_equal(traces.features_end, passes[-1][1])
+
+
+def test_trace_arrays_share_no_memory(small_train):
+    cfg = TrainConfig(epochs=3, seed=0)
+    arrays = [small_train.X, small_train.ids, small_train.y_assigned]
+    for hidden_sizes, m in (([8], 4), ([], small_train.d)):
+        for seed in (0, 1):
+            model = init_model(small_train.d, hidden_sizes, m, small_train.K, seed=seed)
+            _, traces = train_with_tracing(model, small_train, cfg)
+            arrays += [v for v in vars(traces).values() if isinstance(v, np.ndarray)]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1 :]:
+            assert not np.shares_memory(a, b)
 
 
 def test_evaluate_scores_test_sets_against_true_labels(small_train):
@@ -408,7 +445,7 @@ def test_trained_models_share_no_memory(small_train):
 
 def test_forward_batch_on_a_stack_matches_each_slice(small_train):
     models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1, 2)]
-    stacked, _, _ = _stack(models)
+    stacked, _ = _stack(models)
     X = np.stack([small_train.X[s :: 3] for s in range(3)])  # (S, B, d)
     probs, feats = forward_batch(stacked, X)
     assert (stacked.d, stacked.m, stacked.K) == (small_train.d, 4, small_train.K)

@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 from noisesift.cli import main
 from noisesift.data import GridSpec
+from noisesift import pipeline
 from noisesift.errors import ConfigurationError, StageError
 from noisesift.pipeline import (
     _SCHEMA,
@@ -132,6 +133,50 @@ def test_checksum_guard_detects_tampering(tmp_path, tampered, stage):
         run_pipeline(cfg_path, run_dir, stage=stage)
 
 
+def _count_calls(monkeypatch, name):
+    """Patch pipeline.<name> to record the arguments of each call after the
+    run directory's."""
+    calls = []
+    original = getattr(pipeline, name)
+
+    def counted(directory, *args):
+        calls.append(args)
+        return original(directory, *args)
+
+    monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_a_run_parses_each_artifact_once(tmp_path, monkeypatch):
+    tables = _count_calls(monkeypatch, "load_metric_table")
+    datasets = _count_calls(monkeypatch, "load_dataset")
+    run_dir = run_pipeline(_small_config(tmp_path), tmp_path / "run")
+    assert tables == [()]
+    assert sorted(datasets) == [("test",), ("train",)]
+    assert (run_dir / "report.csv").exists()
+
+
+def test_a_file_changed_after_its_parse_still_stops_the_run(tmp_path):
+    run = Run.open(tmp_path / "run", load_config(_small_config(tmp_path)))
+    for stage in STAGES[: STAGES.index("report")]:  # partition parses metrics.csv
+        run_stage(run, stage)
+    with open(run.directory / "metrics.csv", "ab") as f:
+        f.write(b"tampered\n")
+    with pytest.raises(StageError, match="metrics.csv"):
+        run_stage(run, "report")
+
+
+def test_a_forced_rerun_is_parsed_again(tmp_path, monkeypatch):
+    tables = _count_calls(monkeypatch, "load_metric_table")
+    run = Run.open(tmp_path / "run", load_config(_small_config(tmp_path)))
+    for stage in STAGES:
+        run_stage(run, stage)
+    assert len(tables) == 1
+    run_stage(run, "metrics", force=True)
+    run_stage(run, "partition", force=True)
+    assert len(tables) == 2
+
+
 def test_seed_override_changes_the_data(tmp_path):
     cfg_path = _small_config(tmp_path)
     d1 = run_pipeline(cfg_path, tmp_path / "a", stage="gen")
@@ -201,6 +246,8 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         pytest.param('{"hardness": {"jitter_std": Infinity}}', id="infinite-jitter"),
         pytest.param('{"hardness": {"eps_max": NaN}}', id="nan-eps-max"),
         pytest.param('{"grid": {"cluster_std": NaN}}', id="nan-cluster-std"),
+        # An integer too large for a float would overflow in training.
+        pytest.param('{"train": {"learning_rate": 1' + "0" * 400 + "}}", id="huge-int-learning-rate"),
     ],
 )
 def test_load_config_rejects_unknown_keys(tmp_path, raw):
@@ -216,7 +263,9 @@ def test_load_config_rejects_unknown_keys(tmp_path, raw):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), pytest.param(10**400, id="int-too-large")]
+)
 def test_experiment_rejects_non_finite_floats(value):
     with pytest.raises(ConfigurationError, match="learning_rate"):
         experiment({"train": {"learning_rate": value}})

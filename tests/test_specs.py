@@ -4,8 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from noisesift import CentroidVariant, GmmConfig, MethodSpec, NoiseSpec, TrainConfig
+from noisesift import CentroidVariant, GmmConfig, GridSpec, MethodSpec, NoiseSpec, TrainConfig
 from noisesift.errors import ConfigurationError
+
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
@@ -17,6 +19,22 @@ from noisesift.errors import ConfigurationError
         pytest.param(lambda: TrainConfig(momentum=1.0), id="momentum-1"),
         pytest.param(lambda: TrainConfig(momentum=-0.1), id="momentum-negative"),
         pytest.param(lambda: TrainConfig(weight_decay=-1.0), id="weight-decay-negative"),
+        # NaN passes a check written `x <= 0`, so each is written to fail it.
+        pytest.param(lambda: TrainConfig(learning_rate=NAN), id="learning-rate-nan"),
+        pytest.param(lambda: TrainConfig(learning_rate=INF), id="learning-rate-inf"),
+        pytest.param(lambda: TrainConfig(weight_decay=NAN), id="weight-decay-nan"),
+        pytest.param(lambda: TrainConfig(weight_decay=INF), id="weight-decay-inf"),
+        pytest.param(lambda: TrainConfig(momentum=NAN), id="momentum-nan"),
+        pytest.param(lambda: GridSpec(cluster_std=NAN), id="cluster-std-nan"),
+        pytest.param(lambda: GridSpec(cluster_std=INF), id="cluster-std-inf"),
+        pytest.param(lambda: GridSpec(center_spacing=NAN), id="center-spacing-nan"),
+        pytest.param(lambda: GridSpec(center_spacing=INF), id="center-spacing-inf"),
+        pytest.param(lambda: NoiseSpec(delta=NAN), id="delta-nan"),
+        # numpy refuses negative seeds only when the generator is made.
+        pytest.param(lambda: TrainConfig(seed=-1), id="train-seed-negative"),
+        pytest.param(lambda: GmmConfig(k=2, seed=-1), id="gmm-seed-negative"),
+        pytest.param(lambda: GridSpec(seed=-1), id="grid-seed-negative"),
+        pytest.param(lambda: NoiseSpec(seed=-1), id="noise-seed-negative"),
         pytest.param(lambda: NoiseSpec(delta=-0.1), id="delta-negative"),
         pytest.param(lambda: NoiseSpec(delta=1.5), id="delta-above-1"),
         pytest.param(lambda: GmmConfig(k=0), id="gmm-k-0"),
