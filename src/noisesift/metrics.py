@@ -203,10 +203,15 @@ def save_metric_table(table: MetricTable, directory: str | Path) -> list[Path]:
     params_path.write_text(json.dumps(table.params, indent=2))
     csv_path = directory / "metrics.csv"
     # A Python float's repr round-trips, and "\r\n" ends every line as in
-    # the csv module's default dialect.
-    rows = zip(table.ids.tolist(), *(table.values[c].tolist() for c in COLUMNS))
-    lines = [",".join(["id", *COLUMNS]), *(",".join(map(repr, row)) for row in rows), ""]
-    csv_path.write_text("\r\n".join(lines), newline="")
+    # the csv module's default dialect.  The rows are formatted 1024 at a
+    # time: the text of the whole table at once would be the stage's
+    # largest allocation.
+    with open(csv_path, "w", newline="") as f:
+        f.write(",".join(["id", *COLUMNS]) + "\r\n")
+        for lo in range(0, len(table.ids), 1024):
+            block = slice(lo, lo + 1024)
+            rows = zip(table.ids[block].tolist(), *(table.values[c][block].tolist() for c in COLUMNS))
+            f.write("\r\n".join([",".join(map(repr, row)) for row in rows]) + "\r\n")
     return [csv_path, params_path]
 
 

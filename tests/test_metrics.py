@@ -1,5 +1,8 @@
 """Per-sample metrics against brute-force oracles."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,8 @@ from hypothesis import strategies as st
 from noisesift import ACD_VARIANT, SCD_VARIANT, CentroidVariant, compute_metric_table
 from noisesift.errors import ConfigurationError
 from noisesift.metrics import (
+    COLUMNS,
+    MetricTable,
     centroid_distance,
     load_metric_table,
     save_metric_table,
@@ -222,6 +227,22 @@ def test_metric_table_roundtrip(tmp_path):
     for col, vals in table.values.items():
         np.testing.assert_array_equal(loaded.values[col], vals)
     assert loaded.params == table.params
+
+
+@pytest.mark.parametrize("N", [0, 1, 1024, 2049])
+def test_metrics_csv_is_the_csv_modules_text_of_each_float_repr(tmp_path, N):
+    # The writer formats the rows in blocks; block ends must not show.
+    rng = np.random.default_rng(N)
+    table = MetricTable(
+        ids=rng.permutation(3 * N)[:N], values={c: rng.standard_normal(N) for c in COLUMNS}, params={}
+    )
+    save_metric_table(table, tmp_path)
+    expected = io.StringIO()
+    writer = csv.writer(expected)
+    writer.writerow(["id", *COLUMNS])
+    for i in range(N):
+        writer.writerow([repr(int(table.ids[i]))] + [repr(float(table.values[c][i])) for c in COLUMNS])
+    assert (tmp_path / "metrics.csv").read_bytes() == expected.getvalue().encode()
 
 
 @pytest.mark.parametrize(
