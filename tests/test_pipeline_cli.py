@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from noisesift import pipeline
 from noisesift.cli import main
 from noisesift.data import GridSpec
-from noisesift import pipeline
 from noisesift.errors import ConfigurationError, StageError
 from noisesift.pipeline import (
     _SCHEMA,
