@@ -59,21 +59,23 @@ class GridSpec:
             )
 
 
+_COLUMNS = ("ids", "X", "y_true", "y_assigned", "base_id")
+
+
 @dataclass
 class Dataset:
     """Column-oriented sample store.
 
     Arrays are parallel: row i describes sample ids[i].  base_id is -1 for
     samples that are not augmented copies of another sample.  The class
-    count K is the size of the cell map and the input width d that of X.
+    count K is the size of the cell map and the input width d that of X;
+    a sample's (h, n) is the cell of its true class.
     """
 
     ids: np.ndarray
     X: np.ndarray
     y_true: np.ndarray
     y_assigned: np.ndarray
-    h: np.ndarray
-    n: np.ndarray
     base_id: np.ndarray
     levels: int
     class_cells: dict[int, tuple[int, int]]
@@ -89,18 +91,25 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
+    @property
+    def cell_table(self) -> np.ndarray:
+        """(K, 2) int64: row c is the (h, n) cell of class c."""
+        cells = [self.class_cells[c] for c in range(self.K)]
+        return np.array(cells, dtype=np.int64).reshape(-1, 2)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.cell_table[self.y_true, 0]
+
+    @property
+    def n(self) -> np.ndarray:
+        return self.cell_table[self.y_true, 1]
+
     def take(self, mask_or_index: np.ndarray | slice) -> "Dataset":
         """New Dataset restricted to the given boolean mask, index array or
         slice; `take(slice(None))` is a full copy."""
-        sel = mask_or_index
         return Dataset(
-            ids=self.ids[sel].copy(),
-            X=self.X[sel].copy(),
-            y_true=self.y_true[sel].copy(),
-            y_assigned=self.y_assigned[sel].copy(),
-            h=self.h[sel].copy(),
-            n=self.n[sel].copy(),
-            base_id=self.base_id[sel].copy(),
+            **{c: getattr(self, c)[mask_or_index].copy() for c in _COLUMNS},
             levels=self.levels,
             class_cells=dict(self.class_cells),
         )
@@ -159,39 +168,20 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
     cells = allocate_cells(spec)
     rng = np.random.default_rng(spec.seed)
     centers = _class_centers(spec, rng)
-    K, d, X = spec.n_classes, spec.input_dim, spec.per_class_count
 
     def _make(count_per_class: int) -> Dataset:
-        N = K * count_per_class
-        coords = np.empty((N, d))
-        y = np.empty(N, dtype=np.int64)
-        hh = np.empty(N, dtype=np.int64)
-        nn = np.empty(N, dtype=np.int64)
-        row = 0
-        for c in range(K):
-            pts = centers[c] + spec.cluster_std * rng.standard_normal(
-                (count_per_class, d)
-            )
-            coords[row : row + count_per_class] = pts
-            y[row : row + count_per_class] = c
-            hh[row : row + count_per_class], nn[row : row + count_per_class] = cells[c]
-            row += count_per_class
+        y = np.repeat(np.arange(spec.n_classes, dtype=np.int64), count_per_class)
         return Dataset(
-            ids=np.arange(N, dtype=np.int64),
-            X=coords,
+            ids=np.arange(len(y), dtype=np.int64),
+            X=centers[y] + spec.cluster_std * rng.standard_normal((len(y), spec.input_dim)),
             y_true=y,
             y_assigned=y.copy(),
-            h=hh,
-            n=nn,
-            base_id=np.full(N, -1, dtype=np.int64),
+            base_id=np.full(len(y), -1, dtype=np.int64),
             levels=spec.levels,
             class_cells=cells,
         )
 
-    return _make(X), _make(spec.test_per_class)
-
-
-_COLUMNS = ("ids", "y_true", "y_assigned", "h", "n", "base_id")
+    return _make(spec.per_class_count), _make(spec.test_per_class)
 
 
 def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[Path]:
@@ -201,16 +191,25 @@ def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[P
         "L": dataset.levels,
         "class_cells": {str(c): list(hn) for c, hn in sorted(dataset.class_cells.items())},
     }
-    columns = {c: getattr(dataset, c) for c in _COLUMNS}
-    return save_arrays(directory, prefix, meta, X=dataset.X, **columns)
+    return save_arrays(directory, prefix, meta, **{c: getattr(dataset, c) for c in _COLUMNS})
 
 
 def load_dataset(directory: str | Path, prefix: str) -> Dataset:
+    """Read a set written by save_dataset; a cell map that does not map 0..K-1
+    into the L x L grid, or a label outside 0..K-1, raises ConfigurationError."""
     meta, arrays = load_arrays(
-        directory, prefix, {"X": ("N", "d"), **{c: ("N",) for c in _COLUMNS}}
+        directory, prefix, {c: ("N", "d") if c == "X" else ("N",) for c in _COLUMNS}
     )
-    return Dataset(
-        **arrays,
-        levels=meta["L"],
-        class_cells={int(c): tuple(hn) for c, hn in meta["class_cells"].items()},
-    )
+    cells, L = meta["class_cells"], meta["L"]
+    grid = [[h, n] for h in range(L) for n in range(L)]
+    if not (
+        isinstance(cells, dict)
+        and set(cells) == {str(c) for c in range(len(cells))}
+        and all(hn in grid for hn in cells.values())
+    ):
+        raise ConfigurationError(f"artifact {prefix}.json: class_cells must map 0..K-1 to cells")
+    for name in ("y_true", "y_assigned"):
+        y = arrays[name]
+        if y.dtype.kind not in "iu" or np.any((y < 0) | (y >= len(cells))):
+            raise ConfigurationError(f"artifact {prefix}.json: {name} has a label not in class_cells")
+    return Dataset(**arrays, levels=L, class_cells={int(c): tuple(hn) for c, hn in cells.items()})

@@ -175,7 +175,8 @@ def compute_metric_table(traces: TraceStore) -> MetricTable:
     scd = centroid_distance_from_traces(traces, SCD_VARIANT)
     last = traces.T - 1
     values = {
-        "loss_end": loss[last],
+        # A copy, so that the table does not keep the whole (T, N) loss.
+        "loss_end": loss[last].copy(),
         # The last row of traces.p_pred, without building the other rows.
         "confidence_end": np.maximum(traces.p_assigned[last], traces.p_max_other[last]),
         "first_pred_epoch": first.astype(float),

@@ -103,16 +103,21 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _read_object(path: str | Path, error: type[Exception], *args) -> dict:
+    """The JSON object in the file at `path`; anything else raises `error(*args, msg)`."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise error(*args, f"{path} cannot be read: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(*args, f"{path} must hold a JSON object")
+    return value
+
+
 def load_config(path: str | Path, seed_override: int | None = None) -> dict:
     """Read a JSON config, merge it over DEFAULT_CONFIG and check it by
     building its Experiment."""
-    try:
-        raw = json.loads(Path(path).read_text())
-    except ValueError as exc:
-        raise ConfigurationError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"config {path} must hold a JSON object")
-    cfg = _deep_merge(DEFAULT_CONFIG, raw)
+    cfg = _deep_merge(DEFAULT_CONFIG, _read_object(path, ConfigurationError))
     if seed_override is not None:
         cfg["seed"] = seed_override
     experiment(cfg)
@@ -263,7 +268,7 @@ class Run:
         holds the same config before writing anything."""
         directory = Path(directory)
         cfg_path = directory / "config.json"
-        stored = json.loads(cfg_path.read_text()) if cfg_path.exists() else None
+        stored = _read_object(cfg_path, StageError, "init") if cfg_path.exists() else None
         config = stored if config is None else config
         if config is None:
             raise StageError("init", f"no config in {directory}")
@@ -271,7 +276,7 @@ class Run:
         digest = config_digest(config)
         man_path = directory / "manifest.json"
         if man_path.exists():
-            manifest = json.loads(man_path.read_text())
+            manifest = _read_object(man_path, StageError, "init")
             if manifest.get("config_digest") != digest:
                 raise StageError("init", "run directory holds a different config")
         else:
@@ -472,9 +477,10 @@ def stage_report(run: Run) -> None:
     with open(cells_csv, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["h", "n", "count"] + [f"mean_{m}" for m in CELL_METRICS])
+        sample_h, sample_n = train.h, train.n
         for h in range(train.levels):
             for n in range(train.levels):
-                mask = (train.h == h) & (train.n == n)
+                mask = (sample_h == h) & (sample_n == n)
                 row = [h, n, int(mask.sum())]
                 for m in CELL_METRICS:
                     vals = table.values[m][mask]

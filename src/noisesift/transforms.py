@@ -126,21 +126,14 @@ def inject_label_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     L = dataset.levels
     out = dataset.take(slice(None))
     rng = np.random.default_rng(spec.seed)
-    strata: dict[int, np.ndarray] = {}
-    for n in range(L):
-        strata[n] = np.asarray(
-            sorted(c for c, (_h, cn) in dataset.class_cells.items() if cn == n),
-            dtype=np.int64,
-        )
+    # The classes of each n-stratum, in ascending order.
+    strata = [np.flatnonzero(dataset.cell_table[:, 1] == n) for n in range(L)]
     # Sequential per-sample draws keep the RNG stream order-stable.
     u = rng.random(len(dataset))
-    if L == 1:
-        q = np.zeros(len(dataset))
-    else:
-        q = spec.delta * out.n / (L - 1)
-    flips = np.flatnonzero(u < q)
+    n = out.n
+    flips = np.flatnonzero(u < spec.delta * n / max(L - 1, 1))
     for i in flips:
-        out.y_assigned[i] = rng.choice(strata[int(out.n[i])])
+        out.y_assigned[i] = rng.choice(strata[int(n[i])])
     return out
 
 

@@ -115,6 +115,55 @@ def test_train_json_with_the_old_keys_still_loads(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.X, small_train.X)
 
 
+def test_a_dataset_stores_no_cell_columns(tmp_path, small_train):
+    # (h, n) is read off the cell map, so only the five stored columns are written.
+    paths = save_dataset(small_train, tmp_path, "train")
+    assert sorted(p.name for p in paths) == [
+        "train.json", "train_X.npy", "train_base_id.npy", "train_ids.npy",
+        "train_y_assigned.npy", "train_y_true.npy",
+    ]
+    sub = small_train.take(small_train.y_true % 3 == 0)
+    cells = np.array([small_train.class_cells[c] for c in sub.y_true])
+    np.testing.assert_array_equal(sub.h, cells[:, 0])
+    np.testing.assert_array_equal(sub.n, cells[:, 1])
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda cells: {str(int(c) + 1): hn for c, hn in cells.items()},  # keyed 1..K
+        lambda cells: {k: v for k, v in cells.items() if k != "0"},     # class 0 missing
+        lambda cells: {**cells, "0": [0]},                                # not a pair
+        lambda cells: {**cells, "0": [0, 9]},                             # n outside 0..L-1
+    ],
+    ids=["shifted-keys", "missing-key", "short-cell", "cell-off-grid"],
+)
+def test_load_refuses_a_damaged_cell_map(tmp_path, small_train, edit):
+    save_dataset(small_train, tmp_path, "train")
+    meta_path = tmp_path / "train.json"
+    meta = json.loads(meta_path.read_text())
+    meta_path.write_text(json.dumps({**meta, "class_cells": edit(meta["class_cells"])}))
+    with pytest.raises(ConfigurationError, match=r"train\.json: class_cells must map 0\.\.K-1"):
+        load_dataset(tmp_path, "train")
+
+
+@pytest.mark.parametrize("column", ["y_true", "y_assigned"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda y, K: np.where(np.arange(len(y)) == 3, -1, y),
+        lambda y, K: np.where(np.arange(len(y)) == 3, K, y),
+        lambda y, K: y.astype(float),
+    ],
+    ids=["negative", "K", "float"],
+)
+def test_load_refuses_a_label_outside_the_cell_map(tmp_path, small_train, column, damage):
+    save_dataset(small_train, tmp_path, "train")
+    np.save(tmp_path / f"train_{column}.npy", damage(getattr(small_train, column), small_train.K))
+    with pytest.raises(ConfigurationError, match=f"train\\.json: {column} has a label not in"):
+        load_dataset(tmp_path, "train")
+
+
 def test_take_restricts_rows(small_train):
     mask = small_train.y_true == 0
     sub = small_train.take(mask)

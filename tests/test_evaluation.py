@@ -16,6 +16,7 @@ from noisesift import (
     anova_f,
     evaluate,
     generate_base,
+    ground_truth_partition,
     init_model,
     retrain_on_subset,
     score_partition,
@@ -29,18 +30,17 @@ from noisesift.transforms import GroundTruthPartition
 
 
 def _tiny_dataset():
+    # Class 0 sits in cell h = 0 and class 1 in cell h = 4, so a sample's h
+    # is 4 exactly where its true class is 1.
     N = 8
-    y_true = np.array([0, 0, 1, 1, 0, 1, 0, 1])
+    y_true = np.array([0, 0, 1, 1, 1, 1, 0, 1])
     y_assigned = y_true.copy()
     y_assigned[[1, 5]] = 1 - y_true[[1, 5]]  # two mislabeled samples
-    h = np.array([0, 0, 4, 4, 4, 0, 0, 4])
     return Dataset(
         ids=np.arange(N),
         X=np.zeros((N, 2)),
         y_true=y_true,
         y_assigned=y_assigned,
-        h=h,
-        n=np.zeros(N, dtype=np.int64),
         base_id=np.full(N, -1),
         levels=5,
         class_cells={0: (0, 0), 1: (4, 0)},
@@ -58,6 +58,13 @@ def _tiny_ground_truth():
     return GroundTruthPartition(
         ids=np.arange(8), noisy=_mask({1, 5}), hard=_mask({2, 3, 4, 7}), h_threshold=4
     )
+
+
+def test_tiny_ground_truth_is_that_of_the_tiny_dataset():
+    got, want = ground_truth_partition(_tiny_dataset(), h_threshold=4), _tiny_ground_truth()
+    np.testing.assert_array_equal(got.ids, want.ids)
+    np.testing.assert_array_equal(got.noisy, want.noisy)
+    np.testing.assert_array_equal(got.hard, want.hard)
 
 
 def test_score_partition_hand_computed():

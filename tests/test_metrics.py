@@ -229,6 +229,13 @@ def test_metric_table_roundtrip(tmp_path):
     assert loaded.params == table.params
 
 
+def test_computed_columns_do_not_keep_larger_arrays_alive():
+    # A view of the (T, N) loss would hold all of it for as long as the table.
+    table = compute_metric_table(_toy_traces())
+    for col, vals in table.values.items():
+        assert vals.base is None or vals.base.nbytes == vals.nbytes, col
+
+
 @pytest.mark.parametrize("N", [0, 1, 1024, 2049])
 def test_metrics_csv_is_the_csv_modules_text_of_each_float_repr(tmp_path, N):
     # The writer formats the rows in blocks; block ends must not show.

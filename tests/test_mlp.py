@@ -157,8 +157,6 @@ def test_mid_snapshot_falls_back_to_half_horizon():
         X=np.ones((N, 2)),
         y_true=np.arange(N) % 3,
         y_assigned=np.arange(N) % 3,
-        h=np.zeros(N, dtype=np.int64),
-        n=np.zeros(N, dtype=np.int64),
         base_id=np.full(N, -1),
         levels=1,
         class_cells={0: (0, 0), 1: (0, 0), 2: (0, 0)},

@@ -111,6 +111,29 @@ def test_stage_order_is_enforced(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "name, text",
+    [
+        ("manifest.json", "{not json"),
+        ("manifest.json", "[1, 2]"),
+        ("config.json", "{not json"),
+    ],
+    ids=["manifest-unparsable", "manifest-array", "config-unparsable"],
+)
+def test_cli_refuses_a_damaged_run_directory_before_writing(tmp_path, name, text):
+    cfg_path = _small_config(tmp_path)
+    out_dir = tmp_path / "run"
+    base = ["run", "--config", str(cfg_path), "--out", str(out_dir)]
+    runner = CliRunner()
+    assert runner.invoke(main, [*base, "--stage", "gen"]).exit_code == 0
+    (out_dir / name).write_text(text)
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    result = runner.invoke(main, base)
+    assert result.exit_code == 1
+    assert result.output.startswith(f"error: [init] {out_dir / name} ")
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize(
     "tampered, stage",
     [
         ("traces_p_assigned.npy", "metrics"),
