@@ -34,8 +34,7 @@ from .partition import (
     Partition,
     builtin_methods,
     lookup_method,
-    partition_gmm1d,
-    partition_gmm2d,
+    partition_gmm,
     partition_threshold,
     run_method,
 )

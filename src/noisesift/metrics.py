@@ -18,12 +18,16 @@ from .errors import ConfigurationError
 from .mlp import TraceStore
 
 
+# The adaptive centroid's confidence cut: an in-class sample counts when
+# its assigned-class probability is at least this.
+ADAPTIVE_CONF_THRESHOLD = 0.5
+
+
 @dataclass(frozen=True)
 class CentroidVariant:
     epoch: str = "end"          # "mid" | "end"
     distance: str = "cosine"    # "euclidean" | "cosine"
     centroid: str = "adaptive"  # "static" | "adaptive"
-    adaptive_conf_threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.epoch not in ("mid", "end"):
@@ -32,8 +36,9 @@ class CentroidVariant:
             raise ConfigurationError(f"unknown distance {self.distance!r}")
         if self.centroid not in ("static", "adaptive"):
             raise ConfigurationError(f"unknown centroid rule {self.centroid!r}")
-        if not 0.0 < self.adaptive_conf_threshold < 1.0:
-            raise ConfigurationError("adaptive_conf_threshold must be in (0, 1)")
+
+    def describe(self) -> dict:
+        return {**vars(self), "adaptive_conf_threshold": ADAPTIVE_CONF_THRESHOLD}
 
 
 SCD_VARIANT = CentroidVariant(epoch="mid", distance="euclidean", centroid="static")
@@ -123,9 +128,9 @@ def centroid_distance(
     Static centroid: mean over all samples assigned to the class.
     Adaptive centroid: mean over samples the classifier suspects to be in
     the class (predicted there while assigned elsewhere, or assigned
-    there with p_assigned >= threshold).  Classes with no members under
-    the adaptive rule fall back to the static centroid; their indices are
-    returned for provenance.
+    there with p_assigned >= ADAPTIVE_CONF_THRESHOLD).  Classes with no
+    members under the adaptive rule fall back to the static centroid;
+    their indices are returned for provenance.
     """
     classes = np.unique(assigned)
     centroids = np.zeros((int(classes.max()) + 1, features.shape[1]))
@@ -136,7 +141,7 @@ def centroid_distance(
             members = in_class
         else:
             suspected = (pred_end == c) & ~in_class
-            confident = in_class & (p_assigned_end >= variant.adaptive_conf_threshold)
+            confident = in_class & (p_assigned_end >= ADAPTIVE_CONF_THRESHOLD)
             members = suspected | confident
             if not members.any():
                 members = in_class
@@ -188,8 +193,8 @@ def compute_metric_table(traces: TraceStore) -> MetricTable:
         "scd": scd,
     }
     params = {
-        "acd_variant": vars(ACD_VARIANT).copy(),
-        "scd_variant": vars(SCD_VARIANT).copy(),
+        "acd_variant": ACD_VARIANT.describe(),
+        "scd_variant": SCD_VARIANT.describe(),
         "first_pred_epoch_sentinel": traces.T + 1,
         "jsd_log_base": "e",
     }

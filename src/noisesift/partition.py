@@ -1,9 +1,9 @@
 """Clean/noisy partitioning of a dataset from per-sample metric values.
 
-Three method kinds: median thresholding, 1-D GMM, and 2-D GMM (two or
-three clusters, with the cluster on the low-accuracy/high-distance side
-taken as noisy).  A named catalog reproduces the standard method rows
-plus the centroid-distance ablation variants.
+Two method kinds: median thresholding on one metric, and a GMM on one or
+two metrics (two or three clusters, with the cluster furthest on the
+noisy side of every metric taken as noisy).  A named catalog reproduces
+the standard method rows plus the centroid-distance ablation variants.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from .metrics import (
     centroid_distance_from_traces,
 )
 
-# The note on every method whose x metric is the plain JSD standing in for
-# the paper's weighted JSD.
+# The note on every method that uses the plain JSD standing in for the
+# paper's weighted JSD.
 WJSD_NOTE = "jsd-substituted"
 
 
@@ -51,66 +51,64 @@ class Partition:
             )
 
 
-def _polarity(metric: str | CentroidVariant | None) -> str:
-    """A table column's polarity; a centroid distance (or no metric) is
-    high-is-noisy."""
-    if isinstance(metric, str):
-        if metric not in METRIC_POLARITY:
-            raise ConfigurationError(f"unknown metric column {metric!r}")
-        return METRIC_POLARITY[metric]
-    return HIGH_IS_NOISY
+def _polarity(metric: str | CentroidVariant) -> str:
+    """A table column's polarity; a centroid distance is high-is-noisy."""
+    if isinstance(metric, CentroidVariant):
+        return HIGH_IS_NOISY
+    if metric not in METRIC_POLARITY:
+        raise ConfigurationError(f"unknown metric column {metric!r}")
+    return METRIC_POLARITY[metric]
+
+
+# The metric counts each method kind takes.
+_METRIC_COUNTS = {"threshold": (1,), "gmm": (1, 2)}
 
 
 @dataclass(frozen=True)
 class MethodSpec:
     """One named partition method.
 
-    metric_x / metric_y are MetricTable column names, or a CentroidVariant
-    for an on-demand centroid-distance metric.  1-D methods use only
-    metric_x.  Each metric's polarity follows from the metric itself.  An
-    unknown kind or column, or a gmm2d method without metric_y, raises
-    ConfigurationError.
+    `metrics` is a tuple of MetricTable column names, or CentroidVariants
+    for on-demand centroid-distance metrics: one for a threshold method,
+    one or two for a GMM method, which fits `clusters` (at least 2)
+    components.  Each metric's polarity follows from the metric itself.
+    An unknown kind or column, a metric count the kind cannot take or
+    fewer than 2 GMM clusters raises ConfigurationError.
     """
 
     name: str
-    kind: str                                   # "threshold" | "gmm1d" | "gmm2d"
-    metric_x: str | CentroidVariant
-    metric_y: str | CentroidVariant | None = None
+    kind: str                                   # "threshold" | "gmm"
+    metrics: tuple[str | CentroidVariant, ...]
     clusters: int = 2
 
     def __post_init__(self) -> None:
-        if self.kind not in ("threshold", "gmm1d", "gmm2d"):
+        if self.kind not in _METRIC_COUNTS:
             raise ConfigurationError(f"method {self.name}: unknown kind {self.kind!r}")
-        if self.kind == "gmm2d" and self.metric_y is None:
-            raise ConfigurationError(f"method {self.name}: gmm2d needs two metrics")
-        _polarity(self.metric_x)
-        _polarity(self.metric_y)
+        counts = _METRIC_COUNTS[self.kind]
+        if not isinstance(self.metrics, tuple) or len(self.metrics) not in counts:
+            raise ConfigurationError(
+                f"method {self.name}: a {self.kind} method takes a tuple of "
+                f"{' or '.join(map(str, counts))} metrics"
+            )
+        if self.kind == "gmm" and self.clusters < 2:
+            raise ConfigurationError(f"method {self.name}: a GMM needs at least 2 clusters")
+        for metric in self.metrics:
+            _polarity(metric)
 
     @property
-    def notes(self) -> str:
-        return WJSD_NOTE if self.metric_x == "jsd" else ""
-
-    @property
-    def polarity_x(self) -> str:
-        return _polarity(self.metric_x)
-
-    @property
-    def polarity_y(self) -> str:
-        return _polarity(self.metric_y)
+    def polarities(self) -> tuple[str, ...]:
+        return tuple(_polarity(m) for m in self.metrics)
 
     def describe(self) -> dict:
-        def _m(m):
-            return vars(m).copy() if isinstance(m, CentroidVariant) else m
-
         return {
             "name": self.name,
             "kind": self.kind,
-            "metric_x": _m(self.metric_x),
-            "metric_y": _m(self.metric_y) if self.metric_y is not None else None,
-            "polarity_x": self.polarity_x,
-            "polarity_y": self.polarity_y,
+            "metrics": [
+                m.describe() if isinstance(m, CentroidVariant) else m for m in self.metrics
+            ],
+            "polarities": list(self.polarities),
             "clusters": self.clusters,
-            "notes": self.notes,
+            "notes": WJSD_NOTE if "jsd" in self.metrics else "",
         }
 
 
@@ -125,88 +123,40 @@ def partition_threshold(
     if len(values) == 0:
         raise ConfigurationError("cannot threshold an empty value set")
     thr = float(np.median(values))
-    if polarity == HIGH_IS_NOISY:
-        noisy = values > thr
-    else:
-        noisy = values < thr
-    return Partition(
-        ids=ids,
-        noisy=noisy,
-        method_name=method_name,
-        parameters={"threshold": thr, "polarity": polarity},
-    )
+    noisy = values > thr if polarity == HIGH_IS_NOISY else values < thr
+    return Partition(ids=ids, noisy=noisy, method_name=method_name, parameters={"threshold": thr})
 
 
-def partition_gmm1d(
+def partition_gmm(
     ids: np.ndarray,
-    values: np.ndarray,
-    polarity: str = HIGH_IS_NOISY,
+    columns: list[np.ndarray],
+    polarities: tuple[str, ...],
+    clusters: int = 2,
     seed: int = 0,
-    method_name: str = "gmm1d",
+    method_name: str = "gmm",
 ) -> Partition:
-    """Two-component 1-D mixture; the component whose mean sits on the
-    noisy side is the noisy one, samples assigned by max responsibility
-    (ties stay clean).  Degenerate fits fall back to the median threshold."""
-    try:
-        model = fit_gmm(values, GmmConfig(k=2, seed=seed))
-    except DegenerateDataError:
-        warnings.warn(f"{method_name}: degenerate fit, falling back to median threshold")
-        part = partition_threshold(ids, values, polarity, method_name=method_name)
-        part.parameters["fallback"] = "median-threshold"
-        return part
-    resp = responsibilities(model, values)
-    means = model.means[:, 0]
-    noisy_comp = int(np.argmax(means)) if polarity == HIGH_IS_NOISY else int(np.argmin(means))
-    noisy = resp[:, noisy_comp] > 0.5
-    return Partition(
-        ids=ids,
-        noisy=noisy,
-        method_name=method_name,
-        parameters={"polarity": polarity, "gmm": model.to_json()},
-    )
-
-
-def partition_gmm2d(
-    ids: np.ndarray,
-    values_x: np.ndarray,
-    values_y: np.ndarray,
-    polarity_x: str = LOW_IS_NOISY,
-    polarity_y: str = HIGH_IS_NOISY,
-    clusters: int = 3,
-    seed: int = 0,
-    method_name: str = "gmm2d",
-) -> Partition:
-    """k-cluster 2-D mixture on standardized (x, y); the noisy cluster is
-    the one whose standardized mean lies furthest on the noisy side of
-    both metrics (for acc/SCD: low accuracy, high distance = top left)."""
-    if len(values_x) != len(values_y):
-        raise ConfigurationError("metric streams must cover the same ids")
-    pts = np.column_stack([values_x, values_y])
+    """A `clusters`-component mixture on the standardized metric columns.
+    The noisy cluster is the one whose standardized mean lies furthest on
+    the noisy side of every metric (for acc/SCD: low accuracy, high
+    distance = top left), and each sample goes to its most responsible
+    cluster.  A degenerate fit falls back to the median threshold on the
+    last column, recorded as parameters["fallback"]."""
+    pts = np.column_stack(columns)
     try:
         model = fit_gmm(pts, GmmConfig(k=clusters, seed=seed))
     except DegenerateDataError:
         warnings.warn(f"{method_name}: degenerate fit, falling back to median threshold")
-        part = partition_threshold(ids, values_y, polarity_y, method_name=method_name)
-        part.parameters["fallback"] = "median-threshold-on-y"
+        part = partition_threshold(ids, columns[-1], polarities[-1], method_name=method_name)
+        part.parameters["fallback"] = "median-threshold-on-last-metric"
         return part
-    resp = responsibilities(model, pts)
-    labels = resp.argmax(axis=1)
-    sx = 1.0 if polarity_x == HIGH_IS_NOISY else -1.0
-    sy = 1.0 if polarity_y == HIGH_IS_NOISY else -1.0
-    score = sx * model.means[:, 0] + sy * model.means[:, 1]
-    noisy_cluster = int(np.argmax(score))
-    noisy = labels == noisy_cluster
+    signs = np.array([1.0 if p == HIGH_IS_NOISY else -1.0 for p in polarities])
+    noisy_cluster = int(np.argmax(model.means @ signs))
+    noisy = responsibilities(model, pts).argmax(axis=1) == noisy_cluster
     return Partition(
         ids=ids,
         noisy=noisy,
         method_name=method_name,
-        parameters={
-            "polarity_x": polarity_x,
-            "polarity_y": polarity_y,
-            "clusters": clusters,
-            "noisy_cluster": noisy_cluster,
-            "gmm": model.to_json(),
-        },
+        parameters={"noisy_cluster": noisy_cluster, "gmm": model.to_json()},
     )
 
 
@@ -216,27 +166,27 @@ _ACD_MID_STATIC = replace(ACD_VARIANT, epoch="mid", centroid="static")
 
 # The standard comparison rows.
 TABLE1_METHODS = (
-    MethodSpec("Thres_Loss", "threshold", "loss_end"),
-    MethodSpec("Thres_acc-over-training", "threshold", "acc_over_training"),
-    MethodSpec("Thres_AUM", "threshold", "aum"),
-    MethodSpec("1d-GMM_Loss", "gmm1d", "loss_end"),
-    MethodSpec("1d-GMM_AUL", "gmm1d", "aul"),
-    MethodSpec("2d-GMM_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=2),
-    MethodSpec("2d-GMM_acc-SCD", "gmm2d", "acc_over_training", SCD_VARIANT, clusters=3),
+    MethodSpec("Thres_Loss", "threshold", ("loss_end",)),
+    MethodSpec("Thres_acc-over-training", "threshold", ("acc_over_training",)),
+    MethodSpec("Thres_AUM", "threshold", ("aum",)),
+    MethodSpec("1d-GMM_Loss", "gmm", ("loss_end",)),
+    MethodSpec("1d-GMM_AUL", "gmm", ("aul",)),
+    MethodSpec("2d-GMM_WJSD-ACD", "gmm", ("jsd", ACD_VARIANT)),
+    MethodSpec("2d-GMM_acc-SCD", "gmm", ("acc_over_training", SCD_VARIANT), clusters=3),
 )
 
 # The centroid-distance ablations.
 ABLATION_METHODS = (
-    MethodSpec("2d-GMM_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=2),
-    MethodSpec("2d-GMM_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM, clusters=2),
-    MethodSpec("2d-GMM_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC, clusters=2),
-    MethodSpec("2d-GMM-3clusters_WJSD-ACD", "gmm2d", "jsd", ACD_VARIANT, clusters=3),
-    MethodSpec("2d-GMM-3clusters_WJSD-ACD_mid", "gmm2d", "jsd", _ACD_MID, clusters=3),
-    MethodSpec("2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm2d", "jsd", _ACD_MID_NORM, clusters=3),
+    MethodSpec("2d-GMM_WJSD-ACD_mid", "gmm", ("jsd", _ACD_MID)),
+    MethodSpec("2d-GMM_WJSD-ACD_mid-norm", "gmm", ("jsd", _ACD_MID_NORM)),
+    MethodSpec("2d-GMM_WJSD-ACD_mid-static", "gmm", ("jsd", _ACD_MID_STATIC)),
+    MethodSpec("2d-GMM-3clusters_WJSD-ACD", "gmm", ("jsd", ACD_VARIANT), clusters=3),
+    MethodSpec("2d-GMM-3clusters_WJSD-ACD_mid", "gmm", ("jsd", _ACD_MID), clusters=3),
+    MethodSpec("2d-GMM-3clusters_WJSD-ACD_mid-norm", "gmm", ("jsd", _ACD_MID_NORM), clusters=3),
     MethodSpec(
-        "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm2d", "jsd", _ACD_MID_STATIC, clusters=3
+        "2d-GMM-3clusters_WJSD-ACD_mid-static", "gmm", ("jsd", _ACD_MID_STATIC), clusters=3
     ),
-    MethodSpec("2d-GMM-3clusters_acc-ACD", "gmm2d", "acc_over_training", ACD_VARIANT, clusters=3),
+    MethodSpec("2d-GMM-3clusters_acc-ACD", "gmm", ("acc_over_training", ACD_VARIANT), clusters=3),
 )
 
 TABLE1_METHOD_NAMES = tuple(m.name for m in TABLE1_METHODS)
@@ -259,24 +209,16 @@ def run_method(spec: MethodSpec, table, traces, seed: int = 0) -> Partition:
     """Execute a MethodSpec against a MetricTable, with the TraceStore it
     came from for the centroid-distance variants computed on demand;
     `seed` seeds the GMM fit."""
-
-    def _values(metric) -> np.ndarray:
-        if isinstance(metric, CentroidVariant):
-            return centroid_distance_from_traces(traces, metric)
-        return table.values[metric]
-
-    ids = table.ids
-    x = _values(spec.metric_x)
+    columns = [
+        centroid_distance_from_traces(traces, m)
+        if isinstance(m, CentroidVariant)
+        else table.values[m]
+        for m in spec.metrics
+    ]
     if spec.kind == "threshold":
-        part = partition_threshold(ids, x, spec.polarity_x, method_name=spec.name)
-    elif spec.kind == "gmm1d":
-        part = partition_gmm1d(ids, x, spec.polarity_x, seed, method_name=spec.name)
+        part = partition_threshold(table.ids, columns[0], spec.polarities[0], spec.name)
     else:
-        y = _values(spec.metric_y)
-        part = partition_gmm2d(
-            ids, x, y, spec.polarity_x, spec.polarity_y,
-            clusters=spec.clusters, seed=seed, method_name=spec.name,
-        )
+        part = partition_gmm(table.ids, columns, spec.polarities, spec.clusters, seed, spec.name)
     part.parameters["method"] = spec.describe()
     return part
 

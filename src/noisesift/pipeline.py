@@ -250,6 +250,24 @@ def _write_atomic(path: Path, text: str) -> None:
     tmp.replace(path)
 
 
+def _check_manifest(manifest: dict, path: Path) -> None:
+    """Raise StageError("init") naming `path` unless `manifest` has the
+    keys the stages read: a `config_digest` string, `timestamps` and
+    `stages` objects, and a `files` object in every stage entry."""
+    for key, kind, what in (
+        ("config_digest", str, "a string"),
+        ("stages", dict, "an object"),
+        ("timestamps", dict, "an object"),
+    ):
+        if not isinstance(manifest.get(key), kind):
+            raise StageError("init", f"{path} is not a run manifest: {key!r} must be {what}")
+    for stage, entry in manifest["stages"].items():
+        if not isinstance(entry, dict) or not isinstance(entry.get("files"), dict):
+            raise StageError(
+                "init", f"{path} is not a run manifest: stage {stage!r} has no 'files' object"
+            )
+
+
 @dataclass
 class Run:
     """A run directory with its config and manifest, and what `read` has
@@ -277,7 +295,8 @@ class Run:
         man_path = directory / "manifest.json"
         if man_path.exists():
             manifest = _read_object(man_path, StageError, "init")
-            if manifest.get("config_digest") != digest:
+            _check_manifest(manifest, man_path)
+            if manifest["config_digest"] != digest:
                 raise StageError("init", "run directory holds a different config")
         else:
             manifest = {

@@ -7,7 +7,8 @@ import pytest
 
 from noisesift import GmmConfig, fit_gmm, gmm, log_likelihood, responsibilities
 from noisesift.errors import ConfigurationError, DegenerateDataError
-from noisesift.partition import partition_gmm1d
+from noisesift.metrics import HIGH_IS_NOISY
+from noisesift.partition import partition_gmm
 
 
 def _two_component_1d(rng, n=5000, w0=0.35):
@@ -400,4 +401,4 @@ def test_non_finite_points_are_rejected(bad, dim, rng):
         fit_gmm(pts.squeeze(axis=1) if dim == 1 else pts, GmmConfig(k=2, seed=0))
     if dim == 1:
         with pytest.raises(ConfigurationError, match="finite"):
-            partition_gmm1d(np.arange(51), pts[:, 0])
+            partition_gmm(np.arange(51), [pts[:, 0]], (HIGH_IS_NOISY,))

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -214,8 +215,6 @@ def test_variant_validation():
         CentroidVariant(epoch="start")
     with pytest.raises(ConfigurationError):
         CentroidVariant(distance="manhattan")
-    with pytest.raises(ConfigurationError):
-        CentroidVariant(adaptive_conf_threshold=1.5)
 
 
 def test_metric_table_roundtrip(tmp_path):
@@ -227,6 +226,10 @@ def test_metric_table_roundtrip(tmp_path):
     for col, vals in table.values.items():
         np.testing.assert_array_equal(loaded.values[col], vals)
     assert loaded.params == table.params
+    # metrics.json records each variant with the adaptive centroid's cut.
+    assert json.loads((tmp_path / "metrics.json").read_text())["acd_variant"] == {
+        "epoch": "end", "distance": "cosine", "centroid": "adaptive", "adaptive_conf_threshold": 0.5,
+    }
 
 
 def test_computed_columns_do_not_keep_larger_arrays_alive():

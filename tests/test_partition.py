@@ -6,13 +6,13 @@ import pytest
 from noisesift import (
     builtin_methods,
     lookup_method,
-    partition_gmm1d,
-    partition_gmm2d,
+    partition_gmm,
     partition_threshold,
     run_method,
 )
 from noisesift.artifacts import save_arrays
 from noisesift.errors import ConfigurationError, UnknownMethodError
+from noisesift.gmm import GmmConfig, fit_gmm, responsibilities
 from noisesift.metrics import COLUMNS, SCD_VARIANT
 from noisesift.partition import (
     ABLATION_METHOD_NAMES,
@@ -46,27 +46,47 @@ def test_threshold_median_ties_stay_clean():
     assert clean_ids(part) == [2, 3, 4]
 
 
-def test_gmm1d_splits_bimodal_data(rng):
+def test_gmm_one_column_splits_bimodal_data(rng):
     lo = rng.normal(0.0, 0.1, size=300)
     hi = rng.normal(5.0, 0.1, size=100)
     ids = np.arange(400)
-    part = partition_gmm1d(ids, np.concatenate([lo, hi]), HIGH_IS_NOISY)
+    part = partition_gmm(ids, [np.concatenate([lo, hi])], (HIGH_IS_NOISY,))
     assert noisy_ids(part) == list(range(300, 400))
     # Opposite polarity flags the low mode instead.
-    part = partition_gmm1d(ids, np.concatenate([lo, hi]), LOW_IS_NOISY)
+    part = partition_gmm(ids, [np.concatenate([lo, hi])], (LOW_IS_NOISY,))
     assert noisy_ids(part) == list(range(300))
 
 
-def test_gmm1d_degenerate_falls_back_to_median():
-    ids = np.arange(6)
-    values = np.full(6, 2.5)
+@pytest.mark.parametrize("metric", ["loss_end", "aul"])
+def test_gmm_one_column_argmax_equals_half_responsibility(imbalance_run, metric):
+    """On one column with two clusters, labelling by the most responsible
+    cluster gives the same mask as a noisy responsibility above 0.5."""
+    table = imbalance_run["table"]
+    values = table.values[metric]
+    part = partition_gmm(table.ids, [values], (HIGH_IS_NOISY,), clusters=2, seed=0)
+    model = fit_gmm(values, GmmConfig(k=2, seed=0))
+    resp = responsibilities(model, values)
+    reference = resp[:, int(np.argmax(model.means[:, 0]))] > 0.5
+    assert 0 < reference.sum() < len(values)
+    np.testing.assert_array_equal(part.noisy, reference)
+
+
+@pytest.mark.parametrize(
+    "columns, polarities",
+    [
+        ([np.full(6, 2.5)], (HIGH_IS_NOISY,)),
+        ([np.full(6, 1.0), np.full(6, 2.5)], (LOW_IS_NOISY, HIGH_IS_NOISY)),
+    ],
+    ids=["one-column", "two-columns"],
+)
+def test_gmm_degenerate_falls_back_to_median_on_the_last_column(columns, polarities):
     with pytest.warns(UserWarning, match="degenerate"):
-        part = partition_gmm1d(ids, values, HIGH_IS_NOISY)
-    assert part.parameters.get("fallback") == "median-threshold"
+        part = partition_gmm(np.arange(6), columns, polarities)
+    assert part.parameters == {"threshold": 2.5, "fallback": "median-threshold-on-last-metric"}
     assert noisy_ids(part) == []  # all tied at the median -> all clean
 
 
-def test_gmm2d_flags_the_low_acc_high_distance_cluster(rng):
+def test_gmm_two_columns_flags_the_low_acc_high_distance_cluster(rng):
     # Easy: high acc, low dist.  Noisy: low acc, high dist.
     easy = np.column_stack(
         [rng.normal(0.9, 0.02, 200), rng.normal(1.0, 0.1, 200)]
@@ -76,23 +96,17 @@ def test_gmm2d_flags_the_low_acc_high_distance_cluster(rng):
     )
     pts = np.vstack([easy, noisy])
     ids = np.arange(300)
-    part = partition_gmm2d(
-        ids, pts[:, 0], pts[:, 1],
-        polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=2,
-    )
+    part = partition_gmm(ids, [pts[:, 0], pts[:, 1]], (LOW_IS_NOISY, HIGH_IS_NOISY), clusters=2)
     assert noisy_ids(part) == list(range(200, 300))
 
 
-def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
+def test_gmm_three_clusters_takes_only_the_extreme_corner(rng):
     easy = np.column_stack([rng.normal(0.9, 0.02, 200), rng.normal(1.0, 0.1, 200)])
     hard = np.column_stack([rng.normal(0.5, 0.02, 100), rng.normal(3.0, 0.1, 100)])
     noisy = np.column_stack([rng.normal(0.1, 0.02, 100), rng.normal(6.0, 0.1, 100)])
     pts = np.vstack([easy, hard, noisy])
     ids = np.arange(400)
-    part = partition_gmm2d(
-        ids, pts[:, 0], pts[:, 1],
-        polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=3,
-    )
+    part = partition_gmm(ids, [pts[:, 0], pts[:, 1]], (LOW_IS_NOISY, HIGH_IS_NOISY), clusters=3)
     # The middle (hard) cluster must stay clean.
     assert noisy_ids(part) == list(range(300, 400))
     assert set(range(200, 300)) <= set(clean_ids(part))
@@ -102,10 +116,10 @@ def test_gmm2d_three_clusters_takes_only_the_extreme_corner(rng):
     "make",
     [
         lambda ids, v: partition_threshold(ids, v),
-        lambda ids, v: partition_gmm1d(ids, v),
-        lambda ids, v: partition_gmm2d(ids, v, v[::-1], clusters=2),
+        lambda ids, v: partition_gmm(ids, [v], (HIGH_IS_NOISY,)),
+        lambda ids, v: partition_gmm(ids, [v, v[::-1]], (HIGH_IS_NOISY, HIGH_IS_NOISY)),
     ],
-    ids=["threshold", "gmm1d", "gmm2d"],
+    ids=["threshold", "gmm-one-column", "gmm-two-columns"],
 )
 def test_partitioners_reject_ids_of_another_length(make, rng):
     values = np.concatenate([rng.normal(0.0, 0.1, 30), rng.normal(5.0, 0.1, 10)])
@@ -119,18 +133,15 @@ def test_metric_polarity_covers_every_metric_column():
 
 
 def test_method_polarity_follows_its_metrics():
-    # A table column maps through METRIC_POLARITY; a centroid distance or
-    # an absent second metric is high-is-noisy.
-    aum = lookup_method("Thres_AUM")
-    assert (aum.polarity_x, aum.polarity_y) == (LOW_IS_NOISY, HIGH_IS_NOISY)
-    aul = lookup_method("1d-GMM_AUL")
-    assert (aul.polarity_x, aul.polarity_y) == (HIGH_IS_NOISY, HIGH_IS_NOISY)
-    scd = lookup_method("2d-GMM_acc-SCD")
-    assert (scd.polarity_x, scd.polarity_y) == (LOW_IS_NOISY, HIGH_IS_NOISY)
-    flipped = MethodSpec("flipped", "gmm2d", SCD_VARIANT, "confidence_end")
-    assert (flipped.polarity_x, flipped.polarity_y) == (HIGH_IS_NOISY, LOW_IS_NOISY)
+    # A table column maps through METRIC_POLARITY; a centroid distance is
+    # high-is-noisy.
+    assert lookup_method("Thres_AUM").polarities == (LOW_IS_NOISY,)
+    assert lookup_method("1d-GMM_AUL").polarities == (HIGH_IS_NOISY,)
+    assert lookup_method("2d-GMM_acc-SCD").polarities == (LOW_IS_NOISY, HIGH_IS_NOISY)
+    flipped = MethodSpec("flipped", "gmm", (SCD_VARIANT, "confidence_end"))
+    assert flipped.polarities == (HIGH_IS_NOISY, LOW_IS_NOISY)
     with pytest.raises(ConfigurationError, match="margin"):
-        MethodSpec("bogus", "threshold", "margin").polarity_x
+        MethodSpec("bogus", "threshold", ("margin",))
 
 
 def test_builtin_catalog_shape():
@@ -146,8 +157,7 @@ def test_builtin_catalog_shape():
         two = lookup_method(f"2d-GMM_WJSD-ACD{suffix}")
         three = lookup_method(f"2d-GMM-3clusters_WJSD-ACD{suffix}")
         assert two.clusters == 2 and three.clusters == 3
-        assert two.metric_x == three.metric_x
-        assert two.metric_y == three.metric_y
+        assert two.metrics == three.metrics
 
 
 def test_lookup_unknown_method():
@@ -181,7 +191,9 @@ def test_partition_save_load_roundtrip(tmp_path, rng):
 
 def test_partition_with_an_older_cluster_label_file_loads(tmp_path, rng):
     """Older run directories hold a third array, <prefix>_cluster_label.npy,
-    next to each partition; load_partition reads only ids and noisy."""
+    next to each partition, and per-axis polarities in its parameters;
+    load_partition reads only ids and noisy and keeps the parameters as
+    they are."""
     pts = np.vstack(
         [
             np.column_stack([rng.normal(0.9, 0.02, 60), rng.normal(1.0, 0.1, 60)]),
@@ -189,7 +201,8 @@ def test_partition_with_an_older_cluster_label_file_loads(tmp_path, rng):
         ]
     )
     ids = np.arange(100)
-    part = partition_gmm2d(ids, pts[:, 0], pts[:, 1], LOW_IS_NOISY, HIGH_IS_NOISY, 2)
+    part = partition_gmm(ids, [pts[:, 0], pts[:, 1]], (LOW_IS_NOISY, HIGH_IS_NOISY), 2)
+    part.parameters.update(polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=2)
     meta = {"method_name": part.method_name, "parameters": part.parameters}
     save_arrays(
         tmp_path, "p2", meta, ids=part.ids, noisy=part.noisy, cluster_label=np.zeros(100, np.int64)

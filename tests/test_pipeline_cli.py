@@ -110,22 +110,45 @@ def test_stage_order_is_enforced(tmp_path):
         run_stage(run, "metrics")  # train has not run
 
 
+def _manifest_with(change):
+    """A damage that rewrites the manifest after `change(manifest)`."""
+
+    def damage(text: str) -> str:
+        manifest = json.loads(text)
+        change(manifest)
+        return json.dumps(manifest)
+
+    return damage
+
+
 @pytest.mark.parametrize(
-    "name, text",
+    "name, damage",
     [
-        ("manifest.json", "{not json"),
-        ("manifest.json", "[1, 2]"),
-        ("config.json", "{not json"),
+        ("manifest.json", lambda _: "{not json"),
+        ("manifest.json", lambda _: "[1, 2]"),
+        ("manifest.json", lambda _: "{}"),
+        ("manifest.json", _manifest_with(lambda m: m.pop("stages"))),
+        ("manifest.json", _manifest_with(lambda m: m.pop("timestamps"))),
+        ("manifest.json", _manifest_with(lambda m: m["stages"]["gen"].update(files=["a"]))),
+        ("config.json", lambda _: "{not json"),
     ],
-    ids=["manifest-unparsable", "manifest-array", "config-unparsable"],
+    ids=[
+        "manifest-unparsable",
+        "manifest-array",
+        "manifest-empty",
+        "manifest-without-stages",
+        "manifest-without-timestamps",
+        "manifest-files-list",
+        "config-unparsable",
+    ],
 )
-def test_cli_refuses_a_damaged_run_directory_before_writing(tmp_path, name, text):
+def test_cli_refuses_a_damaged_run_directory_before_writing(tmp_path, name, damage):
     cfg_path = _small_config(tmp_path)
     out_dir = tmp_path / "run"
     base = ["run", "--config", str(cfg_path), "--out", str(out_dir)]
     runner = CliRunner()
     assert runner.invoke(main, [*base, "--stage", "gen"]).exit_code == 0
-    (out_dir / name).write_text(text)
+    (out_dir / name).write_text(damage((out_dir / name).read_text()))
     before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     result = runner.invoke(main, base)
     assert result.exit_code == 1

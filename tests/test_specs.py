@@ -4,7 +4,15 @@ from dataclasses import replace
 
 import pytest
 
-from noisesift import CentroidVariant, GmmConfig, GridSpec, MethodSpec, NoiseSpec, TrainConfig
+from noisesift import (
+    SCD_VARIANT,
+    CentroidVariant,
+    GmmConfig,
+    GridSpec,
+    MethodSpec,
+    NoiseSpec,
+    TrainConfig,
+)
 from noisesift.errors import ConfigurationError
 
 NAN, INF = float("nan"), float("inf")
@@ -38,9 +46,14 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(lambda: NoiseSpec(delta=-0.1), id="delta-negative"),
         pytest.param(lambda: NoiseSpec(delta=1.5), id="delta-above-1"),
         pytest.param(lambda: GmmConfig(k=0), id="gmm-k-0"),
-        pytest.param(lambda: MethodSpec("m", "kmeans", "aum"), id="unknown-kind"),
-        pytest.param(lambda: MethodSpec("m", "gmm2d", "aum"), id="gmm2d-without-y"),
-        pytest.param(lambda: MethodSpec("m", "gmm2d", "aum", "margin"), id="unknown-column"),
+        pytest.param(lambda: MethodSpec("m", "kmeans", ("aum",)), id="unknown-kind"),
+        pytest.param(lambda: MethodSpec("m", "gmm", ("aum", "margin")), id="unknown-column"),
+        pytest.param(lambda: MethodSpec("m", "threshold", ("aum", "aul")), id="threshold-two-metrics"),
+        pytest.param(lambda: MethodSpec("m", "gmm", ()), id="gmm-no-metrics"),
+        pytest.param(lambda: MethodSpec("m", "gmm", ("aum", "aul", "jsd")), id="gmm-three-metrics"),
+        pytest.param(lambda: MethodSpec("m", "gmm", SCD_VARIANT), id="metrics-not-a-tuple"),
+        pytest.param(lambda: MethodSpec("m", "gmm", ("aum",), clusters=0), id="gmm-clusters-0"),
+        pytest.param(lambda: MethodSpec("m", "gmm", ("aum",), clusters=1), id="gmm-clusters-1"),
         pytest.param(lambda: replace(TrainConfig(), epochs=0), id="replace-rechecks"),
         pytest.param(lambda: replace(CentroidVariant(), epoch="start"), id="variant-replace"),
     ],
