@@ -31,6 +31,8 @@ TOL = 1e-6
 COV_FLOOR = 1e-6
 RESTARTS = 3
 
+_LOG_2PI = np.log(2.0 * np.pi)
+
 
 @dataclass(frozen=True)
 class GmmConfig:
@@ -96,17 +98,19 @@ def _floor_cov(covs: np.ndarray) -> np.ndarray:
     stack to at least COV_FLOOR, in place.  The smallest eigenvalue is found
     in closed form; each set of k matrices with one below the floor is
     rebuilt whole from its eigendecomposition, and the other sets are left
-    as they are."""
+    as they are.  A NaN eigenvalue counts as below the floor."""
     a = covs[..., 0, 0]
     if covs.shape[-1] == 1:
         smallest = a
     else:
         b, c = covs[..., 1, 0], covs[..., 1, 1]
         smallest = 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
-    low = ~np.all(smallest >= COV_FLOOR, axis=-1)
-    if low.any():
-        vals, vecs = np.linalg.eigh(covs[low])
-        covs[low] = (vecs * np.maximum(vals, COV_FLOOR)[..., None, :]) @ vecs.swapaxes(-1, -2)
+    above = smallest >= COV_FLOOR
+    if above.all():
+        return covs
+    low = ~np.all(above, axis=-1)
+    vals, vecs = np.linalg.eigh(covs[low])
+    covs[low] = (vecs * np.maximum(vals, COV_FLOOR)[..., None, :]) @ vecs.swapaxes(-1, -2)
     return covs
 
 
@@ -131,7 +135,7 @@ def _component_logpdf(diff, covs, weights, out=None, work=None) -> np.ndarray:
         np.divide(z, l11[..., None], out=z)
         maha += np.square(z, out=z)
         log_det += np.log(l11)
-    const = np.log(np.maximum(weights, 1e-300)) - 0.5 * D * np.log(2.0 * np.pi) - log_det
+    const = np.log(np.maximum(weights, 1e-300)) - 0.5 * D * _LOG_2PI - log_det
     maha *= 0.5
     return np.subtract(const[..., None], maha, out=maha)
 
@@ -139,9 +143,9 @@ def _component_logpdf(diff, covs, weights, out=None, work=None) -> np.ndarray:
 def _logsumexp(a: np.ndarray, out=None, work=None) -> np.ndarray:
     """log of the sum of exp over the component axis (axis -2).  `out`
     (shape of the result) and `work` (shape of `a`) are optional."""
-    mx = a.max(axis=-2)
+    mx = np.maximum.reduce(a, axis=-2)
     e = np.subtract(a, mx[..., None, :], out=work)
-    s = np.sum(np.exp(e, out=e), axis=-2, out=out)
+    s = np.add.reduce(np.exp(e, out=e), axis=-2, out=out)
     np.log(s, out=s)
     s += mx
     return s
@@ -185,7 +189,9 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
     are stacked on a leading restart axis over the one (D, N) point array,
     and a run leaves the stack as soon as it stops.  Each run is seeded,
     stopped and scored as if it ran alone; the best final log-likelihood
-    wins, the earliest run on a tie."""
+    wins, the earliest run on a tie.  A run whose initial means equal an
+    earlier run's is not run: it would repeat that run number for number
+    and tie with it."""
     pts_raw = _as_2d(points)
     if not np.isfinite(pts_raw).all():
         raise ConfigurationError("points must be finite (no NaN or inf)")
@@ -200,61 +206,70 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
     D, N = pts.shape
     k = cfg.k
 
-    means = np.empty((RESTARTS, k, D))
-    weights = np.empty((RESTARTS, k))
-    for r in range(RESTARTS):
-        means[r] = _init_means(pts, k, np.random.default_rng([cfg.seed, r]))
+    # A run's arithmetic depends on its initial means alone: its weights
+    # follow from them, every run starts from the same covariances, and no
+    # stack row reads another.  So only the distinct starts are run, in
+    # restart order.
+    starts = [_init_means(pts, k, np.random.default_rng([cfg.seed, r])) for r in range(RESTARTS)]
+    means = np.stack(
+        [m for r, m in enumerate(starts) if not any(np.array_equal(m, s) for s in starts[:r])]
+    )
+    runs = len(means)
+    weights = np.empty((runs, k))
+    for r in range(runs):
         counts = np.bincount(_nearest(pts, means[r]), minlength=k)
         weights[r] = np.maximum(counts / N, 1.0 / (10 * N))
         weights[r] /= weights[r].sum()
     base_cov = _floor_cov(np.cov(pts, bias=True).reshape(1, D, D))
-    covs = np.broadcast_to(base_cov, (RESTARTS, k, D, D)).copy()
+    covs = np.broadcast_to(base_cov, (runs, k, D, D)).copy()
 
     # Work arrays; the runs still going fill their leading rows.
-    diff = np.empty((RESTARTS, k, D, N))
+    diff = np.empty((runs, k, D, N))
     weighted = np.empty_like(diff)
-    joint = np.empty((RESTARTS, k, N))
+    joint = np.empty((runs, k, N))
     work = np.empty_like(joint)
-    log_norm = np.empty((RESTARTS, N))
+    log_norm = np.empty((runs, N))
 
-    active = list(range(RESTARTS))  # the run in each stack row
-    histories: list[list[float]] = [[] for _ in range(RESTARTS)]
+    active = list(range(runs))  # the run in each stack row
+    histories: list[list[float]] = [[] for _ in range(runs)]
     results: dict[int, tuple] = {}
-    stopped = np.zeros(RESTARTS, dtype=bool)
-    ll_prev = np.full(RESTARTS, -np.inf)
+    stopped: list[int] = []  # the stack rows whose run stopped at the last update
     np.subtract(pts, means[..., None], out=diff)
     for it in range(1, MAX_ITER + 2):
         m = len(active)
         _component_logpdf(diff[:m], covs, weights, joint[:m], work[:m])
         _logsumexp(joint[:m], log_norm[:m], work[:m])
-        ll = log_norm[:m].sum(axis=-1)
-        for r, value in zip(active, ll.tolist()):
+        for r, value in zip(active, np.add.reduce(log_norm[:m], axis=-1).tolist()):
             histories[r].append(value)
-        if stopped.any():
+        if stopped:
             # A run that stopped after the last update has just had its
             # final likelihood computed under that update.
-            for row in np.flatnonzero(stopped):
-                r = active[row]
-                results[r] = (weights[row].copy(), means[row].copy(), covs[row].copy(), it - 1)
-            keep = ~stopped
-            active = [r for r, s in zip(active, stopped) if not s]
-            if not active:
+            for row in stopped:
+                results[active[row]] = (
+                    weights[row].copy(), means[row].copy(), covs[row].copy(), it - 1
+                )
+            keep = [row for row in range(m) if row not in stopped]
+            if not keep:
                 break
-            joint[: len(active)] = joint[:m][keep]
-            log_norm[: len(active)] = log_norm[:m][keep]
-            m = len(active)
-            weights, means, covs, ll, ll_prev = (a[keep] for a in (weights, means, covs, ll, ll_prev))
+            active = [active[row] for row in keep]
+            m = len(keep)
+            joint[:m] = joint[keep]
+            log_norm[:m] = log_norm[keep]
+            weights, means, covs = weights[keep], means[keep], covs[keep]
         resp = np.exp(np.subtract(joint[:m], log_norm[:m, None, :], out=joint[:m]), out=joint[:m])
-        nk = np.maximum(resp.sum(axis=-1), 1e-12)
+        nk = np.maximum(np.add.reduce(resp, axis=-1), 1e-12)
         weights = nk / N
         means = (resp @ pts.T) / nk[..., None]
         np.subtract(pts, means[..., None], out=diff[:m])
         np.multiply(resp[:, :, None, :], diff[:m], out=weighted[:m])
         covs = _floor_cov(weighted[:m] @ diff[:m].swapaxes(-1, -2) / nk[..., None, None])
-        stopped = ((ll - ll_prev < TOL) & (it > 1)) | (it == MAX_ITER)
-        ll_prev = ll
+        stopped = [
+            row
+            for row, r in enumerate(active)
+            if it == MAX_ITER or (it > 1 and histories[r][-1] - histories[r][-2] < TOL)
+        ]
 
-    best = max(range(RESTARTS), key=lambda r: histories[r][-1])
+    best = max(range(runs), key=lambda r: histories[r][-1])
     weights, means, covs, iters = results[best]
     return GmmModel(
         weights=weights,

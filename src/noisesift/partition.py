@@ -205,16 +205,28 @@ def lookup_method(name: str) -> MethodSpec:
     raise UnknownMethodError(f"unknown partition method {name!r}")
 
 
-def run_method(spec: MethodSpec, table, traces, seed: int = 0) -> Partition:
+def run_method(
+    spec: MethodSpec,
+    table,
+    traces,
+    seed: int = 0,
+    distances: dict[CentroidVariant, np.ndarray] | None = None,
+) -> Partition:
     """Execute a MethodSpec against a MetricTable, with the TraceStore it
     came from for the centroid-distance variants computed on demand;
-    `seed` seeds the GMM fit."""
-    columns = [
-        centroid_distance_from_traces(traces, m)
-        if isinstance(m, CentroidVariant)
-        else table.values[m]
-        for m in spec.metrics
-    ]
+    `seed` seeds the GMM fit.  A variant's column is read from
+    `distances` when it is there and added to it when computed, so calls
+    that share one dict compute each variant once."""
+    if distances is None:
+        distances = {}
+    columns = []
+    for m in spec.metrics:
+        if isinstance(m, CentroidVariant):
+            if m not in distances:
+                distances[m] = centroid_distance_from_traces(traces, m)
+            columns.append(distances[m])
+        else:
+            columns.append(table.values[m])
     if spec.kind == "threshold":
         part = partition_threshold(table.ids, columns[0], spec.polarities[0], spec.name)
     else:

@@ -183,6 +183,11 @@ def experiment(cfg: dict) -> Experiment:
         raise ConfigurationError("eval.retrain needs at least one of eval.retrain_seeds")
     if not 0 <= ev["h_threshold"] < grid.levels:
         raise ConfigurationError(f"eval.h_threshold must be in [0, grid.levels = {grid.levels})")
+    # A method's partition files and report row are keyed by its name.
+    names = cfg["methods"]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ConfigurationError(f"methods lists {name!r} more than once")
     return Experiment(
         grid=grid,
         hardness=h["type"],
@@ -411,8 +416,9 @@ def stage_partition(run: Run) -> None:
     table = run.read("metrics", load_metric_table)
     traces = load_traces(run.directory)
     files: list[Path] = []
+    distances: dict = {}  # each centroid-distance column, computed once for all methods
     for spec in run.experiment.methods:
-        part = run_method(spec, table, traces, seed=run.experiment.seed)
+        part = run_method(spec, table, traces, seed=run.experiment.seed, distances=distances)
         files += save_partition(part, run.directory, run._partition_prefix(spec.name))
     run.mark_complete("partition", files)
 

@@ -348,6 +348,21 @@ _LOCKSTEP_CASES = (
     + [("collinear", 2), ("collinear", 3), ("two-valued", 3), ("spike", 2)]
 )
 
+# The cases whose restarts start from equal means, with the number of
+# distinct starts; the others have RESTARTS.  With k = 1 every start is
+# the mean of all points.  In "1d" (two well-separated modes) with k = 2
+# all starts coincide; in "2d" with k = 2 restarts 0 and 2 do, and
+# restart 1, the only other start, has the best fit.
+_DISTINCT_STARTS = {
+    ("1d", 1): 1,
+    ("1d", 2): 1,
+    ("2d", 1): 1,
+    ("2d", 2): 2,
+    ("collinear", 2): 1,
+    ("two-valued", 3): 1,
+    ("spike", 2): 2,
+}
+
 
 @pytest.mark.parametrize("cap", [None, 3], ids=["uncapped", "max-iter-3"])
 @pytest.mark.parametrize("kind,k", _LOCKSTEP_CASES)
@@ -361,7 +376,14 @@ def test_lockstep_restarts_are_bitwise_equal_to_the_serial_loop(kind, k, cap, rn
         assert restart_iters == [cap] * gmm.RESTARTS or k == 1
     elif kind == "spike":
         assert len(set(restart_iters)) > 1
+    # The stack holds one row per distinct start.
+    rows = []
+    logpdf = gmm._component_logpdf
+    monkeypatch.setattr(
+        gmm, "_component_logpdf", lambda diff, *args: rows.append(len(diff)) or logpdf(diff, *args)
+    )
     _assert_same_model(fit_gmm(pts, cfg), want)
+    assert rows[0] == _DISTINCT_STARTS.get((kind, k), gmm.RESTARTS)
 
 
 def test_floor_cov_rebuilds_only_the_sets_below_the_floor(rng):

@@ -1,19 +1,24 @@
 """Partition methods: threshold/GMM semantics and the built-in catalog."""
 
+import json
+
 import numpy as np
 import pytest
 
 from noisesift import (
     builtin_methods,
     lookup_method,
+    partition,
     partition_gmm,
     partition_threshold,
+    pipeline,
     run_method,
 )
 from noisesift.artifacts import save_arrays
 from noisesift.errors import ConfigurationError, UnknownMethodError
 from noisesift.gmm import GmmConfig, fit_gmm, responsibilities
-from noisesift.metrics import COLUMNS, SCD_VARIANT
+from noisesift.metrics import COLUMNS, SCD_VARIANT, CentroidVariant, load_metric_table
+from noisesift.mlp import load_traces
 from noisesift.partition import (
     ABLATION_METHOD_NAMES,
     HIGH_IS_NOISY,
@@ -25,6 +30,7 @@ from noisesift.partition import (
     load_partition,
     save_partition,
 )
+from noisesift.pipeline import run_pipeline
 
 
 def noisy_ids(part: Partition) -> list[int]:
@@ -176,6 +182,46 @@ def test_run_method_covers_all_ids(imbalance_run):
         np.testing.assert_array_equal(part.ids, train.ids)
         assert part.noisy.dtype == bool and part.noisy.shape == train.ids.shape
         assert part.method_name == name
+
+
+def test_partition_stage_computes_each_centroid_distance_once(tmp_path, monkeypatch):
+    # All 15 methods use five distinct centroid-distance variants between
+    # them; each partition is still what run_method gives for its spec alone.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "grid": {"levels": 3, "classes_per_cell": 1, "per_class_count": 16, "input_dim": 4},
+        "train": {"epochs": 6, "hidden_sizes": [8], "feature_width": 4},
+        "methods": [spec.name for spec in builtin_methods()],
+        "eval": {"h_threshold": 2},
+    }))
+    out = tmp_path / "run"
+    for stage in ("gen", "train", "metrics"):
+        run_pipeline(config, out_dir=out, stage=stage)
+    variants, parts = [], {}
+    distance = partition.centroid_distance_from_traces
+    save = pipeline.save_partition
+
+    def save_and_keep(part, *args):
+        parts[part.method_name] = part
+        return save(part, *args)
+
+    monkeypatch.setattr(
+        partition,
+        "centroid_distance_from_traces",
+        lambda traces, variant: variants.append(variant) or distance(traces, variant),
+    )
+    monkeypatch.setattr(pipeline, "save_partition", save_and_keep)
+    run_pipeline(config, out_dir=out, stage="partition")
+    monkeypatch.undo()
+    specs = builtin_methods()
+    assert len(variants) == len(set(variants)) == 5
+    used = {m for spec in specs for m in spec.metrics if isinstance(m, CentroidVariant)}
+    assert set(variants) == used
+    table, traces = load_metric_table(out), load_traces(out)
+    for spec in specs:
+        want = run_method(spec, table, traces)
+        np.testing.assert_array_equal(parts[spec.name].noisy, want.noisy, err_msg=spec.name)
+        assert parts[spec.name].parameters == want.parameters, spec.name
 
 
 def test_partition_save_load_roundtrip(tmp_path, rng):

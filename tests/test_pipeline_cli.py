@@ -267,6 +267,11 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         pytest.param({"train": {"hidden_sizes": []}}, id="no-hidden-m-not-d"),
         # Retraining with no seed would report NaN accuracies.
         pytest.param({"eval": {"retrain": True, "retrain_seeds": []}}, id="retrain-no-seeds"),
+        # A second Thres_Loss would overwrite the first's partition files
+        # and add a second report row.
+        pytest.param(
+            {"methods": ["Thres_Loss", "Thres_Loss", "1d-GMM_Loss"]}, id="method-listed-twice"
+        ),
         pytest.param({"hardness": {"jitter_std": -1}}, id="negative-jitter"),
         # A negative eps_max is refused before gen trains the oracle.
         pytest.param({"hardness": {"type": "boundary", "eps_max": -0.3}}, id="negative-eps-max"),
