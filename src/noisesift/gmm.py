@@ -189,9 +189,8 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
     are stacked on a leading restart axis over the one (D, N) point array,
     and a run leaves the stack as soon as it stops.  Each run is seeded,
     stopped and scored as if it ran alone; the best final log-likelihood
-    wins, the earliest run on a tie.  A run whose initial means equal an
-    earlier run's is not run: it would repeat that run number for number
-    and tie with it."""
+    wins, the earliest run on a tie, so a run that would start from an
+    earlier run's means is left out."""
     pts_raw = _as_2d(points)
     if not np.isfinite(pts_raw).all():
         raise ConfigurationError("points must be finite (no NaN or inf)")
