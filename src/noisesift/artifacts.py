@@ -2,7 +2,9 @@
 
 An artifact is `<prefix>.json` (its metadata) plus one
 `<prefix>_<name>.npy` per array.  `.npy` files hold no timestamps, so
-rewriting the same arrays gives the same bytes.
+rewriting the same arrays gives the same bytes.  An integer array is
+stored in the narrowest of `_INT_DTYPES` that holds its values and read
+back as int64, so a run directory written with int64 files loads alike.
 
 Loaders name the arrays they expect together with a symbolic shape: an int
 dimension must match exactly, a str dimension is taken from the metadata
@@ -21,11 +23,29 @@ from .errors import ConfigurationError
 
 Shape = tuple[int | str, ...]
 
+# The on-disk integer dtypes, narrowest first.
+_INT_DTYPES = tuple(np.dtype(t) for t in ("u1", "i1", "u2", "i2", "u4", "i4", "i8"))
+
+
+def _narrowest(path: Path, array: np.ndarray) -> np.ndarray:
+    """A non-empty integer array in the first of `_INT_DTYPES` that holds its
+    min and max; any other array as it is.  An integer array that int64
+    cannot hold raises ConfigurationError naming the file."""
+    if array.dtype.kind not in "iu" or array.size == 0:
+        return array
+    lo, hi = int(array.min()), int(array.max())
+    for dtype in _INT_DTYPES:
+        info = np.iinfo(dtype)
+        if info.min <= lo and hi <= info.max:
+            return array.astype(dtype, copy=False)
+    raise ConfigurationError(f"artifact {path.name} holds integers outside int64")
+
 
 def save_arrays(
     directory: str | Path, prefix: str, meta: dict, **arrays: np.ndarray
 ) -> list[Path]:
-    """Write the metadata and every array; returns the paths written."""
+    """Write the metadata and every array, an integer one in its narrowest
+    dtype; returns the paths written."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     meta_path = directory / f"{prefix}.json"
@@ -33,7 +53,7 @@ def save_arrays(
     paths = [meta_path]
     for name, array in arrays.items():
         path = directory / f"{prefix}_{name}.npy"
-        np.save(path, np.asarray(array), allow_pickle=False)
+        np.save(path, _narrowest(path, np.asarray(array)), allow_pickle=False)
         paths.append(path)
     return paths
 
@@ -42,8 +62,9 @@ def load_arrays(
     directory: str | Path, prefix: str, names: dict[str, Shape]
 ) -> tuple[dict, dict[str, np.ndarray]]:
     """(metadata, arrays) of one artifact; `names` maps each expected array
-    to its shape.  A missing or unreadable file, or an array whose shape
-    does not match, raises ConfigurationError naming the file."""
+    to its shape.  Every integer array comes back as int64.  A missing or
+    unreadable file, or an array whose shape does not match, raises
+    ConfigurationError naming the file."""
     directory = Path(directory)
     meta_path = directory / f"{prefix}.json"
     try:
@@ -66,5 +87,5 @@ def load_arrays(
             raise ConfigurationError(
                 f"artifact {path.name} has shape {array.shape}, expected ({expected})"
             )
-        arrays[name] = array
+        arrays[name] = array.astype(np.int64, copy=False) if array.dtype.kind in "iu" else array
     return meta, arrays

@@ -35,8 +35,9 @@ WJSD_NOTE = "jsd-substituted"
 @dataclass
 class Partition:
     """A clean/noisy split held as a noisy mask over `ids`, which keep the
-    row order of the metric table the partition came from.  A mask of
-    another length than `ids` raises ConfigurationError."""
+    row order of the metric table the partition came from.  A mask that is
+    not boolean, or of another length than `ids`, raises
+    ConfigurationError."""
 
     ids: np.ndarray
     noisy: np.ndarray
@@ -44,6 +45,11 @@ class Partition:
     parameters: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.noisy.dtype != bool:
+            raise ConfigurationError(
+                f"partition {self.method_name}: noisy mask has dtype {self.noisy.dtype}, "
+                "expected bool"
+            )
         if len(self.noisy) != len(self.ids):
             raise ConfigurationError(
                 f"partition {self.method_name}: "

@@ -100,6 +100,11 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.n, small_train.n)
     assert loaded.class_cells == small_train.class_cells
     assert (loaded.K, loaded.d) == (small_train.K, small_train.d)
+    # 144 samples of 9 classes, no base ids: one byte per entry on disk.
+    on_disk = {"ids": np.uint8, "y_true": np.uint8, "y_assigned": np.uint8, "base_id": np.int8}
+    for column, dtype in on_disk.items():
+        assert np.load(tmp_path / f"train_{column}.npy").dtype == dtype
+        assert getattr(loaded, column).dtype == np.int64
 
 
 def test_train_json_with_the_old_keys_still_loads(tmp_path, small_train):

@@ -276,7 +276,13 @@ def test_traces_save_load_roundtrip(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.features_mid, traces.features_mid)
     np.testing.assert_array_equal(loaded.features_end, traces.features_end)
     np.testing.assert_array_equal(loaded.train_acc, traces.train_acc)
+    np.testing.assert_array_equal(loaded.ids, traces.ids)
+    np.testing.assert_array_equal(loaded.y_assigned, traces.y_assigned)
     assert loaded.mid_epoch == traces.mid_epoch
+    # 144 samples of 9 classes: the integer arrays take one byte per entry.
+    for name in ("ids", "y_assigned", "pred"):
+        assert np.load(tmp_path / f"traces_{name}.npy").dtype == np.uint8
+        assert getattr(loaded, name).dtype == np.int64
 
 
 def test_load_traces_rejects_a_misshapen_or_missing_array(tmp_path, small_train):

@@ -260,21 +260,42 @@ def test_partition_with_an_older_cluster_label_file_loads(tmp_path, rng):
 
 
 @pytest.mark.parametrize(
-    "part",
+    "part, ids_on_disk",
     [
-        Partition(np.array([300, 7, 40, 2, 99]), np.array([False, False, False, True, True]), "m"),
-        Partition(np.array([3]), np.array([False]), "m"),
-        Partition(np.array([], dtype=np.int64), np.array([], dtype=bool), "m"),
+        (
+            Partition(
+                np.array([300, 7, 40, 2, 99]), np.array([False, False, False, True, True]), "m"
+            ),
+            np.uint16,
+        ),
+        (Partition(np.array([3]), np.array([False]), "m"), np.uint8),
+        (Partition(np.array([], dtype=np.int64), np.array([], dtype=bool), "m"), np.int64),
     ],
 )
-def test_save_partition_arrays_match_per_id_lookup(tmp_path, part):
+def test_save_partition_arrays_match_per_id_lookup(tmp_path, part, ids_on_disk):
     """The saved arrays are the partition's own, row for row, in its id
-    order (not sorted), and nothing else is written."""
+    order (not sorted), and nothing else is written.  The ids are stored in
+    their narrowest dtype and come back as int64."""
     paths = save_partition(part, tmp_path, "p")
     written = sorted(p.name for p in tmp_path.iterdir())
     assert sorted(p.name for p in paths) == written == ["p.json", "p_ids.npy", "p_noisy.npy"]
-    np.testing.assert_array_equal(np.load(tmp_path / "p_ids.npy"), part.ids)
+    on_disk = np.load(tmp_path / "p_ids.npy")
+    assert on_disk.dtype == ids_on_disk
+    np.testing.assert_array_equal(on_disk, part.ids)
     np.testing.assert_array_equal(np.load(tmp_path / "p_noisy.npy"), part.noisy)
     loaded = load_partition(tmp_path, "p")
     np.testing.assert_array_equal(loaded.ids, part.ids)
     np.testing.assert_array_equal(loaded.noisy, part.noisy)
+    assert (loaded.ids.dtype, loaded.noisy.dtype) == (np.int64, bool)
+
+
+def test_a_non_boolean_noisy_mask_is_refused(tmp_path):
+    """A 0/1 integer mask would index rows -1 and -2 under `~noisy`, so it is
+    refused when built and when loaded from an integer `_noisy.npy`."""
+    ids = np.arange(36)
+    mask = np.isin(ids, [4, 17, 30]).astype(np.int64)
+    with pytest.raises(ConfigurationError, match="noisy mask has dtype int64"):
+        Partition(ids, mask, "int-mask")
+    save_arrays(tmp_path, "p", {"method_name": "int-mask", "parameters": {}}, ids=ids, noisy=mask)
+    with pytest.raises(ConfigurationError, match="noisy mask has dtype int64"):
+        load_partition(tmp_path, "p")

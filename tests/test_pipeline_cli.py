@@ -1,5 +1,6 @@
 """End-to-end pipeline runs, stage gating, determinism, and the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -89,6 +90,31 @@ def test_pipeline_rerun_is_byte_identical(tmp_path):
         "train_X.npy", "traces_p_assigned.npy", "model_w0.npy",
     ):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
+
+
+def test_a_run_directory_with_int64_files_still_loads(tmp_path):
+    """Run directories written before integer arrays were stored narrow hold
+    int64 `.npy` files: every stage stays complete, and the later stages
+    rerun on them write the same outputs."""
+    run_dir = run_pipeline(_small_config(tmp_path), tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    widened = 0
+    for entry in manifest["stages"].values():
+        for rel in entry["files"]:
+            path = run_dir / rel
+            if path.suffix == ".npy" and np.load(path).dtype.kind in "iu":
+                np.save(path, np.load(path).astype(np.int64))
+                entry["files"][rel] = hashlib.sha256(path.read_bytes()).hexdigest()
+                widened += 1
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    assert widened == 4 + 4 + 3 + 2  # train and test columns, trace arrays, partition ids
+    outputs = ("report.csv", "cells.csv", "metrics.csv")
+    before = {name: (run_dir / name).read_bytes() for name in outputs}
+    run = Run.open(run_dir)
+    assert not any(run_stage(run, s) for s in STAGES)
+    for s in STAGES[STAGES.index("metrics"):]:
+        assert run_stage(run, s, force=True)
+    assert {name: (run_dir / name).read_bytes() for name in outputs} == before
 
 
 def test_pipeline_stages_are_idempotent(tmp_path):
