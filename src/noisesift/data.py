@@ -67,9 +67,10 @@ class Dataset:
     """Column-oriented sample store.
 
     Arrays are parallel: row i describes sample ids[i].  base_id is -1 for
-    samples that are not augmented copies of another sample.  The class
-    count K is the size of the cell map and the input width d that of X;
-    a sample's (h, n) is the cell of its true class.
+    samples that are not augmented copies of another sample.  Row c of the
+    (K, 2) int64 cell_table is the (h, n) cell of class c, so the class
+    count K is its length; the input width d is that of X, and a sample's
+    (h, n) is the cell of its true class.
     """
 
     ids: np.ndarray
@@ -78,24 +79,18 @@ class Dataset:
     y_assigned: np.ndarray
     base_id: np.ndarray
     levels: int
-    class_cells: dict[int, tuple[int, int]]
+    cell_table: np.ndarray
 
     def __len__(self) -> int:
         return len(self.ids)
 
     @property
     def K(self) -> int:
-        return len(self.class_cells)
+        return len(self.cell_table)
 
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    @property
-    def cell_table(self) -> np.ndarray:
-        """(K, 2) int64: row c is the (h, n) cell of class c."""
-        cells = [self.class_cells[c] for c in range(self.K)]
-        return np.array(cells, dtype=np.int64).reshape(-1, 2)
 
     @property
     def h(self) -> np.ndarray:
@@ -111,27 +106,22 @@ class Dataset:
         return Dataset(
             **{c: getattr(self, c)[mask_or_index].copy() for c in _COLUMNS},
             levels=self.levels,
-            class_cells=dict(self.class_cells),
+            cell_table=self.cell_table.copy(),
         )
 
     def class_counts(self) -> np.ndarray:
         return np.bincount(self.y_assigned, minlength=self.K)
 
 
-def allocate_cells(spec: GridSpec) -> dict[int, tuple[int, int]]:
-    """Map every class index to its (h, n) cell.
+def allocate_cells(spec: GridSpec) -> np.ndarray:
+    """(K, 2) int64 table whose row c is the (h, n) cell of class c.
 
     Class c = P*(L*(L-1-n) + h) + beta for beta in [0, P), so each cell
     owns exactly P consecutive-by-beta classes.
     """
-    L, P = spec.levels, spec.classes_per_cell
-    cells: dict[int, tuple[int, int]] = {}
-    for n in range(L):
-        for h in range(L):
-            for beta in range(P):
-                c = P * (L * (L - 1 - n) + h) + beta
-                cells[c] = (h, n)
-    return cells
+    L = spec.levels
+    cell = np.arange(spec.n_classes, dtype=np.int64) // spec.classes_per_cell
+    return np.stack([cell % L, L - 1 - cell // L], axis=1)
 
 
 def _class_centers(spec: GridSpec, rng: np.random.Generator) -> np.ndarray:
@@ -178,7 +168,7 @@ def generate_base(spec: GridSpec) -> tuple[Dataset, Dataset]:
             y_assigned=y.copy(),
             base_id=np.full(len(y), -1, dtype=np.int64),
             levels=spec.levels,
-            class_cells=cells,
+            cell_table=cells,
         )
 
     return _make(spec.per_class_count), _make(spec.test_per_class)
@@ -189,7 +179,7 @@ def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[P
     meta = {
         "d": dataset.d,
         "L": dataset.levels,
-        "class_cells": {str(c): list(hn) for c, hn in sorted(dataset.class_cells.items())},
+        "class_cells": {str(c): hn for c, hn in enumerate(dataset.cell_table.tolist())},
     }
     return save_arrays(directory, prefix, meta, **{c: getattr(dataset, c) for c in _COLUMNS})
 
@@ -212,4 +202,5 @@ def load_dataset(directory: str | Path, prefix: str) -> Dataset:
         y = arrays[name]
         if y.dtype.kind not in "iu" or np.any((y < 0) | (y >= len(cells))):
             raise ConfigurationError(f"artifact {prefix}.json: {name} has a label not in class_cells")
-    return Dataset(**arrays, levels=L, class_cells={int(c): tuple(hn) for c, hn in cells.items()})
+    table = np.array([cells[str(c)] for c in range(len(cells))], dtype=np.int64).reshape(-1, 2)
+    return Dataset(**arrays, levels=L, cell_table=table)

@@ -16,7 +16,7 @@ floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,14 +48,24 @@ class GmmConfig:
 
 @dataclass
 class GmmModel:
+    """A fitted mixture.  ll_history holds the log-likelihood before the
+    first EM update and after each one, so the final log-likelihood and the
+    number of updates are read off it."""
+
     weights: np.ndarray        # (k,)
     means: np.ndarray          # (k, D), standardized space
     covariances: np.ndarray    # (k, D, D), standardized space
-    log_likelihood: float
-    n_iter: int
     standardize_mean: np.ndarray
     standardize_std: np.ndarray
-    ll_history: list[float] = field(default_factory=list)
+    ll_history: list[float]
+
+    @property
+    def log_likelihood(self) -> float:
+        return self.ll_history[-1]
+
+    @property
+    def n_iter(self) -> int:
+        return len(self.ll_history) - 1
 
     @property
     def k(self) -> int:
@@ -244,9 +254,7 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
             # A run that stopped after the last update has just had its
             # final likelihood computed under that update.
             for row in stopped:
-                results[active[row]] = (
-                    weights[row].copy(), means[row].copy(), covs[row].copy(), it - 1
-                )
+                results[active[row]] = (weights[row].copy(), means[row].copy(), covs[row].copy())
             keep = [row for row in range(m) if row not in stopped]
             if not keep:
                 break
@@ -269,13 +277,11 @@ def fit_gmm(points: np.ndarray, cfg: GmmConfig) -> GmmModel:
         ]
 
     best = max(range(runs), key=lambda r: histories[r][-1])
-    weights, means, covs, iters = results[best]
+    weights, means, covs = results[best]
     return GmmModel(
         weights=weights,
         means=means,
         covariances=covs,
-        log_likelihood=histories[best][-1],
-        n_iter=iters,
         standardize_mean=mu0,
         standardize_std=sd0,
         ll_history=histories[best],

@@ -171,13 +171,12 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     return logits
 
 
-def forward_batch(
-    model: Model, X: np.ndarray, return_cache: bool = False, work: list | None = None
-):
-    """Probabilities and feature-layer activations for a batch: X is (B, d)
-    for a single model, (S, B, d) for a stack of S.  `work`, if given, holds
-    one array per layer shaped like its output, which the pass fills
-    instead of allocating; the last one becomes the probabilities."""
+def forward_batch(model: Model, X: np.ndarray, work: list | None = None):
+    """(probs, acts) for a batch: X is (B, d) for a single model, (S, B, d)
+    for a stack of S.  acts[0] is X and acts[i] the output of layer i-1, so
+    acts[-1] is the feature layer.  `work`, if given, holds one array per
+    layer shaped like its output, which the pass fills instead of
+    allocating; the last one becomes the probabilities."""
     if X.shape[-1] != model.d:
         raise ConfigurationError(
             f"input dimension {X.shape[-1]} != model dimension {model.d}"
@@ -191,13 +190,9 @@ def forward_batch(
         if i < last - 1:  # every layer before the feature layer is ReLU
             np.maximum(a, 0.0, out=a)
         acts.append(a)
-    features = acts[-1]
-    logits = np.matmul(features, model.weights[last], out=work[last])
+    logits = np.matmul(acts[-1], model.weights[last], out=work[last])
     logits += model.biases[last]
-    probs = _softmax(logits)
-    if return_cache:
-        return probs, features, acts
-    return probs, features
+    return _softmax(logits), acts
 
 
 def _backward(
@@ -233,7 +228,7 @@ def input_gradient(model: Model, X: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = np.atleast_1d(np.asarray(y, dtype=np.int64))
     if np.any(y < 0) or np.any(y >= model.K):
         raise ConfigurationError("label out of range")
-    probs, _, acts = forward_batch(model, X, return_cache=True)
+    probs, acts = forward_batch(model, X)
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
     grads_w = [np.empty_like(w) for w in model.weights]
@@ -427,7 +422,7 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
         labels += cells
         for block, b, part, fwd, bwd, flat_probs in steps:
             rows = X.take(orders[block], axis=0)
-            probs, _, acts = forward_batch(part.model, rows, return_cache=True, work=fwd)
+            probs, acts = forward_batch(part.model, rows, work=fwd)
             flat_probs[labels[block]] -= 1.0
             dlogits = probs
             dlogits /= b
@@ -471,7 +466,6 @@ def train_with_tracing(
     train_acc = np.empty(T)
     fallback_epoch = math.ceil(T / 2)
     features_mid = None
-    features_fallback = None
     mid_epoch = None
 
     # The full pass writes each layer's (N, width) output into the same
@@ -479,7 +473,7 @@ def train_with_tracing(
     work = [np.empty((N, w.shape[-1])) for w in model.weights]
     assigned = np.arange(0, N * model.K, model.K) + y  # flat index of probs[i, y[i]]
     for t, [model] in _sgd_epochs([model], [dataset], [cfg]):
-        probs, features = forward_batch(model, X, work=work)  # model: views the loop updates
+        probs, acts = forward_batch(model, X, work=work)  # model: views the loop updates
         e = t - 1
         probs.take(assigned, out=p_assigned[e])
         np.argmax(probs, axis=1, out=pred[e])
@@ -492,16 +486,14 @@ def train_with_tracing(
         # Softmax output is in [0, 1] or NaN, so this is the loss's finiteness.
         if not np.isfinite(p_assigned[e]).all():
             raise TrainingDivergedError(t)
-        if mid_epoch is None and train_acc[e] >= 0.5:
-            mid_epoch = t
-            features_mid = features.copy()
-        if t == fallback_epoch:
-            features_fallback = features.copy()
+        # The fallback epoch's features stand in until the threshold is met.
+        if mid_epoch is None and (train_acc[e] >= 0.5 or t == fallback_epoch):
+            features_mid = acts[-1].copy()
+            if train_acc[e] >= 0.5:
+                mid_epoch = t
 
-    features_end = features.copy()
-    if mid_epoch is None:
-        mid_epoch = fallback_epoch
-        features_mid = features_fallback
+    features_end = acts[-1].copy()
+    mid_epoch = mid_epoch or fallback_epoch
 
     traces = TraceStore(
         ids=dataset.ids.copy(),

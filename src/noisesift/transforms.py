@@ -54,7 +54,7 @@ def apply_imbalance(dataset: Dataset, seed: int = 0) -> Dataset:
     """Keep floor(X / 2^h) samples per class, seeded per class."""
     counts = dataset.class_counts()
     keep = np.zeros(len(dataset), dtype=bool)
-    for c, (h, _n) in dataset.class_cells.items():
+    for c, (h, _n) in enumerate(dataset.cell_table.tolist()):
         target = counts[c] // (2**h)
         if target < 1:
             raise ConfigurationError(
@@ -75,7 +75,7 @@ def apply_diversification(
     counts = dataset.class_counts()
     keep = np.zeros(len(dataset), dtype=bool)
     copied, jitter = [], []
-    for c, (h, _n) in sorted(dataset.class_cells.items()):
+    for c, (h, _n) in enumerate(dataset.cell_table.tolist()):
         factor = 2 ** (L - 1 - h)
         distinct = counts[c] // factor
         if distinct < 1:

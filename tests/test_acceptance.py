@@ -93,13 +93,13 @@ def test_criterion_1_transformation_exactness():
     imb = apply_imbalance(train, seed=1)
     imbalance_ok = all(
         int((imb.y_assigned == c).sum()) == X // (2**h)
-        for c, (h, _n) in train.class_cells.items()
+        for c, (h, _n) in enumerate(train.cell_table.tolist())
     )
 
     div = apply_diversification(train, jitter_std=0.1, seed=1)
     originals = div.base_id == -1
     diversification_ok = True
-    for c, (h, _n) in train.class_cells.items():
+    for c, (h, _n) in enumerate(train.cell_table.tolist()):
         in_class = div.y_assigned == c
         distinct = X // (2 ** (L - 1 - h))
         if int((in_class & originals).sum()) != distinct:
@@ -109,7 +109,7 @@ def test_criterion_1_transformation_exactness():
 
     noisy = inject_label_noise(train, NoiseSpec(delta=0.4, seed=2))
     cross_stratum = sum(
-        int(noisy.class_cells[int(c)][1] != int(n))
+        int(noisy.cell_table[c, 1] != int(n))
         for c, n in zip(noisy.y_assigned, noisy.n)
     )
     noise_ok = cross_stratum == 0
@@ -118,7 +118,7 @@ def test_criterion_1_transformation_exactness():
         N = int(stratum.sum())
         assert N >= 1000
         q = 0.4 * n / (L - 1)
-        classes = len({c for c, (_h, cn) in train.class_cells.items() if cn == n})
+        classes = len({c for c, (_h, cn) in enumerate(train.cell_table.tolist()) if cn == n})
         p = q * (1.0 - 1.0 / classes)
         observed = float(
             (noisy.y_assigned[stratum] != noisy.y_true[stratum]).mean()

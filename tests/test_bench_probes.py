@@ -52,6 +52,8 @@ def test_tracer_reads_the_arguments_it_counts(tmp_path, monkeypatch):
     metrics = tracer.layer_metrics(t.op)
     assert metrics["gmm.em_iters"] > 0
     assert metrics["gmm.fit_gmm_calls"] == 1
+    partition = json.loads((run_dir / "partition_2d-GMM_acc-SCD.json").read_text())
+    assert metrics["gmm.em_iters"] == partition["parameters"]["gmm"]["n_iter"]
     assert metrics["mlp.sample_epochs"] == len(load_dataset(run_dir, "train")) * epochs
     assert metrics["mlp.trace_mb"] > 0
     assert metrics["mlp.train_with_tracing_calls"] == 1

@@ -12,17 +12,21 @@ from noisesift.data import load_dataset, save_dataset
 from noisesift.errors import ConfigurationError
 
 
-def test_allocate_cells_matches_index_arithmetic():
-    # Independent oracle: invert c = P*(L*(L-1-n) + h) + beta by integer
-    # arithmetic and compare against the allocation map.
-    spec = GridSpec()
-    cells = allocate_cells(spec)
+@pytest.mark.parametrize(
+    "spec", [GridSpec(), GridSpec(levels=3, classes_per_cell=3, per_class_count=4)]
+)
+def test_allocate_cells_matches_index_arithmetic(spec):
+    # Reference: place class c = P*(L*(L-1-n) + h) + beta in its cell by
+    # looping over every (n, h, beta), and compare the table against it.
     L, P = spec.levels, spec.classes_per_cell
-    assert sorted(cells) == list(range(P * L * L))
-    for c, (h, n) in cells.items():
-        cell_index = c // P
-        assert h == cell_index % L
-        assert n == L - 1 - cell_index // L
+    want = np.full((P * L * L, 2), -1, dtype=np.int64)
+    for n in range(L):
+        for h in range(L):
+            for beta in range(P):
+                want[P * (L * (L - 1 - n) + h) + beta] = (h, n)
+    table = allocate_cells(spec)
+    assert table.dtype == np.int64
+    np.testing.assert_array_equal(table, want)
 
 
 @given(
@@ -39,7 +43,7 @@ def test_allocate_cells_is_a_bijection_onto_the_grid(levels, per_cell):
     cells = allocate_cells(spec)
     assert len(cells) == spec.n_classes
     counts = {}
-    for h, n in cells.values():
+    for h, n in cells.tolist():
         assert 0 <= h < levels and 0 <= n < levels
         counts[(h, n)] = counts.get((h, n), 0) + 1
     assert all(v == per_cell for v in counts.values())
@@ -55,7 +59,7 @@ def test_generate_base_counts_and_labels(small_spec):
     assert len(np.unique(train.ids)) == len(train)
     np.testing.assert_array_equal(np.bincount(train.y_true, minlength=K), X)
     # Every sample carries the (h, n) cell of its class.
-    for c, (h, n) in train.class_cells.items():
+    for c, (h, n) in enumerate(train.cell_table.tolist()):
         mask = train.y_true == c
         assert np.all(train.h[mask] == h)
         assert np.all(train.n[mask] == n)
@@ -98,13 +102,36 @@ def test_save_load_roundtrip_is_bit_exact(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.y_assigned, small_train.y_assigned)
     np.testing.assert_array_equal(loaded.h, small_train.h)
     np.testing.assert_array_equal(loaded.n, small_train.n)
-    assert loaded.class_cells == small_train.class_cells
+    np.testing.assert_array_equal(loaded.cell_table, small_train.cell_table)
+    assert loaded.cell_table.dtype == np.int64
     assert (loaded.K, loaded.d) == (small_train.K, small_train.d)
     # 144 samples of 9 classes, no base ids: one byte per entry on disk.
     on_disk = {"ids": np.uint8, "y_true": np.uint8, "y_assigned": np.uint8, "base_id": np.int8}
     for column, dtype in on_disk.items():
         assert np.load(tmp_path / f"train_{column}.npy").dtype == dtype
         assert getattr(loaded, column).dtype == np.int64
+
+
+# The class_cells object that train.json and test.json hold for the 3 x 3
+# grid with one class per cell: keys "0".."K-1" in class order, each an
+# [h, n] list.
+_SMALL_CLASS_CELLS = {
+    "0": [0, 2], "1": [1, 2], "2": [2, 2],
+    "3": [0, 1], "4": [1, 1], "5": [2, 1],
+    "6": [0, 0], "7": [1, 0], "8": [2, 0],
+}
+
+
+def test_class_cells_json_layout_is_unchanged(tmp_path, small_train):
+    save_dataset(small_train, tmp_path, "train")
+    meta_path = tmp_path / "train.json"
+    meta = json.loads(meta_path.read_text())
+    assert list(meta["class_cells"].items()) == list(_SMALL_CLASS_CELLS.items())
+    # A train.json written by hand in that layout loads to the same table.
+    meta_path.write_text(json.dumps({"d": small_train.d, "L": 3, "class_cells": _SMALL_CLASS_CELLS}))
+    loaded = load_dataset(tmp_path, "train")
+    np.testing.assert_array_equal(loaded.cell_table, small_train.cell_table)
+    assert loaded.cell_table.dtype == np.int64
 
 
 def test_train_json_with_the_old_keys_still_loads(tmp_path, small_train):
@@ -128,7 +155,7 @@ def test_a_dataset_stores_no_cell_columns(tmp_path, small_train):
         "train_y_assigned.npy", "train_y_true.npy",
     ]
     sub = small_train.take(small_train.y_true % 3 == 0)
-    cells = np.array([small_train.class_cells[c] for c in sub.y_true])
+    cells = small_train.cell_table[sub.y_true]
     np.testing.assert_array_equal(sub.h, cells[:, 0])
     np.testing.assert_array_equal(sub.n, cells[:, 1])
 

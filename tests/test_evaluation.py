@@ -43,7 +43,7 @@ def _tiny_dataset():
         y_assigned=y_assigned,
         base_id=np.full(N, -1),
         levels=5,
-        class_cells={0: (0, 0), 1: (4, 0)},
+        cell_table=np.array([[0, 0], [4, 0]]),
     )
 
 

@@ -324,7 +324,10 @@ def _serial_fit(points, cfg):
         if best is None or ll > best[3]:
             best = (weights, means, covs, ll, iters, history)
     weights, means, covs, ll, iters, history = best
-    model = gmm.GmmModel(weights, means, covs, ll, iters, mu0, sd0, history)
+    # The model reads its final log-likelihood and iteration count off the
+    # history, so the reference's own must agree with it.
+    assert (ll, iters) == (history[-1], len(history) - 1)
+    model = gmm.GmmModel(weights, means, covs, mu0, sd0, history)
     return model, restart_iters
 
 

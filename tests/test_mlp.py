@@ -36,7 +36,7 @@ def _batch_loss(model, X, y):
 
 
 def _param_grads(model, X, y):
-    probs, _, acts = forward_batch(model, X, return_cache=True)
+    probs, acts = forward_batch(model, X)
     dlogits = probs.copy()
     dlogits[np.arange(len(y)), y] -= 1.0
     dlogits /= len(y)
@@ -97,9 +97,9 @@ def test_zero_hidden_model_is_linear_softmax(rng):
     logits = X @ model.weights[0] + model.biases[0]
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     expected = e / e.sum(axis=1, keepdims=True)
-    probs, feats = forward_batch(model, X)
+    probs, acts = forward_batch(model, X)
     np.testing.assert_allclose(probs, expected, rtol=1e-12)
-    np.testing.assert_array_equal(feats, X)  # feature layer passes through
+    np.testing.assert_array_equal(acts[-1], X)  # feature layer passes through
 
 
 def test_one_epoch_full_batch_matches_manual_sgd_update(small_train):
@@ -159,13 +159,16 @@ def test_mid_snapshot_falls_back_to_half_horizon():
         y_assigned=np.arange(N) % 3,
         base_id=np.full(N, -1),
         levels=1,
-        class_cells={0: (0, 0), 1: (0, 0), 2: (0, 0)},
+        cell_table=np.zeros((3, 2), dtype=np.int64),
     )
     cfg = TrainConfig(epochs=7, learning_rate=0.001, seed=0)
     model = init_model(2, [4], 3, 3, seed=0)
+    features = [forward_batch(view, ds.X)[1][-1] for _, [view] in _sgd_epochs([model], [ds], [cfg])]
     _, traces = train_with_tracing(model, ds, cfg)
     assert traces.mid_epoch == math.ceil(7 / 2)
     assert np.all(traces.train_acc < 0.5)
+    assert np.array_equal(traces.features_mid, features[traces.mid_epoch - 1])
+    assert not np.array_equal(traces.features_mid, traces.features_end)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -220,8 +223,8 @@ def test_traces_equal_an_allocating_full_pass_at_each_epoch(small_train, hidden_
         others = probs.copy()
         others[rows, y] = -np.inf
         assert np.array_equal(traces.p_max_other[e], others.max(axis=1))
-    assert np.array_equal(traces.features_mid, passes[traces.mid_epoch - 1][1])
-    assert np.array_equal(traces.features_end, passes[-1][1])
+    assert np.array_equal(traces.features_mid, passes[traces.mid_epoch - 1][1][-1])
+    assert np.array_equal(traces.features_end, passes[-1][1][-1])
 
 
 def test_trace_arrays_share_no_memory(small_train):
@@ -258,10 +261,10 @@ def test_model_save_load_roundtrip(tmp_path, small_train, hidden_sizes):
     for w1, w2 in zip(model.weights, loaded.weights):
         np.testing.assert_array_equal(w1, w2)
     assert (loaded.d, loaded.m, loaded.K) == (small_train.d, m, small_train.K)
-    probs, feats = forward_batch(model, small_train.X)
-    loaded_probs, loaded_feats = forward_batch(loaded, small_train.X)
+    probs, acts = forward_batch(model, small_train.X)
+    loaded_probs, loaded_acts = forward_batch(loaded, small_train.X)
     np.testing.assert_array_equal(loaded_probs, probs)
-    np.testing.assert_array_equal(loaded_feats, feats)
+    np.testing.assert_array_equal(loaded_acts[-1], acts[-1])
 
 
 def test_traces_save_load_roundtrip(tmp_path, small_train):
@@ -451,13 +454,13 @@ def test_forward_batch_on_a_stack_matches_each_slice(small_train):
     models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1, 2)]
     stacked, _ = _stack(models)
     X = np.stack([small_train.X[s :: 3] for s in range(3)])  # (S, B, d)
-    probs, feats = forward_batch(stacked, X)
+    probs, acts = forward_batch(stacked, X)
     assert (stacked.d, stacked.m, stacked.K) == (small_train.d, 4, small_train.K)
     for s, model in enumerate(models):
         _assert_same_weights(_unstacked(stacked, s), model)
-        p, f = forward_batch(model, X[s])
+        p, a = forward_batch(model, X[s])
         assert np.array_equal(probs[s], p)
-        assert np.array_equal(feats[s], f)
+        assert all(np.array_equal(stacked_act[s], act) for stacked_act, act in zip(acts, a))
 
 
 def test_train_rejects_bad_inputs(small_train):

@@ -24,7 +24,7 @@ from noisesift.mlp import forward_batch
 def test_imbalance_keeps_floor_x_over_2_to_h(small_train):
     out = apply_imbalance(small_train, seed=1)
     X = 16
-    for c, (h, _n) in small_train.class_cells.items():
+    for c, (h, _n) in enumerate(small_train.cell_table.tolist()):
         assert int((out.y_assigned == c).sum()) == X // (2**h)
     # Kept rows are an untouched subset of the original rows.
     assert set(out.ids.tolist()) <= set(small_train.ids.tolist())
@@ -39,7 +39,7 @@ def test_imbalance_counts_for_random_sizes(x_exp, seed):
     )
     train, _ = generate_base(spec)
     out = apply_imbalance(train, seed=seed)
-    for c, (h, _n) in train.class_cells.items():
+    for c, (h, _n) in enumerate(train.cell_table.tolist()):
         assert int((out.y_assigned == c).sum()) == (2**x_exp) // (2**h)
 
 
@@ -47,7 +47,7 @@ def test_diversification_base_counts_and_balance(small_train):
     L, X = 3, 16
     out = apply_diversification(small_train, jitter_std=0.1, seed=1)
     originals = out.base_id == -1
-    for c, (h, _n) in small_train.class_cells.items():
+    for c, (h, _n) in enumerate(small_train.cell_table.tolist()):
         in_class = out.y_assigned == c
         distinct = X // (2 ** (L - 1 - h))
         assert int((in_class & originals).sum()) == distinct
@@ -79,7 +79,7 @@ def _diversification_reference(dataset, jitter_std, seed):
     counts = dataset.class_counts()
     keep = np.zeros(len(dataset), dtype=bool)
     plan = []
-    for c, (h, _n) in sorted(dataset.class_cells.items()):
+    for c, (h, _n) in enumerate(dataset.cell_table.tolist()):
         factor = 2 ** (L - 1 - h)
         rows = np.flatnonzero(dataset.y_assigned == c)
         rng = np.random.default_rng([seed, c])
@@ -163,7 +163,7 @@ def test_noise_never_crosses_strata():
     out = inject_label_noise(train, NoiseSpec(delta=0.4, seed=2))
     for row in range(len(out)):
         c = int(out.y_assigned[row])
-        assert out.class_cells[c][1] == int(out.n[row])
+        assert out.cell_table[c, 1] == int(out.n[row])
 
 
 def test_noise_flip_fraction_within_binomial_bounds():
@@ -178,7 +178,7 @@ def test_noise_flip_fraction_within_binomial_bounds():
         q = delta * n / (L - 1)
         # A redraw may land back on the true class, so the observable
         # mislabel rate is q * (1 - 1/C) for C classes in the stratum.
-        C = len({c for c, (_h, cn) in train.class_cells.items() if cn == n})
+        C = len({c for c, (_h, cn) in enumerate(train.cell_table.tolist()) if cn == n})
         p = q * (1.0 - 1.0 / C)
         observed = float((out.y_assigned[stratum] != out.y_true[stratum]).mean())
         sigma = np.sqrt(p * (1 - p) / N) if p > 0 else 0.0
