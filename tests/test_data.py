@@ -12,21 +12,19 @@ from noisesift.data import load_dataset, save_dataset
 from noisesift.errors import ConfigurationError
 
 
-@pytest.mark.parametrize(
-    "spec", [GridSpec(), GridSpec(levels=3, classes_per_cell=3, per_class_count=4)]
-)
-def test_allocate_cells_matches_index_arithmetic(spec):
+def test_allocate_cells_matches_index_arithmetic():
     # Reference: place class c = P*(L*(L-1-n) + h) + beta in its cell by
     # looping over every (n, h, beta), and compare the table against it.
-    L, P = spec.levels, spec.classes_per_cell
-    want = np.full((P * L * L, 2), -1, dtype=np.int64)
-    for n in range(L):
-        for h in range(L):
-            for beta in range(P):
-                want[P * (L * (L - 1 - n) + h) + beta] = (h, n)
-    table = allocate_cells(spec)
-    assert table.dtype == np.int64
-    np.testing.assert_array_equal(table, want)
+    for spec in (GridSpec(), GridSpec(levels=3, classes_per_cell=3, per_class_count=4)):
+        L, P = spec.levels, spec.classes_per_cell
+        want = np.full((P * L * L, 2), -1, dtype=np.int64)
+        for n in range(L):
+            for h in range(L):
+                for beta in range(P):
+                    want[P * (L * (L - 1 - n) + h) + beta] = (h, n)
+        table = allocate_cells(spec)
+        assert table.dtype == np.int64
+        np.testing.assert_array_equal(table, want)
 
 
 @given(
