@@ -1,10 +1,11 @@
 """The one codec for machine-read run artifacts.
 
-An artifact is `<prefix>.json` (its metadata) plus one
-`<prefix>_<name>.npy` per array.  `.npy` files hold no timestamps, so
-rewriting the same arrays gives the same bytes.  An integer array is
-stored in the narrowest of `_INT_DTYPES` that holds its values and read
-back as int64, so a run directory written with int64 files loads alike.
+An artifact is `<prefix>.json` (its metadata, a JSON object whose integer
+keys loaders read through `meta_int`) plus one `<prefix>_<name>.npy` per
+array.  `.npy` files hold no timestamps, so rewriting the same arrays
+gives the same bytes.  An integer array is stored in the narrowest of
+`_INT_DTYPES` that holds its values and read back as int64, so a run
+directory written with int64 files loads alike.
 
 Loaders name the arrays they expect together with a symbolic shape: an int
 dimension must match exactly, a str dimension is taken from the metadata
@@ -71,6 +72,8 @@ def load_arrays(
         meta = json.loads(meta_path.read_text())
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"artifact {meta_path.name} cannot be read: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ConfigurationError(f"artifact {meta_path.name} must hold a JSON object")
     dims = {k: v for k, v in meta.items() if isinstance(v, int)}
     arrays = {}
     for name, shape in names.items():
@@ -89,3 +92,14 @@ def load_arrays(
             )
         arrays[name] = array.astype(np.int64, copy=False) if array.dtype.kind in "iu" else array
     return meta, arrays
+
+
+def meta_int(meta: dict, prefix: str, key: str, lo: int, hi: float = float("inf")) -> int:
+    """`meta[key]` if it is a JSON integer (not a bool or a float) in
+    [lo, hi]; anything else raises ConfigurationError naming `<prefix>.json`."""
+    value = meta.get(key)
+    if type(value) is not int or not lo <= value <= hi:
+        raise ConfigurationError(
+            f"artifact {prefix}.json: {key} must be an integer in [{lo}, {hi}]"
+        )
+    return value

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import load_arrays, save_arrays
+from .artifacts import load_arrays, meta_int, save_arrays
 from .errors import ConfigurationError
 
 
@@ -185,17 +185,18 @@ def save_dataset(dataset: Dataset, directory: str | Path, prefix: str) -> list[P
 
 
 def load_dataset(directory: str | Path, prefix: str) -> Dataset:
-    """Read a set written by save_dataset; a cell map that does not map 0..K-1
-    into the L x L grid, or a label outside 0..K-1, raises ConfigurationError."""
+    """Read a set written by save_dataset; an L that is not an integer >= 1,
+    a cell map that does not map 0..K-1 to integer cells of the L x L grid,
+    or a label outside 0..K-1, raises ConfigurationError."""
     meta, arrays = load_arrays(
         directory, prefix, {c: ("N", "d") if c == "X" else ("N",) for c in _COLUMNS}
     )
-    cells, L = meta["class_cells"], meta["L"]
+    cells, L = meta.get("class_cells"), meta_int(meta, prefix, "L", 1)
     grid = [[h, n] for h in range(L) for n in range(L)]
     if not (
         isinstance(cells, dict)
         and set(cells) == {str(c) for c in range(len(cells))}
-        and all(hn in grid for hn in cells.values())
+        and all(hn in grid and all(type(v) is int for v in hn) for hn in cells.values())
     ):
         raise ConfigurationError(f"artifact {prefix}.json: class_cells must map 0..K-1 to cells")
     for name in ("y_true", "y_assigned"):

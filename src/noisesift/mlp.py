@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .artifacts import load_arrays, save_arrays
+from .artifacts import load_arrays, meta_int, save_arrays
 from .data import Dataset
 from .errors import ConfigurationError, TrainingDivergedError
 
@@ -533,7 +533,7 @@ def save_model(model: Model, path: str | Path) -> list[Path]:
 def load_model(path: str | Path) -> Model:
     path = Path(path)
     meta, _ = load_arrays(path.parent, path.name, {})
-    layers = meta["layers"]
+    layers = meta_int(meta, path.name, "layers", 1)
     # Layer i maps width n<i> to n<i+1>; the chain starts at d and ends at K.
     dims = ["d"] + [f"n{i}" for i in range(1, layers)] + ["K"]
     shapes = {}
@@ -569,4 +569,5 @@ def save_traces(traces: TraceStore, directory: str | Path) -> list[Path]:
 
 def load_traces(directory: str | Path) -> TraceStore:
     meta, arrays = load_arrays(directory, "traces", _TRACE_SHAPES)
-    return TraceStore(**arrays, mid_epoch=meta["mid_epoch"])
+    T = len(arrays["train_acc"])
+    return TraceStore(**arrays, mid_epoch=meta_int(meta, "traces", "mid_epoch", 1, T))

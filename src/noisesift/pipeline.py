@@ -1,10 +1,12 @@
 """Run-directory pipeline: gen -> train -> metrics -> partition -> eval
--> report, with a checksummed manifest and seeded reproducibility."""
+-> report, with a checksummed manifest and seeded reproducibility.  A
+stage verifies every stage whose files it reads, then loads them itself."""
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -275,15 +277,14 @@ def _check_manifest(manifest: dict, path: Path) -> None:
 
 @dataclass
 class Run:
-    """A run directory with its config and manifest, and what `read` has
-    parsed from its verified artifacts."""
+    """A run directory with its config and manifest.  Each stage verifies
+    the stages whose files it reads with `require_stage`, then loads those
+    files itself."""
 
     directory: Path
     config: dict
     experiment: Experiment
     manifest: dict = field(default_factory=dict)
-    # {stage: {(load, args, that stage's file digests): parsed value}}
-    _reads: dict = field(default_factory=dict, repr=False, compare=False)
 
     @staticmethod
     def open(directory: str | Path, config: dict | None = None) -> "Run":
@@ -328,7 +329,6 @@ class Run:
         return self.manifest["stages"].get(stage, {}).get("complete", False)
 
     def mark_complete(self, stage: str, files: list[Path]) -> None:
-        self._reads.pop(stage, None)
         self.manifest["stages"][stage] = {
             "complete": True,
             "files": {
@@ -350,19 +350,6 @@ class Run:
                 raise StageError(needed_by, f"artifact {rel} is missing")
             if _sha256(p) != digest:
                 raise StageError(needed_by, f"artifact {rel} fails its checksum")
-
-    def read(self, stage: str, load, *args):
-        """`load(self.directory, *args)` on files that `stage` wrote, parsed
-        once per recording of that stage and then shared: the result must
-        not be changed.  Call it only after `require_stage(stage, ...)` has
-        verified the files, so that a file changed on disk since the last
-        parse stops the caller before it reads the stale result."""
-        digests = tuple(self.manifest["stages"][stage]["files"].values())
-        memo = self._reads.setdefault(stage, {})
-        key = (load, args, digests)
-        if key not in memo:
-            memo[key] = load(self.directory, *args)
-        return memo[key]
 
     def _partition_prefix(self, method_name: str) -> str:
         return "partition_" + method_name.replace("/", "_")
@@ -397,23 +384,45 @@ def stage_gen(run: Run) -> None:
 
 def stage_train(run: Run) -> None:
     run.require_stage("gen", "train")
-    train = run.read("gen", load_dataset, "train")
+    train = load_dataset(run.directory, "train")
     model, traces = run.experiment.train_model(train, run.experiment.train)
     files = save_model(model, run.directory / "model") + save_traces(traces, run.directory)
     run.mark_complete("train", files)
 
 
+CELL_METRICS = ("loss_end", "confidence_end", "scd", "acd", "acc_over_training")
+
+
 def stage_metrics(run: Run) -> None:
+    run.require_stage("gen", "metrics")
     run.require_stage("train", "metrics")
+    train = load_dataset(run.directory, "train")
     traces = load_traces(run.directory)
+    if not np.array_equal(traces.ids, train.ids):
+        raise StageError("metrics", "traces ids do not match the train set")
     table = compute_metric_table(traces)
-    run.mark_complete("metrics", save_metric_table(table, run.directory))
+    files = save_metric_table(table, run.directory)
+
+    # Per-cell aggregates for plotting metric-vs-(h, n) behavior.
+    cells_csv = run.directory / "cells.csv"
+    with open(cells_csv, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["h", "n", "count"] + [f"mean_{m}" for m in CELL_METRICS])
+        sample_h, sample_n = train.h, train.n
+        for h, n in itertools.product(range(train.levels), repeat=2):
+            mask = (sample_h == h) & (sample_n == n)
+            row = [h, n, int(mask.sum())]
+            for m in CELL_METRICS:
+                vals = table.values[m][mask]
+                row.append(repr(float(vals.mean())) if len(vals) else "")
+            w.writerow(row)
+    run.mark_complete("metrics", files + [cells_csv])
 
 
 def stage_partition(run: Run) -> None:
     run.require_stage("train", "partition")
     run.require_stage("metrics", "partition")
-    table = run.read("metrics", load_metric_table)
+    table = load_metric_table(run.directory)
     traces = load_traces(run.directory)
     files: list[Path] = []
     distances: dict = {}  # each centroid-distance column, computed once for all methods
@@ -427,8 +436,8 @@ def stage_eval(run: Run) -> None:
     run.require_stage("gen", "eval")
     run.require_stage("partition", "eval")
     exp = run.experiment
-    train = run.read("gen", load_dataset, "train")
-    test = run.read("gen", load_dataset, "test")
+    train = load_dataset(run.directory, "train")
+    test = load_dataset(run.directory, "test")
     gt = transforms.ground_truth_partition(train, exp.h_threshold)
 
     # Baseline row: the untouched dataset.
@@ -452,8 +461,6 @@ def stage_eval(run: Run) -> None:
 
 REPORT_COLUMNS = tuple(f.name for f in fields(EvalReport))
 
-CELL_METRICS = ("loss_end", "confidence_end", "scd", "acd", "acc_over_training")
-
 
 def _sig4(v) -> str:
     if v is None or v == "":
@@ -466,18 +473,14 @@ def _sig4(v) -> str:
 
 
 def stage_report(run: Run) -> None:
-    run.require_stage("gen", "report")
-    run.require_stage("metrics", "report")
     run.require_stage("eval", "report")
     rows = json.loads((run.directory / "eval.json").read_text())
-    files = []
 
     report_csv = run.directory / "report.csv"
     with open(report_csv, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(REPORT_COLUMNS)
         w.writerows([r[c] for c in REPORT_COLUMNS] for r in rows)
-    files.append(report_csv)
 
     md = run.directory / "report.md"
     header = (
@@ -486,33 +489,9 @@ def stage_report(run: Run) -> None:
     )
     sep = "|" + "---|" * 10 + "\n"
     lines = [header, sep]
-    for r in rows:
-        lines.append(
-            "| " + " | ".join(_sig4(r[c]) for c in REPORT_COLUMNS) + " |\n"
-        )
+    lines += ["| " + " | ".join(_sig4(r[c]) for c in REPORT_COLUMNS) + " |\n" for r in rows]
     md.write_text("".join(lines))
-    files.append(md)
-
-    # Per-cell aggregates for plotting metric-vs-(h, n) behavior.
-    table = run.read("metrics", load_metric_table)
-    train = run.read("gen", load_dataset, "train")
-    if not np.array_equal(table.ids, train.ids):
-        raise StageError("report", "metrics.csv ids do not match the train set")
-    cells_csv = run.directory / "cells.csv"
-    with open(cells_csv, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["h", "n", "count"] + [f"mean_{m}" for m in CELL_METRICS])
-        sample_h, sample_n = train.h, train.n
-        for h in range(train.levels):
-            for n in range(train.levels):
-                mask = (sample_h == h) & (sample_n == n)
-                row = [h, n, int(mask.sum())]
-                for m in CELL_METRICS:
-                    vals = table.values[m][mask]
-                    row.append(repr(float(vals.mean())) if len(vals) else "")
-                w.writerow(row)
-    files.append(cells_csv)
-    run.mark_complete("report", files)
+    run.mark_complete("report", [report_csv, md])
 
 
 STAGE_FUNCS = {

@@ -126,14 +126,15 @@ def inject_label_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     L = dataset.levels
     out = dataset.take(slice(None))
     rng = np.random.default_rng(spec.seed)
-    # The classes of each n-stratum, in ascending order.
     strata = [np.flatnonzero(dataset.cell_table[:, 1] == n) for n in range(L)]
-    # Sequential per-sample draws keep the RNG stream order-stable.
+    sizes = np.array([len(classes) for classes in strata])
+    table = np.zeros((L, sizes.max()), dtype=np.int64)  # row n: stratum n's classes, ascending
+    for n, classes in enumerate(strata):
+        table[n, : len(classes)] = classes
     u = rng.random(len(dataset))
     n = out.n
     flips = np.flatnonzero(u < spec.delta * n / max(L - 1, 1))
-    for i in flips:
-        out.y_assigned[i] = rng.choice(strata[int(n[i])])
+    out.y_assigned[flips] = table[n[flips], rng.integers(0, sizes[n[flips]])]
     return out
 
 

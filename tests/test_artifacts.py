@@ -1,11 +1,23 @@
 """The artifact codec: integer arrays are stored in their narrowest dtype
 and read back as int64; every other array round-trips as it is."""
 
+import json
+
 import numpy as np
 import pytest
 
 from noisesift.artifacts import load_arrays, save_arrays
+from noisesift.data import load_dataset, save_dataset
 from noisesift.errors import ConfigurationError
+from noisesift.mlp import (
+    TrainConfig,
+    init_model,
+    load_model,
+    load_traces,
+    save_model,
+    save_traces,
+    train_with_tracing,
+)
 
 
 @pytest.mark.parametrize(
@@ -57,3 +69,43 @@ def test_an_int64_file_from_plain_np_save_still_loads(tmp_path):
 def test_integers_outside_int64_are_refused(tmp_path):
     with pytest.raises(ConfigurationError, match="a_x.npy holds integers outside int64"):
         save_arrays(tmp_path, "a", {}, x=np.array([0, 2**63], dtype=np.uint64))
+
+
+def test_metadata_that_is_not_an_object_is_refused(tmp_path):
+    save_arrays(tmp_path, "a", {}, x=np.arange(3))
+    (tmp_path / "a.json").write_text("[1, 2]")
+    with pytest.raises(ConfigurationError, match=r"a\.json must hold a JSON object"):
+        load_arrays(tmp_path, "a", {"x": (3,)})
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize(
+    "prefix, key, value, load",
+    [
+        ("train", "L", _MISSING, lambda d: load_dataset(d, "train")),
+        ("train", "L", True, lambda d: load_dataset(d, "train")),
+        ("model", "layers", _MISSING, lambda d: load_model(d / "model")),
+        ("traces", "mid_epoch", _MISSING, load_traces),
+        ("traces", "mid_epoch", 99, load_traces),  # T is 3
+        ("traces", "mid_epoch", 0, load_traces),
+    ],
+    ids=["train-no-L", "train-bool-L", "model-no-layers", "traces-no-mid-epoch",
+         "traces-mid-epoch-past-T", "traces-mid-epoch-0"],
+)
+def test_loaders_check_their_metadata(tmp_path, small_train, prefix, key, value, load):
+    save_dataset(small_train, tmp_path, "train")
+    model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
+    save_model(model, tmp_path / "model")
+    save_traces(train_with_tracing(model, small_train, TrainConfig(epochs=3))[1], tmp_path)
+    path = tmp_path / f"{prefix}.json"
+    meta = json.loads(path.read_text())
+    load(tmp_path)  # loads as written
+    if value is _MISSING:
+        del meta[key]
+    else:
+        meta[key] = value
+    path.write_text(json.dumps(meta))
+    with pytest.raises(ConfigurationError, match=rf"{prefix}\.json: {key} must be an integer"):
+        load(tmp_path)

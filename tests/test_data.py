@@ -165,8 +165,13 @@ def test_a_dataset_stores_no_cell_columns(tmp_path, small_train):
         lambda cells: {k: v for k, v in cells.items() if k != "0"},     # class 0 missing
         lambda cells: {**cells, "0": [0]},                                # not a pair
         lambda cells: {**cells, "0": [0, 9]},                             # n outside 0..L-1
+        # JSON booleans and integral floats compare equal to 0, 1 and 2.
+        lambda cells: {**cells, "0": [False, 2]},
+        lambda cells: {**cells, "0": [0, 2.0]},
+        lambda cells: {**cells, "4": [True, 1]},
     ],
-    ids=["shifted-keys", "missing-key", "short-cell", "cell-off-grid"],
+    ids=["shifted-keys", "missing-key", "short-cell", "cell-off-grid",
+         "bool-h", "float-n", "bool-h-of-class-4"],
 )
 def test_load_refuses_a_damaged_cell_map(tmp_path, small_train, edit):
     save_dataset(small_train, tmp_path, "train")

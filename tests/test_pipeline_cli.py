@@ -79,6 +79,9 @@ def test_full_pipeline_produces_all_artifacts(tmp_path):
     assert methods == ["Original dataset", "Thres_Loss", "2d-GMM_acc-SCD"]
     baseline = rows[0]
     assert baseline["recall_n"] == 0.0 and baseline["recall_h"] == 1.0
+    stages = json.loads((run_dir / "manifest.json").read_text())["stages"]
+    assert "cells.csv" in stages["metrics"]["files"]
+    assert sorted(stages["report"]["files"]) == ["report.csv", "report.md"]
 
 
 def test_pipeline_rerun_is_byte_identical(tmp_path):
@@ -115,6 +118,25 @@ def test_a_run_directory_with_int64_files_still_loads(tmp_path):
     for s in STAGES[STAGES.index("metrics"):]:
         assert run_stage(run, s, force=True)
     assert {name: (run_dir / name).read_bytes() for name in outputs} == before
+
+
+def test_a_run_directory_with_cells_csv_under_report_still_loads(tmp_path):
+    """Run directories written before `metrics` wrote cells.csv list it
+    under `report`: every stage stays complete, and rerunning `metrics`
+    and then `report` moves it to `metrics` with the same bytes."""
+    run_dir = run_pipeline(_small_config(tmp_path), tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    stages = manifest["stages"]
+    stages["report"]["files"]["cells.csv"] = stages["metrics"]["files"].pop("cells.csv")
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    outputs = ("report.csv", "cells.csv", "metrics.csv")
+    before = {name: (run_dir / name).read_bytes() for name in outputs}
+    run = Run.open(run_dir)
+    assert not any(run_stage(run, s) for s in STAGES)
+    assert run_stage(run, "metrics", force=True) and run_stage(run, "report", force=True)
+    assert {name: (run_dir / name).read_bytes() for name in outputs} == before
+    assert "cells.csv" in run.manifest["stages"]["metrics"]["files"]
+    assert sorted(run.manifest["stages"]["report"]["files"]) == ["report.csv", "report.md"]
 
 
 def test_pipeline_stages_are_idempotent(tmp_path):
@@ -187,9 +209,10 @@ def test_cli_refuses_a_damaged_run_directory_before_writing(tmp_path, name, dama
     [
         ("traces_p_assigned.npy", "metrics"),
         ("traces_p_assigned.npy", "partition"),
+        ("train_y_assigned.npy", "metrics"),
         ("train_y_assigned.npy", "eval"),
-        ("train_y_assigned.npy", "report"),
-        ("metrics.csv", "report"),
+        ("metrics.csv", "partition"),
+        ("eval.json", "report"),
     ],
 )
 def test_checksum_guard_detects_tampering(tmp_path, tampered, stage):
@@ -223,19 +246,48 @@ def test_a_run_parses_each_artifact_once(tmp_path, monkeypatch):
     tables = _count_calls(monkeypatch, "load_metric_table")
     datasets = _count_calls(monkeypatch, "load_dataset")
     run_dir = run_pipeline(_small_config(tmp_path), tmp_path / "run")
-    assert tables == [()]
-    assert sorted(datasets) == [("test",), ("train",)]
+    assert tables == [()]  # by partition
+    # The train set by train, metrics and eval; the test set by eval.
+    assert sorted(datasets) == [("test",), ("train",), ("train",), ("train",)]
     assert (run_dir / "report.csv").exists()
 
 
 def test_a_file_changed_after_its_parse_still_stops_the_run(tmp_path):
     run = Run.open(tmp_path / "run", load_config(_small_config(tmp_path)))
-    for stage in STAGES[: STAGES.index("report")]:  # partition parses metrics.csv
+    for stage in STAGES[: STAGES.index("eval")]:  # partition parses metrics.csv
         run_stage(run, stage)
     with open(run.directory / "metrics.csv", "ab") as f:
         f.write(b"tampered\n")
     with pytest.raises(StageError, match="metrics.csv"):
-        run_stage(run, "report")
+        run_stage(run, "partition", force=True)
+
+
+# The stages whose files each stage verifies and reads.
+VERIFIED = {
+    "gen": (),
+    "train": ("gen",),
+    "metrics": ("gen", "train"),
+    "partition": ("train", "metrics"),
+    "eval": ("gen", "partition"),
+    "report": ("eval",),
+}
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_each_stage_reads_only_the_stages_it_verifies(tmp_path, stage):
+    run_dir = run_pipeline(_small_config(tmp_path), tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    kept = {rel for s in VERIFIED[stage] for rel in manifest["stages"][s]["files"]}
+    for entry in manifest["stages"].values():
+        for rel in set(entry["files"]) - kept:
+            (run_dir / rel).unlink()
+    if stage == "report":
+        assert sorted(p.name for p in run_dir.iterdir()) == [
+            "config.json", "eval.json", "manifest.json",
+        ]
+    run = Run.open(run_dir)
+    assert run_stage(run, stage, force=True)
+    assert all((run_dir / rel).exists() for rel in run.manifest["stages"][stage]["files"])
 
 
 def test_a_forced_rerun_is_parsed_again(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from noisesift import (
     inject_label_noise,
     input_gradient,
 )
+from noisesift.data import Dataset
 from noisesift.errors import ConfigurationError
 from noisesift.mlp import forward_batch
 
@@ -194,6 +195,64 @@ def test_noise_leaves_n0_stratum_clean(small_train):
     out = inject_label_noise(small_train, NoiseSpec(delta=1.0, seed=5))
     zero = out.n == 0
     np.testing.assert_array_equal(out.y_assigned[zero], out.y_true[zero])
+
+
+def _noise_reference(dataset, spec):
+    """Per-flip reference: one `choice` over the stratum's classes per
+    flipped sample, in row order."""
+    L = dataset.levels
+    out = dataset.take(slice(None))
+    rng = np.random.default_rng(spec.seed)
+    strata = [np.flatnonzero(dataset.cell_table[:, 1] == n) for n in range(L)]
+    u = rng.random(len(dataset))
+    n = out.n
+    for i in np.flatnonzero(u < spec.delta * n / max(L - 1, 1)):
+        out.y_assigned[i] = rng.choice(strata[int(n[i])])
+    return out.y_assigned
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"levels": 3, "classes_per_cell": 1, "per_class_count": 16, "input_dim": 4},
+        {"per_class_count": 16},
+        {"levels": 4, "classes_per_cell": 3, "per_class_count": 8, "input_dim": 4},
+    ],
+)
+@pytest.mark.parametrize("hardness", ["base", "imbalance", "diversification"])
+def test_noise_matches_per_flip_reference(grid, hardness):
+    for seed in range(4):
+        train, _ = generate_base(GridSpec(**grid, seed=seed))
+        if hardness == "imbalance":
+            train = apply_imbalance(train, seed=seed + 1)
+        elif hardness == "diversification":
+            train = apply_diversification(train, 0.1, seed=seed + 1)
+        for delta in (0.0, 0.4, 1.0):
+            spec = NoiseSpec(delta=delta, seed=seed + 2)
+            got = inject_label_noise(train, spec).y_assigned
+            np.testing.assert_array_equal(got, _noise_reference(train, spec))
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    sizes=st.lists(st.integers(1, 5), min_size=2, max_size=5),
+    rows=st.integers(1, 60),
+    seed=st.integers(0, 2**16),
+)
+def test_noise_matches_per_flip_reference_for_any_strata(sizes, rows, seed):
+    # Stratum n holds sizes[n] classes, size-1 strata included.
+    L = len(sizes)
+    n_of_class = np.repeat(np.arange(L), sizes)
+    cell_table = np.stack([n_of_class % L, n_of_class], axis=1)
+    y = np.random.default_rng(seed).integers(0, len(cell_table), rows)
+    train = Dataset(
+        ids=np.arange(rows), X=np.zeros((rows, 1)), y_true=y, y_assigned=y.copy(),
+        base_id=np.full(rows, -1), levels=L, cell_table=cell_table,
+    )
+    spec = NoiseSpec(delta=1.0, seed=seed)
+    np.testing.assert_array_equal(
+        inject_label_noise(train, spec).y_assigned, _noise_reference(train, spec)
+    )
 
 
 def test_ground_truth_partition_is_a_disjoint_cover(small_train):
