@@ -42,6 +42,17 @@ def _narrowest(path: Path, array: np.ndarray) -> np.ndarray:
     raise ConfigurationError(f"artifact {path.name} holds integers outside int64")
 
 
+def read_object(path: str | Path, error: type[Exception], *args) -> dict:
+    """The JSON object in the file at `path`; anything else raises `error(*args, msg)`."""
+    try:
+        value = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise error(*args, f"{path} cannot be read: {exc}") from exc
+    if not isinstance(value, dict):
+        raise error(*args, f"{path} must hold a JSON object")
+    return value
+
+
 def save_arrays(
     directory: str | Path, prefix: str, meta: dict, **arrays: np.ndarray
 ) -> list[Path]:
@@ -67,13 +78,7 @@ def load_arrays(
     unreadable file, or an array whose shape does not match, raises
     ConfigurationError naming the file."""
     directory = Path(directory)
-    meta_path = directory / f"{prefix}.json"
-    try:
-        meta = json.loads(meta_path.read_text())
-    except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"artifact {meta_path.name} cannot be read: {exc}") from exc
-    if not isinstance(meta, dict):
-        raise ConfigurationError(f"artifact {meta_path.name} must hold a JSON object")
+    meta = read_object(directory / f"{prefix}.json", ConfigurationError)
     dims = {k: v for k, v in meta.items() if isinstance(v, int)}
     arrays = {}
     for name, shape in names.items():

@@ -8,12 +8,12 @@ are SCD = (mid, euclidean, static) and ACD = (end, cosine, adaptive).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .artifacts import load_arrays, save_arrays
 from .errors import ConfigurationError
 from .mlp import TraceStore
 
@@ -203,11 +203,8 @@ def compute_metric_table(traces: TraceStore) -> MetricTable:
 
 def save_metric_table(table: MetricTable, directory: str | Path) -> list[Path]:
     """Write metrics.json (variant parameters) and the metrics.csv table."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    params_path = directory / "metrics.json"
-    params_path.write_text(json.dumps(table.params, indent=2))
-    csv_path = directory / "metrics.csv"
+    params_paths = save_arrays(directory, "metrics", table.params)
+    csv_path = Path(directory) / "metrics.csv"
     # A Python float's repr round-trips, and "\r\n" ends every line as in
     # the csv module's default dialect.  The rows are formatted 1024 at a
     # time: the text of the whole table at once would be the stage's
@@ -218,17 +215,16 @@ def save_metric_table(table: MetricTable, directory: str | Path) -> list[Path]:
             block = slice(lo, lo + 1024)
             rows = zip(table.ids[block].tolist(), *(table.values[c][block].tolist() for c in COLUMNS))
             f.write("\r\n".join([",".join(map(repr, row)) for row in rows]) + "\r\n")
-    return [csv_path, params_path]
+    return [csv_path, *params_paths]
 
 
 def load_metric_table(directory: str | Path) -> MetricTable:
     """Read a table written by save_metric_table.  A header other than
     `id` plus COLUMNS, a row of another width, a field that is not a number
     or an id that is not an integer raises ConfigurationError naming the
-    file."""
-    directory = Path(directory)
-    params = json.loads((directory / "metrics.json").read_text())
-    csv_path = directory / "metrics.csv"
+    file; so does a `metrics.json` that is missing or not a JSON object."""
+    params, _ = load_arrays(directory, "metrics", {})
+    csv_path = Path(directory) / "metrics.csv"
     header = ["id", *COLUMNS]
 
     def damaged(what: str) -> ConfigurationError:

@@ -254,5 +254,12 @@ def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[
 
 
 def load_partition(directory: str | Path, prefix: str) -> Partition:
+    """Read a partition written by save_partition.  Metadata without a
+    string `method_name` or an object `parameters` raises
+    ConfigurationError naming `<prefix>.json`."""
     meta, arrays = load_arrays(directory, prefix, {"ids": ("N",), "noisy": ("N",)})
+    if not isinstance(meta.get("method_name"), str) or not isinstance(meta.get("parameters"), dict):
+        raise ConfigurationError(
+            f"artifact {prefix}.json: method_name must be a string and parameters an object"
+        )
     return Partition(method_name=meta["method_name"], parameters=meta["parameters"], **arrays)

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import mlp, transforms
+from .artifacts import read_object
 from .data import Dataset, GridSpec, generate_base, load_dataset, save_dataset
 from .errors import ConfigurationError, StageError
 from .evaluation import EvalReport, retrain_on_subset, score_partition
@@ -105,21 +106,10 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _read_object(path: str | Path, error: type[Exception], *args) -> dict:
-    """The JSON object in the file at `path`; anything else raises `error(*args, msg)`."""
-    try:
-        value = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        raise error(*args, f"{path} cannot be read: {exc}") from exc
-    if not isinstance(value, dict):
-        raise error(*args, f"{path} must hold a JSON object")
-    return value
-
-
 def load_config(path: str | Path, seed_override: int | None = None) -> dict:
     """Read a JSON config, merge it over DEFAULT_CONFIG and check it by
     building its Experiment."""
-    cfg = _deep_merge(DEFAULT_CONFIG, _read_object(path, ConfigurationError))
+    cfg = _deep_merge(DEFAULT_CONFIG, read_object(path, ConfigurationError))
     if seed_override is not None:
         cfg["seed"] = seed_override
     experiment(cfg)
@@ -292,7 +282,7 @@ class Run:
         holds the same config before writing anything."""
         directory = Path(directory)
         cfg_path = directory / "config.json"
-        stored = _read_object(cfg_path, StageError, "init") if cfg_path.exists() else None
+        stored = read_object(cfg_path, StageError, "init") if cfg_path.exists() else None
         config = stored if config is None else config
         if config is None:
             raise StageError("init", f"no config in {directory}")
@@ -300,7 +290,7 @@ class Run:
         digest = config_digest(config)
         man_path = directory / "manifest.json"
         if man_path.exists():
-            manifest = _read_object(man_path, StageError, "init")
+            manifest = read_object(man_path, StageError, "init")
             _check_manifest(manifest, man_path)
             if manifest["config_digest"] != digest:
                 raise StageError("init", "run directory holds a different config")

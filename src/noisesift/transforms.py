@@ -50,20 +50,25 @@ def _per_class_rng(seed: int, class_idx: int) -> np.random.Generator:
     return np.random.default_rng([seed, class_idx])
 
 
+def _subsample(dataset: Dataset, exponents: np.ndarray, seed: int) -> list[np.ndarray]:
+    """Per class c, floor(count_c / 2^exponents[c]) of its rows in ascending
+    order, drawn without replacement by the class's own generator.  A class
+    that would keep no row raises ConfigurationError."""
+    counts = dataset.class_counts()
+    picked = []
+    for c, e in enumerate(exponents.tolist()):
+        size = counts[c] // 2**e
+        if size < 1:
+            raise ConfigurationError(f"class {c}: {counts[c]} samples / 2^{e} leaves no samples")
+        rows = np.flatnonzero(dataset.y_assigned == c)
+        picked.append(np.sort(_per_class_rng(seed, c).choice(rows, size=size, replace=False)))
+    return picked
+
+
 def apply_imbalance(dataset: Dataset, seed: int = 0) -> Dataset:
     """Keep floor(X / 2^h) samples per class, seeded per class."""
-    counts = dataset.class_counts()
-    keep = np.zeros(len(dataset), dtype=bool)
-    for c, (h, _n) in enumerate(dataset.cell_table.tolist()):
-        target = counts[c] // (2**h)
-        if target < 1:
-            raise ConfigurationError(
-                f"class {c}: {counts[c]} samples / 2^{h} leaves no samples"
-            )
-        rows = np.flatnonzero(dataset.y_assigned == c)
-        rng = _per_class_rng(seed, c)
-        keep[rng.choice(rows, size=target, replace=False)] = True
-    return dataset.take(keep)
+    picked = _subsample(dataset, dataset.cell_table[:, 0], seed)
+    return dataset.take(np.sort(np.concatenate(picked)))
 
 
 def apply_diversification(
@@ -71,27 +76,15 @@ def apply_diversification(
 ) -> Dataset:
     """Keep floor(X / 2^(L-1-h)) distinct samples per class and add
     2^(L-1-h) - 1 jittered copies of each, so classes stay balanced."""
-    L = dataset.levels
-    counts = dataset.class_counts()
-    keep = np.zeros(len(dataset), dtype=bool)
-    copied, jitter = [], []
-    for c, (h, _n) in enumerate(dataset.cell_table.tolist()):
-        factor = 2 ** (L - 1 - h)
-        distinct = counts[c] // factor
-        if distinct < 1:
-            raise ConfigurationError(
-                f"class {c}: {counts[c]} samples / 2^{L - 1 - h} leaves no bases"
-            )
-        rows = np.flatnonzero(dataset.y_assigned == c)
-        rng = _per_class_rng(seed, c)
-        picked = np.sort(rng.choice(rows, size=distinct, replace=False))
-        keep[picked] = True
-        # Each picked row is followed by its factor - 1 copies.
-        copied.append(np.repeat(picked, factor - 1))
-        noise = _per_class_rng(seed + 1, c).standard_normal((len(copied[-1]), dataset.d))
-        jitter.append(jitter_std * noise)
-
-    base_rows = np.flatnonzero(keep)
+    exponents = dataset.levels - 1 - dataset.cell_table[:, 0]
+    picked = _subsample(dataset, exponents, seed)
+    # Each picked row is followed by its 2^e - 1 copies.
+    copied = [np.repeat(rows, 2**e - 1) for rows, e in zip(picked, exponents.tolist())]
+    jitter = [
+        jitter_std * _per_class_rng(seed + 1, c).standard_normal((len(rows), dataset.d))
+        for c, rows in enumerate(copied)
+    ]
+    base_rows = np.sort(np.concatenate(picked))
     copy_rows = np.concatenate(copied)
     out = dataset.take(np.concatenate([base_rows, copy_rows]))
     new = slice(len(base_rows), None)

@@ -278,6 +278,18 @@ def test_load_metric_table_rejects_a_damaged_csv(tmp_path, corrupt):
         load_metric_table(tmp_path)
 
 
+@pytest.mark.parametrize("text", [None, "{bad", "[1]"], ids=["missing", "malformed", "a-list"])
+def test_load_metric_table_rejects_a_damaged_metrics_json(tmp_path, text):
+    save_metric_table(compute_metric_table(_toy_traces()), tmp_path)
+    path = tmp_path / "metrics.json"
+    if text is None:
+        path.unlink()
+    else:
+        path.write_text(text)
+    with pytest.raises(ConfigurationError, match=r"metrics\.json"):
+        load_metric_table(tmp_path)
+
+
 def test_first_pred_epoch_sentinel_recorded():
     traces = _toy_traces()
     table = compute_metric_table(traces)

@@ -289,6 +289,18 @@ def test_save_partition_arrays_match_per_id_lookup(tmp_path, part, ids_on_disk):
     assert (loaded.ids.dtype, loaded.noisy.dtype) == (np.int64, bool)
 
 
+@pytest.mark.parametrize(
+    "meta",
+    [{"parameters": {}}, {"method_name": "2d-GMM_acc-SCD", "parameters": [1]}],
+    ids=["no-method-name", "parameters-a-list"],
+)
+def test_partition_metadata_is_checked_when_loaded(tmp_path, meta):
+    prefix = "partition_2d-GMM_acc-SCD"
+    save_arrays(tmp_path, prefix, meta, ids=np.arange(4), noisy=np.zeros(4, dtype=bool))
+    with pytest.raises(ConfigurationError, match=rf"{prefix}\.json"):
+        load_partition(tmp_path, prefix)
+
+
 def test_a_non_boolean_noisy_mask_is_refused(tmp_path):
     """A 0/1 integer mask would index rows -1 and -2 under `~noisy`, so it is
     refused when built and when loaded from an integer `_noisy.npy`."""

@@ -15,6 +15,7 @@ from noisesift import pipeline
 from noisesift.cli import main
 from noisesift.data import GridSpec
 from noisesift.errors import ConfigurationError, StageError
+from noisesift.mlp import load_traces, save_traces
 from noisesift.pipeline import (
     _SCHEMA,
     DEFAULT_CONFIG,
@@ -156,6 +157,21 @@ def test_stage_order_is_enforced(tmp_path):
     run = Run.open(tmp_path / "run", cfg)
     with pytest.raises(StageError):
         run_stage(run, "metrics")  # train has not run
+
+
+def test_metrics_refuses_traces_of_another_row_order(tmp_path):
+    # Traces whose ids are a permutation of the train ids, recorded as the
+    # train stage's own files so that the checksum guard passes.
+    run = Run.open(tmp_path / "run", load_config(_small_config(tmp_path)))
+    for stage in ("gen", "train"):
+        run_stage(run, stage)
+    traces = load_traces(run.directory)
+    traces.ids = traces.ids[::-1].copy()
+    save_traces(traces, run.directory)
+    files = run.manifest["stages"]["train"]["files"]
+    run.mark_complete("train", [run.directory / rel for rel in files])
+    with pytest.raises(StageError, match="traces ids do not match the train set"):
+        run_stage(run, "metrics")
 
 
 def _manifest_with(change):

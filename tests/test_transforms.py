@@ -1,5 +1,7 @@
 """Hardness transforms, label-noise injection, and the ground-truth split."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -42,6 +44,53 @@ def test_imbalance_counts_for_random_sizes(x_exp, seed):
     out = apply_imbalance(train, seed=seed)
     for c, (h, _n) in enumerate(train.cell_table.tolist()):
         assert int((out.y_assigned == c).sum()) == (2**x_exp) // (2**h)
+
+
+def _imbalance_reference(dataset, seed):
+    """Per-class reference: a keep mask filled by one draw per class."""
+    counts = dataset.class_counts()
+    keep = np.zeros(len(dataset), dtype=bool)
+    for c, (h, _n) in enumerate(dataset.cell_table.tolist()):
+        rows = np.flatnonzero(dataset.y_assigned == c)
+        rng = np.random.default_rng([seed, c])
+        keep[rng.choice(rows, size=counts[c] // (2**h), replace=False)] = True
+    return dataset.take(keep)
+
+
+@pytest.mark.parametrize(
+    "grid, seed",
+    [({}, 0), ({}, 3), ({"per_class_count": 16}, 0), ({"per_class_count": 16}, 1),
+     ({"levels": 4, "classes_per_cell": 3, "per_class_count": 8, "input_dim": 4}, 2),
+     ({"levels": 1, "per_class_count": 4}, 0)],
+)
+def test_imbalance_matches_per_class_reference(grid, seed):
+    train, _ = generate_base(GridSpec(**grid, seed=seed))
+    out = apply_imbalance(train, seed=seed + 1)
+    expected = _imbalance_reference(train, seed + 1)
+    for k in ("ids", "X", "y_true", "y_assigned", "base_id"):
+        got, want = getattr(out, k), getattr(expected, k)
+        assert got.dtype == want.dtype, k
+        np.testing.assert_array_equal(got, want, err_msg=k)
+
+
+@pytest.mark.parametrize(
+    "transform, message",
+    [
+        (apply_imbalance, "class 1: 1 samples / 2^1 leaves no samples"),
+        (apply_diversification, "class 0: 1 samples / 2^1 leaves no samples"),
+    ],
+    ids=["imbalance", "diversification"],
+)
+def test_a_class_that_would_keep_no_sample_is_refused(transform, message):
+    # Two levels: class 0 is the h = 0 cell, class 1 the h = 1 cell, one
+    # sample each.  Imbalance halves class 1; diversification class 0.
+    y = np.array([0, 1])
+    train = Dataset(
+        ids=np.arange(2), X=np.zeros((2, 1)), y_true=y, y_assigned=y.copy(),
+        base_id=np.full(2, -1), levels=2, cell_table=np.array([[0, 0], [1, 0]]),
+    )
+    with pytest.raises(ConfigurationError, match=re.escape(message)):
+        transform(train, seed=0)
 
 
 def test_diversification_base_counts_and_balance(small_train):
