@@ -3,13 +3,13 @@ the retrain-on-filtered harness."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import ConfigurationError
-from .mlp import TrainConfig, evaluate, init_model, train
+from .mlp import Model, TrainConfig, evaluate, train
 from .partition import Partition
 from .transforms import GroundTruthPartition
 
@@ -105,35 +105,28 @@ def spearman_rho(xs: np.ndarray, ys: np.ndarray) -> float:
 def retrain_on_subset(
     dataset: Dataset,
     partitions: list[Partition],
-    train_cfg: TrainConfig,
     test_set: Dataset,
-    seeds: tuple[int, ...],
-    hidden_sizes: tuple[int, ...],
-    feature_width: int,
+    models: list[Model],
+    cfgs: list[TrainConfig],
 ) -> list[tuple[float, float, float]]:
-    """Train fresh models on each partition's estimated clean subset, one
-    per seed, all of them in one untraced stacked loop, and report (mean
-    test accuracy, std, mean test loss) on the clean test set for each
-    partition, in order."""
+    """Train each of `models` with its config in `cfgs` on each partition's
+    estimated clean subset, all of them in one untraced stacked loop, and
+    report (mean test accuracy, std, mean test loss) over the models on the
+    clean test set for each partition, in order."""
     subsets = []
     for part in partitions:
         _require_aligned(part.ids, dataset, "partition")
         if part.noisy.all():
             raise ConfigurationError(f"estimated clean subset of {part.method_name!r} is empty")
         subsets.append(dataset.take(~part.noisy))
-    # The stack copies each model in, so a seed's initial model can repeat.
-    models = [
-        init_model(dataset.d, list(hidden_sizes), feature_width, dataset.K, seed=seed)
-        for seed in seeds
-    ]
-    cfgs = [replace(train_cfg, seed=seed) for seed in seeds]
+    # The stack copies each model in, so the same initial model can repeat.
     trained = train(
-        models * len(subsets), [s for s in subsets for _ in seeds], cfgs * len(subsets)
+        models * len(subsets), [s for s in subsets for _ in models], cfgs * len(subsets)
     )
     results = []
-    for i in range(0, len(trained), len(seeds)):
+    for i in range(0, len(trained), len(models)):
         # Each model on its own: a stacked test pass would hold a
         # (models, test rows, K) array.
-        accs, losses = zip(*(evaluate(model, test_set) for model in trained[i : i + len(seeds)]))
+        accs, losses = zip(*(evaluate(model, test_set) for model in trained[i : i + len(models)]))
         results.append((float(np.mean(accs)), float(np.std(accs)), float(np.mean(losses))))
     return results

@@ -68,10 +68,6 @@ class GmmModel:
         return len(self.ll_history) - 1
 
     @property
-    def k(self) -> int:
-        return len(self.weights)
-
-    @property
     def dim(self) -> int:
         return self.means.shape[1]
 

@@ -477,11 +477,10 @@ def train_with_tracing(
         e = t - 1
         probs.take(assigned, out=p_assigned[e])
         np.argmax(probs, axis=1, out=pred[e])
-        probs.put(assigned, -np.inf)  # probs is not read again this epoch
-        if model.K > 1:
-            np.maximum.reduce(probs, axis=1, out=p_max_other[e])
-        else:
-            p_max_other[e] = 0.0
+        # Softmax outputs are >= +0, so a 0 in the assigned slot leaves the
+        # others' maximum unchanged, and it is 0 when there is no other class.
+        probs.put(assigned, 0.0)  # probs is not read again this epoch
+        np.maximum.reduce(probs, axis=1, out=p_max_other[e])
         train_acc[e] = float(np.mean(pred[e] == y))
         # Softmax output is in [0, 1] or NaN, so this is the loss's finiteness.
         if not np.isfinite(p_assigned[e]).all():

@@ -132,28 +132,31 @@ class Experiment:
     hidden_sizes: tuple[int, ...]
     feature_width: int
     methods: tuple[MethodSpec, ...]
-    retrain_seeds: tuple[int, ...]    # empty when eval.retrain is off
+    retrain: tuple[TrainConfig, ...]    # empty when eval.retrain is off
     h_threshold: int
 
     @property
     def seed(self) -> int:
         return self.grid.seed
 
-    def new_model(self, dataset: Dataset, seed: int) -> Model:
-        """A fresh model of the run's shape for `dataset`, initialised with `seed`."""
+    def new_model(self, cfg: TrainConfig) -> Model:
+        """A fresh model of the run's shape, initialised with `cfg.seed`.
+        Every dataset of a run has the grid's input width and class count."""
         return init_model(
-            dataset.d, list(self.hidden_sizes), self.feature_width, dataset.K, seed=seed
+            self.grid.input_dim, list(self.hidden_sizes), self.feature_width,
+            self.grid.n_classes, seed=cfg.seed,
         )
 
-    def train_model(self, dataset: Dataset, cfg: TrainConfig) -> tuple[Model, TraceStore]:
-        """Train a fresh model on `dataset` with traces, initialised with `cfg.seed`."""
-        return train_with_tracing(self.new_model(dataset, cfg.seed), dataset, cfg)
+    def train_model(self, dataset: Dataset) -> tuple[Model, TraceStore]:
+        """Train a fresh model on `dataset` with traces and the run's `train` config."""
+        return train_with_tracing(self.new_model(self.train), dataset, self.train)
 
 
 def experiment(cfg: dict) -> Experiment:
     """Merge `cfg` over DEFAULT_CONFIG, check it and build its Experiment.
     The derived seeds are set here and nowhere else: the hardness transform
-    takes seed + 1, label noise seed + 2 and the boundary oracle seed + 7."""
+    takes seed + 1, label noise seed + 2, the boundary oracle seed + 7 and
+    each retraining its eval.retrain_seeds entry."""
     cfg = _deep_merge(DEFAULT_CONFIG, cfg)
     _check_schema(cfg, _SCHEMA)
     seed, h, t, ev = cfg["seed"], cfg["hardness"], cfg["train"], cfg["eval"]
@@ -170,6 +173,7 @@ def experiment(cfg: dict) -> Experiment:
     shape = ("hidden_sizes", "feature_width")  # the model's; the rest make its TrainConfig
     train = TrainConfig(seed=seed, **{k: v for k, v in t.items() if k not in shape})
     oracle = replace(train, epochs=cfg["oracle"]["epochs"], seed=seed + 7)
+    retrain = tuple(replace(train, seed=s) for s in ev["retrain_seeds"]) if ev["retrain"] else ()
     layer_sizes(grid.input_dim, t["hidden_sizes"], t["feature_width"], grid.n_classes)
     if ev["retrain"] and not ev["retrain_seeds"]:
         raise ConfigurationError("eval.retrain needs at least one of eval.retrain_seeds")
@@ -192,7 +196,7 @@ def experiment(cfg: dict) -> Experiment:
         hidden_sizes=tuple(t["hidden_sizes"]),
         feature_width=t["feature_width"],
         methods=tuple(lookup_method(name) for name in cfg["methods"]),
-        retrain_seeds=tuple(ev["retrain_seeds"]) if ev["retrain"] else (),
+        retrain=retrain,
         h_threshold=ev["h_threshold"],
     )
 
@@ -213,7 +217,7 @@ def make_datasets(exp: Experiment) -> tuple[Dataset, Dataset, Model | None, list
             {"transform": "diversification", "jitter_std": exp.jitter_std, "seed": exp.hardness_seed}
         )
     elif exp.hardness == "boundary":
-        [oracle] = mlp.train([exp.new_model(train, exp.oracle.seed)], [train], [exp.oracle])
+        [oracle] = mlp.train([exp.new_model(exp.oracle)], [train], [exp.oracle])
         train = transforms.apply_boundary_shift(train, oracle, exp.eps_max)
         provenance.append(
             {"transform": "boundary", "eps_max": exp.eps_max, "seed": exp.oracle.seed}
@@ -375,7 +379,7 @@ def stage_gen(run: Run) -> None:
 def stage_train(run: Run) -> None:
     run.require_stage("gen", "train")
     train = load_dataset(run.directory, "train")
-    model, traces = run.experiment.train_model(train, run.experiment.train)
+    model, traces = run.experiment.train_model(train)
     files = save_model(model, run.directory / "model") + save_traces(traces, run.directory)
     run.mark_complete("train", files)
 
@@ -434,10 +438,9 @@ def stage_eval(run: Run) -> None:
     parts = [Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")]
     parts += [load_partition(run.directory, run._partition_prefix(m.name)) for m in exp.methods]
     reports = [score_partition(part, gt, train) for part in parts]
-    if exp.retrain_seeds:
-        retrained = retrain_on_subset(
-            train, parts, exp.train, test, exp.retrain_seeds, exp.hidden_sizes, exp.feature_width
-        )
+    if exp.retrain:
+        models = [exp.new_model(cfg) for cfg in exp.retrain]
+        retrained = retrain_on_subset(train, parts, test, models, list(exp.retrain))
         for report, (acc, std, loss) in zip(reports, retrained):
             report.test_accuracy_mean = acc
             report.test_accuracy_std = std

@@ -36,7 +36,7 @@ def imbalance_run():
     exp = experiment({"seed": 0})
     train, test, _oracle, _provenance = make_datasets(exp)
     gt = ground_truth_partition(train, exp.h_threshold)
-    model, traces = exp.train_model(train, exp.train)
+    model, traces = exp.train_model(train)
     table = compute_metric_table(traces)
     return {
         "train": train,

@@ -51,7 +51,7 @@ def _train_run(hardness: str, seed: int):
     """One seeded default-grid run: returns (train, test, traces, table)."""
     exp = experiment({"seed": seed, "hardness": {"type": hardness}})
     train, test, _oracle, _provenance = make_datasets(exp)
-    _model, traces = exp.train_model(train, exp.train)
+    _model, traces = exp.train_model(train)
     return train, test, traces, compute_metric_table(traces)
 
 
@@ -276,10 +276,10 @@ def test_criterion_5_retrain_improvement(seeded_runs):
         unfiltered = Partition(
             ids=train.ids, noisy=np.zeros(len(train), dtype=bool), method_name="all"
         )
-        exp = experiment({"seed": 0})
-        shape = (exp.hidden_sizes, exp.feature_width)
+        exp = experiment({"seed": 0, "eval": {"retrain": True, "retrain_seeds": list(SEEDS)}})
+        models = [exp.new_model(cfg) for cfg in exp.retrain]
         (acc_f, _, _), (acc_u, _, _) = retrain_on_subset(
-            train, [part, unfiltered], exp.train, test, SEEDS, *shape
+            train, [part, unfiltered], test, models, list(exp.retrain)
         )
         this_ok = acc_f >= acc_u
         ok = ok and this_ok

@@ -111,7 +111,7 @@ def test_score_partition_rejects_reordered_ids():
         score_partition(part, gt, ds)
     with pytest.raises(ConfigurationError, match="partition ids"):
         retrain_on_subset(
-            ds, [part], TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,), feature_width=2
+            ds, [part], ds, [init_model(ds.d, [4], 2, ds.K)], [TrainConfig(epochs=1)]
         )
     gt.ids = gt.ids[::-1].copy()
     part = Partition(ids=np.arange(8), noisy=_mask({1, 5}), method_name="ok")
@@ -125,8 +125,7 @@ def test_retrain_on_subset_rejects_an_empty_clean_subset():
     none = Partition(ids=np.arange(8), noisy=np.ones(8, dtype=bool), method_name="none")
     with pytest.raises(ConfigurationError, match="subset of 'none' is empty"):
         retrain_on_subset(
-            ds, [some, none], TrainConfig(epochs=1), ds, seeds=(0,), hidden_sizes=(4,),
-            feature_width=2,
+            ds, [some, none], ds, [init_model(ds.d, [4], 2, ds.K)], [TrainConfig(epochs=1)]
         )
 
 
@@ -142,7 +141,9 @@ def test_retrain_on_subset_matches_one_seed_at_a_time(small_spec):
         Partition(ids=train.ids, noisy=rows % 5 == 1, method_name="same size, other rows"),
     ]
     cfg, seeds = TrainConfig(epochs=3, seed=99), (0, 4, 9)
-    got = retrain_on_subset(train, parts, cfg, test, seeds, hidden_sizes=(8,), feature_width=4)
+    models = [init_model(train.d, [8], 4, train.K, seed=seed) for seed in seeds]
+    cfgs = [replace(cfg, seed=seed) for seed in seeds]
+    got = retrain_on_subset(train, parts, test, models, cfgs)
     expected = []
     for part in parts:
         subset = train.take(~part.noisy)

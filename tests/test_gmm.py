@@ -116,6 +116,11 @@ def test_more_than_two_dimensions_rejected(rng):
         responsibilities(model, three_d)
     with pytest.raises(ConfigurationError):
         log_likelihood(model, three_d)
+    with pytest.raises(ConfigurationError, match="1-D or 2-D array"):
+        fit_gmm(rng.normal(size=(50, 2, 2)), GmmConfig(k=2))
+    model_2d = fit_gmm(rng.normal(size=(100, 2)), GmmConfig(k=2, seed=0))
+    with pytest.raises(ConfigurationError, match="dimension mismatch"):
+        responsibilities(model_2d, pts)
 
 
 # Reference oracle: the per-component EM loop (one Cholesky solve and one

@@ -232,6 +232,14 @@ def test_metric_table_roundtrip(tmp_path):
     }
 
 
+def test_compute_metric_table_refuses_traces_with_no_epochs():
+    traces = _toy_traces()
+    for name in ("pred", "p_assigned", "p_max_other", "train_acc"):
+        setattr(traces, name, getattr(traces, name)[:0])
+    with pytest.raises(ConfigurationError, match="no records"):
+        compute_metric_table(traces)
+
+
 def test_computed_columns_do_not_keep_larger_arrays_alive():
     # A view of the (T, N) loss would hold all of it for as long as the table.
     table = compute_metric_table(_toy_traces())
@@ -263,12 +271,16 @@ def test_metrics_csv_is_the_csv_modules_text_of_each_float_repr(tmp_path, N):
         lambda text: text.split("\n", 1)[1],                # header missing
         lambda text: "",                                    # empty file
         lambda text: text.rstrip().rsplit(",", 1)[0] + ",abc\n",  # not a number
+        lambda text: text.replace("\n10,", "\n1.5,", 1),          # id not an integer
         # Every row one field short: a reshape of all fields would not notice.
         lambda text: "\n".join(
             [text.split("\n", 1)[0]] + [r.rsplit(",", 1)[0] for r in text.split("\n")[1:] if r]
         ),
     ],
-    ids=["truncated-row", "foreign-header", "no-header", "empty", "not-a-number", "every-row-short"],
+    ids=[
+        "truncated-row", "foreign-header", "no-header", "empty", "not-a-number", "id-1.5",
+        "every-row-short",
+    ],
 )
 def test_load_metric_table_rejects_a_damaged_csv(tmp_path, corrupt):
     save_metric_table(compute_metric_table(_toy_traces()), tmp_path)

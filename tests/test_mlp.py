@@ -302,6 +302,21 @@ def test_load_traces_rejects_a_misshapen_or_missing_array(tmp_path, small_train)
         load_traces(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda m, ds: forward_batch(m, ds.X[:, :-1]), "input dimension 3 != model dimension 4"),
+        (lambda m, ds: input_gradient(m, ds.X[:1], [ds.K]), "label out of range"),
+        (lambda m, ds: evaluate(m, ds.take(np.zeros(len(ds), dtype=bool))), "empty dataset"),
+    ],
+    ids=["forward-batch-narrow-input", "input-gradient-label-K", "evaluate-empty-set"],
+)
+def test_model_functions_refuse_bad_inputs(small_train, call, match):
+    model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
+    with pytest.raises(ConfigurationError, match=match):
+        call(model, small_train)
+
+
 def test_init_model_rejects_bad_shapes():
     with pytest.raises(ConfigurationError):
         init_model(4, [0], 2, 3)

@@ -50,6 +50,8 @@ def test_threshold_median_ties_stay_clean():
     part = partition_threshold(ids, values, LOW_IS_NOISY)
     assert noisy_ids(part) == [0, 1]
     assert clean_ids(part) == [2, 3, 4]
+    with pytest.raises(ConfigurationError, match="empty value set"):
+        partition_threshold(ids[:0], values[:0])
 
 
 def test_gmm_one_column_splits_bimodal_data(rng):

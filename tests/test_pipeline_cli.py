@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from noisesift import pipeline
 from noisesift.cli import main
 from noisesift.data import GridSpec
 from noisesift.errors import ConfigurationError, StageError
-from noisesift.mlp import load_traces, save_traces
+from noisesift.mlp import init_model, load_traces, save_traces
 from noisesift.pipeline import (
     _SCHEMA,
     DEFAULT_CONFIG,
@@ -24,6 +25,7 @@ from noisesift.pipeline import (
     config_digest,
     experiment,
     load_config,
+    make_datasets,
     run_pipeline,
     run_stage,
 )
@@ -157,6 +159,22 @@ def test_stage_order_is_enforced(tmp_path):
     run = Run.open(tmp_path / "run", cfg)
     with pytest.raises(StageError):
         run_stage(run, "metrics")  # train has not run
+    with pytest.raises(StageError, match=r"\[bogus\] unknown stage"):
+        run_stage(run, "bogus")
+
+
+def test_a_deleted_artifact_stops_the_stages_that_read_it(tmp_path):
+    cfg_path = _small_config(tmp_path)
+    run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
+    (run_dir / "train_X.npy").unlink()
+    with pytest.raises(StageError, match=r"\[train\] artifact train_X.npy is missing"):
+        run_pipeline(cfg_path, run_dir, stage="train")
+
+
+def test_a_directory_without_a_config_is_refused(tmp_path):
+    with pytest.raises(StageError, match=r"\[init\] no config in "):
+        Run.open(tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_metrics_refuses_traces_of_another_row_order(tmp_path):
@@ -427,6 +445,24 @@ def test_cli_rejects_a_negative_seed_before_writing(tmp_path):
     assert not out_dir.exists()
 
 
+def test_experiment_builds_one_train_config_per_retrain_seed():
+    exp = experiment({"eval": {"retrain": True, "retrain_seeds": [3, 5]}})
+    assert exp.retrain == (replace(exp.train, seed=3), replace(exp.train, seed=5))
+    assert experiment({"eval": {"retrain": False, "retrain_seeds": [3, 5]}}).retrain == ()
+
+
+def test_every_model_of_a_run_starts_from_its_configs_seed():
+    exp = experiment({"eval": {"retrain": True}})
+    train, test, _oracle, _provenance = make_datasets(exp)
+    assert (test.d, test.K) == (train.d, train.K)
+    for cfg in (exp.train, exp.oracle, exp.retrain[-1]):
+        got = exp.new_model(cfg)
+        want = init_model(train.d, [32], 16, train.K, seed=cfg.seed)
+        pairs = list(zip(got.weights + got.biases, want.weights + want.biases))
+        assert len(pairs) == 2 * len(want.weights)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in pairs)
+
+
 def test_default_config_is_valid():
     digest = config_digest(DEFAULT_CONFIG)
     assert len(digest) == 64
@@ -523,6 +559,14 @@ def test_boundary_pipeline_runs(tmp_path):
     run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
     assert (run_dir / "oracle_w0.npy").exists()
     assert len(np.load(run_dir / "train_X.npy")) > 0
+
+
+def test_a_one_class_grid_runs_with_no_other_class_probability(tmp_path):
+    cfg_path = _small_config(tmp_path, grid={**SMALL_GRID, "levels": 1}, eval={"h_threshold": 0})
+    run_dir = run_pipeline(cfg_path, tmp_path / "run")
+    p_max_other = np.load(run_dir / "traces_p_max_other.npy")
+    assert p_max_other.shape == (6, 16)
+    assert not p_max_other.any() and not np.signbit(p_max_other).any()
 
 
 def test_retrain_eval_columns(tmp_path):

@@ -37,6 +37,7 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(lambda: GridSpec(cluster_std=INF), id="cluster-std-inf"),
         pytest.param(lambda: GridSpec(center_spacing=NAN), id="center-spacing-nan"),
         pytest.param(lambda: GridSpec(center_spacing=INF), id="center-spacing-inf"),
+        pytest.param(lambda: GridSpec(classes_per_cell=0), id="classes-per-cell-0"),
         pytest.param(lambda: NoiseSpec(delta=NAN), id="delta-nan"),
         # numpy refuses negative seeds only when the generator is made.
         pytest.param(lambda: TrainConfig(seed=-1), id="train-seed-negative"),
@@ -56,6 +57,7 @@ NAN, INF = float("nan"), float("inf")
         pytest.param(lambda: MethodSpec("m", "gmm", ("aum",), clusters=1), id="gmm-clusters-1"),
         pytest.param(lambda: replace(TrainConfig(), epochs=0), id="replace-rechecks"),
         pytest.param(lambda: replace(CentroidVariant(), epoch="start"), id="variant-replace"),
+        pytest.param(lambda: CentroidVariant(centroid="median"), id="unknown-centroid-rule"),
     ],
 )
 def test_specs_refuse_bad_values_when_built(build):
