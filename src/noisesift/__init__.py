@@ -40,12 +40,10 @@ from .partition import (
 )
 from .pipeline import run_pipeline
 from .transforms import (
-    GroundTruthPartition,
     NoiseSpec,
     apply_boundary_shift,
     apply_diversification,
     apply_imbalance,
-    ground_truth_partition,
     inject_label_noise,
 )
 

@@ -70,7 +70,9 @@ class Dataset:
     samples that are not augmented copies of another sample.  Row c of the
     (K, 2) int64 cell_table is the (h, n) cell of class c, so the class
     count K is its length; the input width d is that of X, and a sample's
-    (h, n) is the cell of its true class.
+    (h, n) is the cell of its true class.  The ground truth of a set is
+    read off it: the noisy samples are the mislabeled ones, the hard
+    samples those of `hard(h_threshold)`, and every other sample is easy.
     """
 
     ids: np.ndarray
@@ -99,6 +101,14 @@ class Dataset:
     @property
     def n(self) -> np.ndarray:
         return self.cell_table[self.y_true, 1]
+
+    @property
+    def mislabeled(self) -> np.ndarray:
+        return self.y_assigned != self.y_true
+
+    def hard(self, h_threshold: int) -> np.ndarray:
+        """Correctly labeled samples whose class is at h >= h_threshold."""
+        return ~self.mislabeled & (self.h >= h_threshold)
 
     def take(self, mask_or_index: np.ndarray | slice) -> "Dataset":
         """New Dataset restricted to the given boolean mask, index array or

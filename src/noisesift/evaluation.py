@@ -1,5 +1,5 @@
-"""Scoring of partitions against ground truth, validity statistics, and
-the retrain-on-filtered harness."""
+"""Scoring of partitions against the ground truth of the set they split,
+validity statistics, and the retrain-on-filtered harness."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from .data import Dataset
 from .errors import ConfigurationError
 from .mlp import Model, TrainConfig, evaluate, train
 from .partition import Partition
-from .transforms import GroundTruthPartition
 
 
 @dataclass
@@ -35,24 +34,21 @@ def _require_aligned(ids: np.ndarray, dataset: Dataset, what: str) -> None:
         raise ConfigurationError(f"{what} ids do not match the dataset")
 
 
-def score_partition(
-    partition: Partition, ground_truth: GroundTruthPartition, dataset: Dataset
-) -> EvalReport:
-    """Precision/recall of the noisy subset, recall of hard samples kept
-    clean, correct-label fraction of the clean subset, and estimated
+def score_partition(partition: Partition, dataset: Dataset, h_threshold: int) -> EvalReport:
+    """Precision/recall of the noisy subset against the mislabeled samples
+    of `dataset`, recall of its hard samples (`dataset.hard(h_threshold)`)
+    kept clean, correct-label fraction of the clean subset, and estimated
     label-noise level 1 - |clean|/|all|."""
     _require_aligned(partition.ids, dataset, "partition")
-    _require_aligned(ground_truth.ids, dataset, "ground truth")
-    est_n, s_n, s_h = partition.noisy, ground_truth.noisy, ground_truth.hard
+    est_n, s_n, s_h = partition.noisy, dataset.mislabeled, dataset.hard(h_threshold)
     est_c = ~est_n
     n_est, n_noisy, n_hard = int(est_n.sum()), int(s_n.sum()), int(s_h.sum())
     clean_size = len(dataset) - n_est
     caught = int((est_n & s_n).sum())
-    correct = dataset.y_assigned == dataset.y_true
     return EvalReport(
         method=partition.method_name,
         clean_size=clean_size,
-        correct_label_fraction=float(correct[est_c].mean()) if clean_size else 0.0,
+        correct_label_fraction=float((~s_n)[est_c].mean()) if clean_size else 0.0,
         precision_n=caught / n_est if n_est else None,
         recall_n=caught / n_noisy if n_noisy else None,
         recall_h=int((est_c & s_h).sum()) / n_hard if n_hard else None,

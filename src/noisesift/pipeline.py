@@ -357,18 +357,18 @@ def stage_gen(run: Run) -> None:
     exp = run.experiment
     train, test, oracle, provenance = make_datasets(exp)
     files = [] if oracle is None else save_model(oracle, run.directory / "oracle")
-    gt = transforms.ground_truth_partition(train, exp.h_threshold)
     files += save_dataset(train, run.directory, "train")
     files += save_dataset(test, run.directory, "test")
+    noisy, hard = train.mislabeled, train.hard(exp.h_threshold)
     gt_path = run.directory / "ground_truth.json"
-    # For readers of the run directory; eval recomputes the partition.
+    # For readers of the run directory; eval reads the split off the train set.
     gt_path.write_text(
         json.dumps(
             {
-                "noisy_ids": gt.ids[gt.noisy].tolist(),
-                "hard_ids": gt.ids[gt.hard].tolist(),
-                "easy_ids": gt.ids[gt.easy].tolist(),
-                "h_threshold": gt.h_threshold,
+                "noisy_ids": train.ids[noisy].tolist(),
+                "hard_ids": train.ids[hard].tolist(),
+                "easy_ids": train.ids[~(noisy | hard)].tolist(),
+                "h_threshold": exp.h_threshold,
             }
         )
     )
@@ -431,15 +431,14 @@ def stage_eval(run: Run) -> None:
     run.require_stage("partition", "eval")
     exp = run.experiment
     train = load_dataset(run.directory, "train")
-    test = load_dataset(run.directory, "test")
-    gt = transforms.ground_truth_partition(train, exp.h_threshold)
 
     # Baseline row: the untouched dataset.
     parts = [Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")]
     parts += [load_partition(run.directory, run._partition_prefix(m.name)) for m in exp.methods]
-    reports = [score_partition(part, gt, train) for part in parts]
+    reports = [score_partition(part, train, exp.h_threshold) for part in parts]
     if exp.retrain:
         models = [exp.new_model(cfg) for cfg in exp.retrain]
+        test = load_dataset(run.directory, "test")
         retrained = retrain_on_subset(train, parts, test, models, list(exp.retrain))
         for report, (acc, std, loss) in zip(reports, retrained):
             report.test_accuracy_mean = acc

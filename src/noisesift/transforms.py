@@ -1,8 +1,7 @@
 """Hardness and noisiness transformations of a base dataset.
 
 Three alternative hardness types (imbalance, diversification, boundary
-closeness) and the label-noise injection that follows them, plus the
-ground-truth easy/hard/noisy partition of the result.
+closeness) and the label-noise injection that follows them.
 """
 
 from __future__ import annotations
@@ -29,21 +28,6 @@ class NoiseSpec:
             raise ConfigurationError("delta must be in [0, 1]")
         if self.seed < 0:
             raise ConfigurationError("seed must be >= 0")
-
-
-@dataclass
-class GroundTruthPartition:
-    """Disjoint noisy/hard masks over `ids`, the train set's ids in row
-    order; every other sample is easy."""
-
-    ids: np.ndarray
-    noisy: np.ndarray
-    hard: np.ndarray
-    h_threshold: int = 4
-
-    @property
-    def easy(self) -> np.ndarray:
-        return ~(self.noisy | self.hard)
 
 
 def _per_class_rng(seed: int, class_idx: int) -> np.random.Generator:
@@ -130,14 +114,3 @@ def inject_label_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     out.y_assigned[flips] = table[n[flips], rng.integers(0, sizes[n[flips]])]
     return out
 
-
-def ground_truth_partition(dataset: Dataset, h_threshold: int = 4) -> GroundTruthPartition:
-    """Noisy = mislabeled; hard = correctly labeled with h >= threshold;
-    easy = the rest."""
-    mislabeled = dataset.y_assigned != dataset.y_true
-    return GroundTruthPartition(
-        ids=dataset.ids.copy(),
-        noisy=mislabeled,
-        hard=~mislabeled & (dataset.h >= h_threshold),
-        h_threshold=h_threshold,
-    )

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from noisesift import GridSpec, compute_metric_table, generate_base, ground_truth_partition
+from noisesift import GridSpec, compute_metric_table, generate_base
 from noisesift.pipeline import experiment, make_datasets
 
 
@@ -29,20 +29,17 @@ def small_train(small_spec):
 
 @pytest.fixture(scope="session")
 def imbalance_run():
-    """Seed-0 run of the default config (imbalance hardness): dataset, ground
-    truth, model, traces, metric table and the seconds it took to build.
+    """Seed-0 run of the default config (imbalance hardness): train and test
+    sets, traces, metric table and the seconds it took to build.
     Session-scoped because training dominates the suite's runtime."""
     t0 = time.perf_counter()
     exp = experiment({"seed": 0})
     train, test, _oracle, _provenance = make_datasets(exp)
-    gt = ground_truth_partition(train, exp.h_threshold)
-    model, traces = exp.train_model(train)
+    _model, traces = exp.train_model(train)
     table = compute_metric_table(traces)
     return {
         "train": train,
         "test": test,
-        "ground_truth": gt,
-        "model": model,
         "traces": traces,
         "table": table,
         "seconds": time.perf_counter() - t0,

@@ -23,7 +23,6 @@ from noisesift import (
     compute_metric_table,
     fit_gmm,
     generate_base,
-    ground_truth_partition,
     init_model,
     inject_label_noise,
     input_gradient,
@@ -221,21 +220,20 @@ def test_criterion_3_scd_signature(seeded_runs):
 def imbalance_seed0(seeded_runs):
     runs, _ = seeded_runs
     train, test, traces, table = runs["imbalance"][0]
-    gt = ground_truth_partition(train, h_threshold=4)
-    return train, test, traces, table, gt
+    return train, test, traces, table, 4  # the default eval.h_threshold
 
 
-def _scored(name, table, traces, gt, train):
+def _scored(name, table, traces, h_threshold, train):
     part = run_method(lookup_method(name), table, traces, seed=0)
-    return score_partition(part, gt, train)
+    return score_partition(part, train, h_threshold)
 
 
 def test_criterion_4_partition_tradeoff(imbalance_seed0):
     start = time.perf_counter()
-    train, _test, traces, table, gt = imbalance_seed0
-    ours = _scored("2d-GMM_acc-SCD", table, traces, gt, train)
-    thres = _scored("Thres_acc-over-training", table, traces, gt, train)
-    jsd_acd = _scored("2d-GMM_WJSD-ACD", table, traces, gt, train)
+    train, _test, traces, table, h_threshold = imbalance_seed0
+    ours = _scored("2d-GMM_acc-SCD", table, traces, h_threshold, train)
+    thres = _scored("Thres_acc-over-training", table, traces, h_threshold, train)
+    jsd_acd = _scored("2d-GMM_WJSD-ACD", table, traces, h_threshold, train)
     elapsed = time.perf_counter() - start
 
     ours_ok = ours.recall_n >= 0.4 and ours.recall_h >= 0.4
@@ -400,9 +398,9 @@ def test_criterion_7_determinism(tmp_path):
 
 def test_criterion_8_ablation_grid(imbalance_seed0):
     start = time.perf_counter()
-    train, _test, traces, table, gt = imbalance_seed0
+    train, _test, traces, table, h_threshold = imbalance_seed0
     reports = {
-        name: _scored(name, table, traces, gt, train)
+        name: _scored(name, table, traces, h_threshold, train)
         for name in ABLATION_METHOD_NAMES
     }
     rows = {
@@ -420,7 +418,7 @@ def test_criterion_8_ablation_grid(imbalance_seed0):
     pairs_ok = True
     pair_details = []
     for suffix in ("", "_mid", "_mid-norm", "_mid-static"):
-        two = _scored(f"2d-GMM_WJSD-ACD{suffix}", table, traces, gt, train)
+        two = _scored(f"2d-GMM_WJSD-ACD{suffix}", table, traces, h_threshold, train)
         three = reports[f"2d-GMM-3clusters_WJSD-ACD{suffix}"]
         improved = three.recall_h > two.recall_h
         pairs_ok = pairs_ok and improved

@@ -16,7 +16,6 @@ from noisesift import (
     anova_f,
     evaluate,
     generate_base,
-    ground_truth_partition,
     init_model,
     retrain_on_subset,
     score_partition,
@@ -26,7 +25,6 @@ from noisesift import (
 from noisesift.data import Dataset
 from noisesift.errors import ConfigurationError
 from noisesift.partition import Partition
-from noisesift.transforms import GroundTruthPartition
 
 
 def _tiny_dataset():
@@ -53,25 +51,17 @@ def _mask(rows, n=8):
     return mask
 
 
-def _tiny_ground_truth():
+def test_tiny_dataset_ground_truth():
     # Noisy = {1, 5}; hard = correct with h >= 4 = {2, 3, 4, 7}; easy = {0, 6}.
-    return GroundTruthPartition(
-        ids=np.arange(8), noisy=_mask({1, 5}), hard=_mask({2, 3, 4, 7}), h_threshold=4
-    )
-
-
-def test_tiny_ground_truth_is_that_of_the_tiny_dataset():
-    got, want = ground_truth_partition(_tiny_dataset(), h_threshold=4), _tiny_ground_truth()
-    np.testing.assert_array_equal(got.ids, want.ids)
-    np.testing.assert_array_equal(got.noisy, want.noisy)
-    np.testing.assert_array_equal(got.hard, want.hard)
+    ds = _tiny_dataset()
+    np.testing.assert_array_equal(ds.mislabeled, _mask({1, 5}))
+    np.testing.assert_array_equal(ds.hard(4), _mask({2, 3, 4, 7}))
 
 
 def test_score_partition_hand_computed():
     ds = _tiny_dataset()
-    gt = _tiny_ground_truth()
     part = Partition(ids=np.arange(8), noisy=_mask({1, 4, 5}), method_name="hand")
-    rep = score_partition(part, gt, ds)
+    rep = score_partition(part, ds, 4)
     assert rep.clean_size == 5
     assert rep.recall_n == pytest.approx(2 / 2)    # both noisy caught
     assert rep.precision_n == pytest.approx(2 / 3)  # one clean casualty (4)
@@ -82,9 +72,8 @@ def test_score_partition_hand_computed():
 
 def test_score_partition_empty_noisy_gives_none_precision():
     ds = _tiny_dataset()
-    gt = _tiny_ground_truth()
     part = Partition(ids=np.arange(8), noisy=np.zeros(8, dtype=bool), method_name="all")
-    rep = score_partition(part, gt, ds)
+    rep = score_partition(part, ds, 4)
     assert rep.precision_n is None
     assert rep.recall_n == 0.0
     assert rep.estimated_lnl == 0.0
@@ -92,31 +81,22 @@ def test_score_partition_empty_noisy_gives_none_precision():
 
 def test_score_partition_rejects_mismatched_ids():
     ds = _tiny_dataset()
-    gt = GroundTruthPartition(ids=np.arange(3), noisy=_mask({1}, 3), hard=_mask({2}, 3))
     part = Partition(ids=np.arange(3), noisy=_mask({2}, 3), method_name="bad")
     with pytest.raises(ConfigurationError, match="partition ids"):
-        score_partition(part, gt, ds)
-    part = Partition(ids=np.arange(8), noisy=_mask({2}), method_name="ok")
-    with pytest.raises(ConfigurationError, match="ground truth ids"):
-        score_partition(part, gt, ds)
+        score_partition(part, ds, 4)
 
 
 def test_score_partition_rejects_reordered_ids():
     """The masks are row-aligned, so the same ids in another order are a
     mismatch, not a permutation to undo."""
     ds = _tiny_dataset()
-    gt = _tiny_ground_truth()
     part = Partition(ids=np.arange(8)[::-1], noisy=_mask({1, 5}), method_name="rev")
     with pytest.raises(ConfigurationError, match="partition ids"):
-        score_partition(part, gt, ds)
+        score_partition(part, ds, 4)
     with pytest.raises(ConfigurationError, match="partition ids"):
         retrain_on_subset(
             ds, [part], ds, [init_model(ds.d, [4], 2, ds.K)], [TrainConfig(epochs=1)]
         )
-    gt.ids = gt.ids[::-1].copy()
-    part = Partition(ids=np.arange(8), noisy=_mask({1, 5}), method_name="ok")
-    with pytest.raises(ConfigurationError, match="ground truth ids"):
-        score_partition(part, gt, ds)
 
 
 def test_retrain_on_subset_rejects_an_empty_clean_subset():

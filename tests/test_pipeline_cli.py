@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from noisesift import pipeline
 from noisesift.cli import main
-from noisesift.data import GridSpec
+from noisesift.data import GridSpec, load_dataset
 from noisesift.errors import ConfigurationError, StageError
 from noisesift.mlp import init_model, load_traces, save_traces
 from noisesift.pipeline import (
@@ -276,14 +276,34 @@ def _count_calls(monkeypatch, name):
     return calls
 
 
-def test_a_run_parses_each_artifact_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("retrain", [False, True], ids=["no-retrain", "retrain"])
+def test_a_run_parses_each_artifact_once(tmp_path, monkeypatch, retrain):
     tables = _count_calls(monkeypatch, "load_metric_table")
     datasets = _count_calls(monkeypatch, "load_dataset")
-    run_dir = run_pipeline(_small_config(tmp_path), tmp_path / "run")
+    cfg_path = _small_config(
+        tmp_path, eval={"retrain": retrain, "retrain_seeds": [0], "h_threshold": 2}
+    )
+    run_dir = run_pipeline(cfg_path, tmp_path / "run")
     assert tables == [()]  # by partition
-    # The train set by train, metrics and eval; the test set by eval.
-    assert sorted(datasets) == [("test",), ("train",), ("train",), ("train",)]
+    # The train set by train, metrics and eval; the test set by eval when it retrains.
+    assert sorted(datasets) == [("test",)] * retrain + [("train",)] * 3
     assert (run_dir / "report.csv").exists()
+
+
+def test_ground_truth_json_is_the_split_of_the_train_set(tmp_path):
+    cfg_path = _small_config(tmp_path)
+    run_dir = run_pipeline(cfg_path, tmp_path / "run", stage="gen")
+    train = load_dataset(run_dir, "train")
+    gt = json.loads((run_dir / "ground_truth.json").read_text())
+    threshold = json.loads(cfg_path.read_text())["eval"]["h_threshold"]
+    assert gt["h_threshold"] == threshold
+    noisy, hard = train.mislabeled, train.hard(threshold)
+    assert gt["noisy_ids"] == train.ids[noisy].tolist()
+    assert gt["hard_ids"] == train.ids[hard].tolist()
+    assert gt["easy_ids"] == train.ids[~(noisy | hard)].tolist()
+    assert gt["noisy_ids"] and gt["hard_ids"] and gt["easy_ids"]
+    # Together they hold each train id exactly once.
+    assert sorted(gt["noisy_ids"] + gt["hard_ids"] + gt["easy_ids"]) == sorted(train.ids.tolist())
 
 
 def test_a_file_changed_after_its_parse_still_stops_the_run(tmp_path):

@@ -1,4 +1,5 @@
-"""Hardness transforms, label-noise injection, and the ground-truth split."""
+"""Hardness transforms, label-noise injection, and the ground truth of a
+noised set."""
 
 import re
 
@@ -14,7 +15,6 @@ from noisesift import (
     apply_diversification,
     apply_imbalance,
     generate_base,
-    ground_truth_partition,
     init_model,
     inject_label_noise,
     input_gradient,
@@ -304,15 +304,17 @@ def test_noise_matches_per_flip_reference_for_any_strata(sizes, rows, seed):
     )
 
 
-def test_ground_truth_partition_is_a_disjoint_cover(small_train):
+def test_mislabeled_and_hard_match_a_per_row_loop(small_train):
     out = inject_label_noise(small_train, NoiseSpec(delta=0.5, seed=3))
-    gt = ground_truth_partition(out, h_threshold=2)
-    np.testing.assert_array_equal(gt.ids, out.ids)
-    # Every row is in exactly one of noisy, hard and easy.
+    noisy = out.mislabeled
     np.testing.assert_array_equal(
-        gt.noisy.astype(int) + gt.hard.astype(int) + gt.easy.astype(int), 1
+        noisy, [out.y_assigned[i] != out.y_true[i] for i in range(len(out))]
     )
-    for row in np.flatnonzero(gt.noisy):
-        assert out.y_assigned[row] != out.y_true[row]
-    for row in np.flatnonzero(gt.hard):
-        assert out.y_assigned[row] == out.y_true[row] and out.h[row] >= 2
+    assert noisy.any() and not noisy.all()
+    for t in range(out.levels):
+        hard = out.hard(t)
+        want = [out.y_assigned[i] == out.y_true[i] and out.h[i] >= t for i in range(len(out))]
+        np.testing.assert_array_equal(hard, want)
+        # Every row is in exactly one of noisy, hard and easy.
+        easy = ~(noisy | hard)
+        np.testing.assert_array_equal(noisy.astype(int) + hard.astype(int) + easy.astype(int), 1)
