@@ -1,8 +1,18 @@
 """Exception types shared across the package."""
 
+import copyreg
+
 
 class NoisesiftError(Exception):
-    """Base class for package errors."""
+    """Base class for package errors.
+
+    Every one survives `pickle` (a training share's failure reaches its
+    parent process that way): it is rebuilt from its stored `args` and
+    attributes without calling `__init__`, whose signature differs between
+    the subclasses."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class ConfigurationError(NoisesiftError):

@@ -4,11 +4,13 @@ Architecture: input -> ReLU hidden layers -> linear feature layer of
 width m -> K logits.  With no hidden layers the feature layer is the
 input itself (pass-through) and the model is plain linear-softmax.
 
-Everything is float64 numpy; training is sequential and deterministic
-given the seed.  One SGD loop trains a stack of same-shaped models at once,
-weights on a leading model axis, each model with its own training set (of
-any size) and its own batch order; the forward and backward passes take a
-single model or such a stack.
+Everything is float64 numpy; training is deterministic given the seed.
+One SGD loop trains a stack of same-shaped models at once, weights on a
+leading model axis, each model with its own training set (of any size)
+and its own batch order; the forward and backward passes take a single
+model or such a stack.  `train` splits a stack into shares, one loop per
+usable CPU, and trains every share but the first in a forked process;
+the models never interact, so the split changes no number.
 
 The stacked weights and biases are views into one model-major (S, P)
 buffer, each row a model's weights and then its biases; the gradients and
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -433,17 +437,101 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
         yield t, views
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; one where the OS cannot say."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+def _train_share(
+    models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig], share: list[int]
+) -> list[Model]:
+    """Models `share` trained in one stacked loop, as views of its buffers."""
+    for _, views in _sgd_epochs(
+        [models[s] for s in share], [datasets[s] for s in share], [cfgs[s] for s in share]
+    ):
+        pass
+    return views
+
+
+def _fork_share(fn, *args):
+    """Call `fn(*args)` in a forked child: (its pid, the read end of a pipe,
+    as a binary file, on which it sends the pickled result or the exception
+    raised).  The child leaves only through `os._exit`, so it never unwinds
+    into its caller's frames and never runs `atexit` handlers."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, os.fdopen(r, "rb")
+    try:
+        os.close(r)
+        try:
+            result = fn(*args)
+        except BaseException as exc:
+            result = exc
+        try:
+            payload = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle
+            payload = pickle.dumps(RuntimeError(repr(result)))
+        with os.fdopen(w, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
 def train(
     models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig]
 ) -> list[Model]:
-    """Train every model in one stacked SGD loop, model s on datasets[s]
-    with cfgs[s]; no traces are taken.  The sets may differ in size and the
-    same set may repeat; the configs may differ only in seed.  Each result
-    equals what `train_with_tracing` returns for that model and set."""
+    """Train every model, model s on datasets[s] with cfgs[s]; no traces
+    are taken.  The sets may differ in size and the same set may repeat;
+    the configs may differ only in seed.  Each result equals what
+    `train_with_tracing` returns for that model and set.
+
+    The stack, largest set first, is dealt round-robin into one share per
+    usable CPU (at most one per model).  This process trains share 0 in
+    one stacked loop and a forked child each other share; the models do
+    not interact, so the results do not depend on the split.  Divergence
+    raises at the earliest epoch of any share, as one loop over the whole
+    stack would; any other failure of a share is raised here, and no child
+    outlives the call."""
     _check_training(models, datasets, cfgs)
-    for _, views in _sgd_epochs(models, datasets, cfgs):
-        pass
-    return [view.copy() for view in views]
+    order = sorted(range(len(models)), key=lambda s: -len(datasets[s]))
+    n = min(len(models), _usable_cpus())
+    shares = [order[k::n] for k in range(n)]
+    children = []  # (pid, pipe) of each child not yet reaped
+    try:
+        for share in shares[1:]:
+            children.append(_fork_share(_train_share, models, datasets, cfgs, share))
+        try:
+            outcomes = [_train_share(models, datasets, cfgs, shares[0])]
+        except TrainingDivergedError as exc:
+            outcomes = [exc]
+        while children:
+            pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            os.waitpid(pid, 0)
+            del children[0]
+            if not payload:
+                raise ChildProcessError(f"training process {pid} ended without a result")
+            outcomes.append(pickle.loads(payload))
+    finally:
+        for pid, pipe in children:  # this process failed or was interrupted
+            os.kill(pid, 9)  # SIGKILL
+            os.waitpid(pid, 0)
+            pipe.close()
+    failures = [o for o in outcomes if isinstance(o, BaseException)]
+    for exc in failures:
+        if not isinstance(exc, TrainingDivergedError):
+            raise exc
+    if failures:
+        raise min(failures, key=lambda exc: exc.epoch)
+    trained = [None] * len(models)
+    for share, views in zip(shares, outcomes):
+        for s, view in zip(share, views):
+            trained[s] = view.copy()  # share 0's are views of its loop's buffers
+    return trained
 
 
 def train_with_tracing(

@@ -2,6 +2,8 @@
 snapshot policy, stacked training, and persistence round-trips."""
 
 import math
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +20,7 @@ from noisesift import (
     train,
     train_with_tracing,
 )
+from noisesift import mlp
 from noisesift.errors import ConfigurationError, TrainingDivergedError
 from noisesift.mlp import (
     _backward,
@@ -431,18 +434,22 @@ PER_MODEL_SETS = {
 }
 
 
-@pytest.mark.parametrize("hidden_sizes", [[], [6], [6, 5]])
-@pytest.mark.parametrize("case", sorted(PER_MODEL_SETS))
-def test_train_on_per_model_sets_is_bitwise_equal_to_the_plain_sgd_loop(
-    small_train, hidden_sizes, case
-):
+def _per_model_sets(small_train, case):
     sizes, which = PER_MODEL_SETS[case]
     assert len(small_train) == 144
     sets = [
         small_train.take(np.random.default_rng(i).permutation(len(small_train))[:n])
         for i, n in enumerate(sizes)
     ]
-    datasets = [sets[i] for i in which]
+    return [sets[i] for i in which]
+
+
+@pytest.mark.parametrize("hidden_sizes", [[], [6], [6, 5]])
+@pytest.mark.parametrize("case", sorted(PER_MODEL_SETS))
+def test_train_on_per_model_sets_is_bitwise_equal_to_the_plain_sgd_loop(
+    small_train, hidden_sizes, case
+):
+    datasets = _per_model_sets(small_train, case)
     m = 4 if hidden_sizes else small_train.d
     models = [
         init_model(small_train.d, hidden_sizes, m, small_train.K, seed=5 + s)
@@ -451,18 +458,165 @@ def test_train_on_per_model_sets_is_bitwise_equal_to_the_plain_sgd_loop(
     _assert_bitwise_equal_to_the_reference(models, datasets, [_sgd_cfg(s) for s in range(len(datasets))])
 
 
-def test_trained_models_share_no_memory(small_train):
+def test_trained_models_share_no_memory(small_train, monkeypatch):
     models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1)]
     cfgs = [TrainConfig(epochs=1, seed=s) for s in (0, 1)]
     traced, _ = train_with_tracing(models[0], small_train, cfgs[0])
-    trained = train(models, [small_train] * 2, cfgs)
-    arrays = [a for m in [*trained, traced] for a in m.weights + m.biases]
     inputs = [a for m in models for a in m.weights + m.biases]
     inputs += [small_train.X, small_train.y_assigned]
-    for i, a in enumerate(arrays):
-        assert a.base is None  # not a view that keeps a training buffer alive
-        for b in arrays[i + 1 :] + inputs:
-            assert not np.shares_memory(a, b)
+    for cpus in (1, 2):  # with two, the second model comes from a child
+        _use_cpus(monkeypatch, cpus)
+        trained = train(models, [small_train] * 2, cfgs)
+        arrays = [a for m in [*trained, traced] for a in m.weights + m.biases]
+        for i, a in enumerate(arrays):
+            assert a.base is None  # not a view of a training buffer or a payload
+            for b in arrays[i + 1 :] + inputs:
+                assert not np.shares_memory(a, b)
+
+
+def _use_cpus(monkeypatch, n):
+    """Make `train` see n usable CPUs (never more than 3 in these tests)."""
+    monkeypatch.setattr(mlp.os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("case", sorted(PER_MODEL_SETS))
+def test_train_on_one_to_three_cpus_is_bitwise_equal_to_the_plain_sgd_loop(
+    small_train, monkeypatch, case
+):
+    datasets = _per_model_sets(small_train, case)
+    models = [
+        init_model(small_train.d, [6], 4, small_train.K, seed=5 + s) for s in range(len(datasets))
+    ]
+    cfgs = [_sgd_cfg(s) for s in range(len(datasets))]
+    expected = _reference_train(models, datasets, cfgs)
+    results = []
+    for cpus in (1, 2, 3):
+        _use_cpus(monkeypatch, cpus)
+        results.append(train(models, datasets, cfgs))
+        _assert_no_child_left()
+    for trained in results:  # each equal to the reference, so to each other
+        for got, want in zip(trained, expected, strict=True):
+            _assert_same_weights(got, want)
+
+
+def test_train_forks_one_child_per_further_share(small_train, monkeypatch):
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def refused_fork():
+        raise AssertionError("a process was started")
+
+    models = [init_model(small_train.d, [6], 4, small_train.K, seed=s) for s in range(5)]
+    cfgs = [TrainConfig(epochs=1, seed=s) for s in range(5)]
+    monkeypatch.setattr(mlp.os, "fork", counting_fork)
+    _use_cpus(monkeypatch, 3)
+    train(models, [small_train] * 5, cfgs)
+    assert len(forked) == 2
+    train(models[:2], [small_train] * 2, cfgs[:2])
+    assert len(forked) == 3
+    _assert_no_child_left()
+
+    # One CPU, one model, tracing, or no affinity call: all in this process.
+    monkeypatch.setattr(mlp.os, "fork", refused_fork)
+    train(models[:1], [small_train], cfgs[:1])
+    train_with_tracing(models[0], small_train, cfgs[0])
+    _use_cpus(monkeypatch, 1)
+    train(models, [small_train] * 5, cfgs)
+    monkeypatch.delattr(mlp.os, "sched_getaffinity")
+    train(models, [small_train] * 5, cfgs)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_divergence_in_any_share_raises_at_the_one_share_epoch(small_train, monkeypatch, cpus):
+    models = [init_model(small_train.d, [8], 4, small_train.K, seed=s) for s in range(4)]
+    models[1].weights[0] *= 10  # diverges first; it is share 1's first model
+    cfgs = [TrainConfig(epochs=20, learning_rate=1.0, seed=s) for s in range(4)]
+
+    def diverged_at(models, cfgs):
+        with pytest.raises(TrainingDivergedError) as info:
+            train(models, [small_train] * len(models), cfgs)
+        return info.value.epoch
+
+    _use_cpus(monkeypatch, 1)
+    alone = [diverged_at([m], [c]) for m, c in zip(models, cfgs)]
+    one_share = diverged_at(models, cfgs)
+    assert one_share == min(alone) == alone[1] < alone[0]
+    _use_cpus(monkeypatch, cpus)
+    assert diverged_at(models, cfgs) == one_share
+    _assert_no_child_left()
+
+
+def _child_raises():
+    raise ValueError("boom in a child")
+
+
+def _child_exits():
+    os._exit(3)
+
+
+def _child_sleeps():
+    time.sleep(60)
+
+
+def _parent_interrupted():
+    raise KeyboardInterrupt
+
+
+def _parent_raises():
+    raise ValueError("boom in the parent")
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize(
+    "in_child, in_parent, raised, match",
+    [
+        (_child_raises, None, ValueError, "boom in a child"),
+        (_child_exits, None, ChildProcessError, "ended without a result"),
+        (_child_sleeps, _parent_interrupted, KeyboardInterrupt, None),
+        (None, _parent_raises, ValueError, "boom in the parent"),
+    ],
+    ids=["child-raises", "child-exits", "parent-interrupted", "parent-raises"],
+)
+def test_a_failing_share_makes_train_raise_and_leaves_no_child(
+    small_train, monkeypatch, tmp_path, cpus, in_child, in_parent, raised, match
+):
+    parent = os.getpid()
+    sgd_epochs = mlp._sgd_epochs
+
+    def failing_sgd_epochs(*args):
+        if os.getpid() != parent and in_child:
+            in_child()
+        if os.getpid() == parent and in_parent:
+            in_parent()
+        yield from sgd_epochs(*args)
+
+    monkeypatch.setattr(mlp, "_sgd_epochs", failing_sgd_epochs)
+    _use_cpus(monkeypatch, cpus)
+    models = [init_model(small_train.d, [6], 4, small_train.K, seed=s) for s in range(3)]
+    cfgs = [TrainConfig(epochs=2, seed=s) for s in range(3)]
+    unwound = tmp_path / "unwound"
+    start = time.monotonic()
+    with pytest.raises(raised, match=match):
+        try:
+            train(models, [small_train] * 3, cfgs)
+        finally:  # a child that returned into this frame would write here too
+            with unwound.open("a") as f:
+                f.write(f"{os.getpid()}\n")
+    assert time.monotonic() - start < 30  # a sleeping child is killed, not awaited
+    assert unwound.read_text().split() == [str(parent)]
+    _assert_no_child_left()
 
 
 def test_forward_batch_on_a_stack_matches_each_slice(small_train):
