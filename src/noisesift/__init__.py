@@ -37,6 +37,7 @@ from .partition import (
     partition_gmm,
     partition_threshold,
     run_method,
+    run_methods,
 )
 from .pipeline import run_pipeline
 from .transforms import (

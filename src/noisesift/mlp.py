@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
-import pickle
+import os  # noqa: F401  (tests reach the shared os module, and its fork, as mlp.os)
 from dataclasses import dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +40,7 @@ import numpy as np
 from .artifacts import load_arrays, meta_int, save_arrays
 from .data import Dataset
 from .errors import ConfigurationError, TrainingDivergedError
+from .shares import deal, run_shares, usable_cpus
 
 
 @dataclass
@@ -437,47 +438,19 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
         yield t, views
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on; one where the OS cannot say."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
-
-
 def _train_share(
     models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig], share: list[int]
-) -> list[Model]:
-    """Models `share` trained in one stacked loop, as views of its buffers."""
-    for _, views in _sgd_epochs(
-        [models[s] for s in share], [datasets[s] for s in share], [cfgs[s] for s in share]
-    ):
-        pass
-    return views
-
-
-def _fork_share(fn, *args):
-    """Call `fn(*args)` in a forked child: (its pid, the read end of a pipe,
-    as a binary file, on which it sends the pickled result or the exception
-    raised).  The child leaves only through `os._exit`, so it never unwinds
-    into its caller's frames and never runs `atexit` handlers."""
-    r, w = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(w)
-        return pid, os.fdopen(r, "rb")
+) -> list[Model] | TrainingDivergedError:
+    """Models `share` trained in one stacked loop, as views of its buffers,
+    or the divergence that stopped the loop."""
     try:
-        os.close(r)
-        try:
-            result = fn(*args)
-        except BaseException as exc:
-            result = exc
-        try:
-            payload = pickle.dumps(result)
-        except Exception:  # an exception that does not pickle
-            payload = pickle.dumps(RuntimeError(repr(result)))
-        with os.fdopen(w, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(0)
+        for _, views in _sgd_epochs(
+            [models[s] for s in share], [datasets[s] for s in share], [cfgs[s] for s in share]
+        ):
+            pass
+    except TrainingDivergedError as exc:
+        return exc
+    return views
 
 
 def train(
@@ -497,34 +470,9 @@ def train(
     outlives the call."""
     _check_training(models, datasets, cfgs)
     order = sorted(range(len(models)), key=lambda s: -len(datasets[s]))
-    n = min(len(models), _usable_cpus())
-    shares = [order[k::n] for k in range(n)]
-    children = []  # (pid, pipe) of each child not yet reaped
-    try:
-        for share in shares[1:]:
-            children.append(_fork_share(_train_share, models, datasets, cfgs, share))
-        try:
-            outcomes = [_train_share(models, datasets, cfgs, shares[0])]
-        except TrainingDivergedError as exc:
-            outcomes = [exc]
-        while children:
-            pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            os.waitpid(pid, 0)
-            del children[0]
-            if not payload:
-                raise ChildProcessError(f"training process {pid} ended without a result")
-            outcomes.append(pickle.loads(payload))
-    finally:
-        for pid, pipe in children:  # this process failed or was interrupted
-            os.kill(pid, 9)  # SIGKILL
-            os.waitpid(pid, 0)
-            pipe.close()
-    failures = [o for o in outcomes if isinstance(o, BaseException)]
-    for exc in failures:
-        if not isinstance(exc, TrainingDivergedError):
-            raise exc
+    shares = deal(order, min(len(models), usable_cpus()))
+    outcomes = run_shares(partial(_train_share, models, datasets, cfgs), shares)
+    failures = [o for o in outcomes if isinstance(o, TrainingDivergedError)]
     if failures:
         raise min(failures, key=lambda exc: exc.epoch)
     trained = [None] * len(models)

@@ -4,12 +4,20 @@ Two method kinds: median thresholding on one metric, and a GMM on one or
 two metrics (two or three clusters, with the cluster furthest on the
 noisy side of every metric taken as noisy).  A named catalog reproduces
 the standard method rows plus the centroid-distance ablation variants.
+
+`run_methods` runs a stage's methods in shares, one per usable CPU: it
+computes each distinct centroid-distance column once, orders the methods
+by fit cost (GMM before threshold, then more clusters, then more
+columns), deals them round-robin and runs every share but the first in a
+forked child.  Each method fits on its own columns with the one seed, so
+every partition is byte-identical at any CPU count.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +34,7 @@ from .metrics import (
     CentroidVariant,
     centroid_distance_from_traces,
 )
+from .shares import deal, run_shares, usable_cpus
 
 # The note on every method that uses the plain JSD standing in for the
 # paper's weighted JSD.
@@ -239,6 +248,54 @@ def run_method(
         part = partition_gmm(table.ids, columns, spec.polarities, spec.clusters, seed, spec.name)
     part.parameters["method"] = spec.describe()
     return part
+
+
+def _fit_cost(spec: MethodSpec) -> tuple[bool, int, int]:
+    """A sort key that grows with a method's fit cost: a GMM costs more than
+    a threshold, then more clusters and more columns cost more."""
+    return spec.kind == "gmm", spec.clusters, len(spec.metrics)
+
+
+def _run_share(specs, table, traces, seed, distances, share) -> list:
+    """run_method for each spec index in `share`: its Partition, or the
+    exception it raised."""
+    outcomes = []
+    for i in share:
+        try:
+            outcomes.append(run_method(specs[i], table, traces, seed, distances))
+        except Exception as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def run_methods(
+    specs: list[MethodSpec], table, traces, seed: int = 0
+) -> list[Partition]:
+    """run_method for every spec, in order, with one `seed` for every fit.
+
+    Each distinct centroid-distance column is computed once, here, first.
+    The methods, costliest fit first, are then dealt round-robin into one
+    share per usable CPU (at most one per method); this process runs share
+    0 and a forked child each other share.  Each method fits on its own
+    columns with `seed` alone, so every partition is the one
+    `run_method(spec, table, traces, seed)` gives, whatever the CPU count.
+    If methods fail, the exception of the first failing one in `specs`
+    order is raised, as a loop over `specs` would raise it."""
+    variants = dict.fromkeys(
+        m for spec in specs for m in spec.metrics if isinstance(m, CentroidVariant)
+    )
+    distances = {v: centroid_distance_from_traces(traces, v) for v in variants}
+    order = sorted(range(len(specs)), key=lambda i: _fit_cost(specs[i]), reverse=True)
+    shares = deal(order, min(len(specs), usable_cpus()))
+    outcomes = [None] * len(specs)
+    results = run_shares(partial(_run_share, specs, table, traces, seed, distances), shares)
+    for share, result in zip(shares, results):
+        for i, outcome in zip(share, result):
+            outcomes[i] = outcome
+    for outcome in outcomes:
+        if isinstance(outcome, Exception):
+            raise outcome
+    return outcomes
 
 
 def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[Path]:

@@ -1,6 +1,7 @@
 """Shared fixtures: a tiny grid for fast unit tests and one fully trained
 default-grid imbalance run reused by the partition/evaluation tests."""
 
+import os
 import time
 
 import numpy as np
@@ -49,3 +50,14 @@ def imbalance_run():
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+@pytest.fixture
+def use_cpus(monkeypatch):
+    """A function that makes `os.sched_getaffinity` report n usable CPUs
+    (never more than 3 in these tests), until the test ends."""
+
+    def use(n: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+    return use

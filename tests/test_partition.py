@@ -1,6 +1,9 @@
 """Partition methods: threshold/GMM semantics and the built-in catalog."""
 
 import json
+import os
+import shutil
+import time
 
 import numpy as np
 import pytest
@@ -13,11 +16,18 @@ from noisesift import (
     partition_threshold,
     pipeline,
     run_method,
+    run_methods,
 )
 from noisesift.artifacts import save_arrays
-from noisesift.errors import ConfigurationError, UnknownMethodError
+from noisesift.errors import ConfigurationError, DegenerateDataError, UnknownMethodError
 from noisesift.gmm import GmmConfig, fit_gmm, responsibilities
-from noisesift.metrics import COLUMNS, SCD_VARIANT, CentroidVariant, load_metric_table
+from noisesift.metrics import (
+    COLUMNS,
+    SCD_VARIANT,
+    CentroidVariant,
+    centroid_distance_from_traces,
+    load_metric_table,
+)
 from noisesift.mlp import load_traces
 from noisesift.partition import (
     ABLATION_METHOD_NAMES,
@@ -313,3 +323,181 @@ def test_a_non_boolean_noisy_mask_is_refused(tmp_path):
     save_arrays(tmp_path, "p", {"method_name": "int-mask", "parameters": {}}, ids=ids, noisy=mask)
     with pytest.raises(ConfigurationError, match="noisy mask has dtype int64"):
         load_partition(tmp_path, "p")
+
+
+TINY_CONFIG = {
+    "grid": {"levels": 3, "classes_per_cell": 1, "per_class_count": 16, "input_dim": 4},
+    "train": {"epochs": 6, "hidden_sizes": [8], "feature_width": 4},
+    "methods": [spec.name for spec in builtin_methods()],
+    "eval": {"h_threshold": 2},
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """A tiny run listing all 15 methods, through its metrics stage: (the
+    config path, the run directory, its metric table and its traces)."""
+    root = tmp_path_factory.mktemp("tiny")
+    config = root / "config.json"
+    config.write_text(json.dumps(TINY_CONFIG))
+    out = root / "run"
+    for stage in ("gen", "train", "metrics"):
+        run_pipeline(config, out_dir=out, stage=stage)
+    return config, out, load_metric_table(out), load_traces(out)
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _failing_fits(monkeypatch, table, traces, errors: dict, log):
+    """Make `partition.fit_gmm` raise errors[name] on the fit of each named
+    method, known by its cluster count and its points, and append
+    "<name> <pid>" to the file `log` each time."""
+    fits = {}
+    for name in errors:
+        spec = lookup_method(name)
+        columns = [
+            centroid_distance_from_traces(traces, m) if isinstance(m, CentroidVariant)
+            else table.values[m]
+            for m in spec.metrics
+        ]
+        fits[name] = (spec.clusters, np.column_stack(columns))
+    fit = partition.fit_gmm
+
+    def failing_fit(pts, cfg):
+        for name, (k, want) in fits.items():
+            if cfg.k == k and pts.shape == want.shape and np.array_equal(pts, want):
+                with log.open("a") as f:
+                    f.write(f"{name} {os.getpid()}\n")
+                raise errors[name]
+        return fit(pts, cfg)
+
+    monkeypatch.setattr(partition, "fit_gmm", failing_fit)
+
+
+def test_run_methods_on_one_to_three_cpus_equals_the_one_process_loop(tiny_run, use_cpus):
+    _, _, table, traces = tiny_run
+    specs = builtin_methods()
+    want = [run_method(spec, table, traces, seed=3) for spec in specs]
+    for cpus in (1, 2, 3):
+        use_cpus(cpus)
+        got = run_methods(specs, table, traces, seed=3)
+        _assert_no_child_left()
+        for g, w in zip(got, want, strict=True):
+            assert g.method_name == w.method_name
+            for a, b in ((g.ids, w.ids), (g.noisy, w.noisy)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (cpus, w.method_name)
+            assert json.dumps(g.parameters) == json.dumps(w.parameters), (cpus, w.method_name)
+
+
+def test_run_methods_forks_one_child_per_further_share(tiny_run, use_cpus, monkeypatch):
+    _, _, table, traces = tiny_run
+    specs = builtin_methods()
+    forked = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    def refused_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    use_cpus(2)
+    run_methods(specs, table, traces)
+    assert len(forked) == 1
+    use_cpus(3)
+    run_methods(specs, table, traces)
+    assert len(forked) == 3
+    _assert_no_child_left()
+
+    # No method, one method or one CPU: all in this process.
+    monkeypatch.setattr(os, "fork", refused_fork)
+    assert run_methods([], table, traces) == []
+    run_methods(specs[:1], table, traces)
+    use_cpus(1)
+    run_methods(specs, table, traces)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_run_methods_computes_each_centroid_distance_once_in_this_process(
+    tiny_run, use_cpus, monkeypatch, tmp_path, cpus
+):
+    _, _, table, traces = tiny_run
+    log = tmp_path / "computed"
+    distance = partition.centroid_distance_from_traces
+
+    def logged_distance(traces, variant):
+        with log.open("a") as f:
+            f.write(f"{os.getpid()}\n")
+        return distance(traces, variant)
+
+    monkeypatch.setattr(partition, "centroid_distance_from_traces", logged_distance)
+    use_cpus(cpus)
+    run_methods(builtin_methods(), table, traces)
+    assert log.read_text().split() == [str(os.getpid())] * 5
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_run_methods_raises_the_first_failure_in_config_order(
+    tiny_run, use_cpus, monkeypatch, tmp_path, cpus
+):
+    # 1d-GMM_AUL is fifth in config order. At 2 and 3 CPUs it runs in a
+    # forked share, while the two methods after it, both costlier, run
+    # first in share 0.
+    _, _, table, traces = tiny_run
+    names = ("1d-GMM_AUL", "2d-GMM_WJSD-ACD", "2d-GMM_acc-SCD")
+    errors = {name: ValueError(f"{name} failed") for name in names}
+    log = tmp_path / "failed"
+    _failing_fits(monkeypatch, table, traces, errors, log)
+    use_cpus(cpus)
+    with pytest.raises(ValueError, match="^1d-GMM_AUL failed$"):
+        run_methods(builtin_methods(), table, traces)
+    _assert_no_child_left()
+    failed = dict(line.split() for line in log.read_text().splitlines())
+    assert failed.keys() == set(names)
+    assert failed["2d-GMM_acc-SCD"] == str(os.getpid())
+    assert (failed["1d-GMM_AUL"] == str(os.getpid())) == (cpus == 1)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_an_interrupted_run_methods_leaves_no_child(tiny_run, use_cpus, monkeypatch, cpus):
+    _, _, table, traces = tiny_run
+    parent = os.getpid()
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(partition, "run_method", interrupted)
+    use_cpus(cpus)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_methods(builtin_methods(), table, traces)
+    assert time.monotonic() - start < 30  # a sleeping child is killed, not awaited
+    _assert_no_child_left()
+
+
+def test_a_degenerate_fit_in_a_forked_share_falls_back_and_the_run_completes(
+    tiny_run, use_cpus, monkeypatch, tmp_path
+):
+    config, out, table, traces = tiny_run
+    run_dir = shutil.copytree(out, tmp_path / "run")
+    log = tmp_path / "failed"
+    errors = {"1d-GMM_AUL": DegenerateDataError("all points identical")}
+    _failing_fits(monkeypatch, table, traces, errors, log)
+    use_cpus(2)
+    run_pipeline(config, out_dir=run_dir)
+    [(name, pid)] = [line.split() for line in log.read_text().splitlines()]
+    assert name == "1d-GMM_AUL" and pid != str(os.getpid())  # fitted in share 1
+    meta = json.loads((run_dir / "partition_1d-GMM_AUL.json").read_text())
+    assert meta["parameters"]["fallback"] == "median-threshold-on-last-metric"
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    assert set(manifest["stages"]) == set(pipeline.STAGES)
+    assert (run_dir / "report.csv").exists()
