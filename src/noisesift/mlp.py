@@ -8,9 +8,9 @@ Everything is float64 numpy; training is deterministic given the seed.
 One SGD loop trains a stack of same-shaped models at once, weights on a
 leading model axis, each model with its own training set (of any size)
 and its own batch order; the forward and backward passes take a single
-model or such a stack.  `train` splits a stack into shares, one loop per
-usable CPU, and trains every share but the first in a forked process;
-the models never interact, so the split changes no number.
+model or such a stack.  `train` trains a stack in shares, one loop per
+usable CPU, through `shares.run_shares`; the models never interact, so
+the split changes no number.
 
 The stacked weights and biases are views into one model-major (S, P)
 buffer, each row a model's weights and then its biases; the gradients and
@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os  # noqa: F401  (tests reach the shared os module, and its fork, as mlp.os)
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -40,7 +39,7 @@ import numpy as np
 from .artifacts import load_arrays, meta_int, save_arrays
 from .data import Dataset
 from .errors import ConfigurationError, TrainingDivergedError
-from .shares import deal, run_shares, usable_cpus
+from .shares import run_shares
 
 
 @dataclass
@@ -376,19 +375,16 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
     the loop keeps updating in place.
 
     Model s draws its batch order from default_rng(cfgs[s].seed), so the
-    models do not interact: each trains as it would alone.  The stack is
-    ordered by set size, largest first (a stable sort), so each step of
-    `_epoch_steps` is a contiguous run of models: one forward, one backward
-    and one update over its rows of the model-major buffers."""
+    models do not interact: each trains as it would alone.  The sets must
+    come largest first: every share of `train`'s largest-first order is
+    itself largest first, and `train_with_tracing` passes one set.  So each
+    step of `_epoch_steps` is a contiguous run of models: one forward, one
+    backward and one update over its rows of the model-major buffers."""
     cfg, B = cfgs[0], cfgs[0].batch_size
-    order = sorted(range(len(models)), key=lambda s: -len(datasets[s]))
-    datasets = [datasets[s] for s in order]
     sizes = [len(ds) for ds in datasets]
     S = len(sizes)
-    stack = _SgdRows.of([models[s] for s in order])
-    views = [None] * S
-    for row, s in enumerate(order):
-        views[s] = _unstacked(stack.model, row)
+    stack = _SgdRows.of(models)
+    views = [_unstacked(stack.model, s) for s in range(S)]
 
     # Each distinct training set once: the rows of model s are X[offsets[s] + i].
     distinct = list({id(ds): ds for ds in datasets}.values())
@@ -418,7 +414,7 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
         cells[block] = np.arange(0, (hi - lo) * b * K, K).reshape(hi - lo, b)
         steps.append((block, b, stack.rows(lo, hi), work[:L], work[L:], work[L - 1].reshape(-1)))
 
-    rngs = [np.random.default_rng(cfgs[s].seed) for s in order]
+    rngs = [np.random.default_rng(c.seed) for c in cfgs]
     orders = np.zeros((S, sizes[0]), dtype=np.int64)  # row s: model s's epoch order, padded
     for t in range(1, cfg.epochs + 1):
         for s, (rng, n) in enumerate(zip(rngs, sizes)):
@@ -440,16 +436,16 @@ def _sgd_epochs(models: list[Model], datasets: list[Dataset], cfgs: list[TrainCo
 
 def _train_share(
     models: list[Model], datasets: list[Dataset], cfgs: list[TrainConfig], share: list[int]
-) -> list[Model] | TrainingDivergedError:
+) -> list[Model] | list[TrainingDivergedError]:
     """Models `share` trained in one stacked loop, as views of its buffers,
-    or the divergence that stopped the loop."""
+    or the divergence that stopped the loop once per model."""
     try:
         for _, views in _sgd_epochs(
             [models[s] for s in share], [datasets[s] for s in share], [cfgs[s] for s in share]
         ):
             pass
     except TrainingDivergedError as exc:
-        return exc
+        return [exc] * len(share)
     return views
 
 
@@ -461,25 +457,20 @@ def train(
     the configs may differ only in seed.  Each result equals what
     `train_with_tracing` returns for that model and set.
 
-    The stack, largest set first, is dealt round-robin into one share per
-    usable CPU (at most one per model).  This process trains share 0 in
-    one stacked loop and a forked child each other share; the models do
+    `run_shares`, with a model's set size as its cost, splits the models
+    into shares and trains each share in one stacked loop; the models do
     not interact, so the results do not depend on the split.  Divergence
     raises at the earliest epoch of any share, as one loop over the whole
     stack would; any other failure of a share is raised here, and no child
     outlives the call."""
     _check_training(models, datasets, cfgs)
-    order = sorted(range(len(models)), key=lambda s: -len(datasets[s]))
-    shares = deal(order, min(len(models), usable_cpus()))
-    outcomes = run_shares(partial(_train_share, models, datasets, cfgs), shares)
+    outcomes = run_shares(
+        partial(_train_share, models, datasets, cfgs), [len(ds) for ds in datasets]
+    )
     failures = [o for o in outcomes if isinstance(o, TrainingDivergedError)]
     if failures:
         raise min(failures, key=lambda exc: exc.epoch)
-    trained = [None] * len(models)
-    for share, views in zip(shares, outcomes):
-        for s, view in zip(share, views):
-            trained[s] = view.copy()  # share 0's are views of its loop's buffers
-    return trained
+    return [v.copy() for v in outcomes]  # share 0's are views of its loop's buffers
 
 
 def train_with_tracing(
@@ -545,9 +536,14 @@ def train_with_tracing(
 
 
 def evaluate(model: Model, dataset: Dataset) -> tuple[float, float]:
-    """(accuracy, mean cross-entropy loss) against the true labels."""
+    """(accuracy, mean cross-entropy loss) against the true labels; a set
+    of another class count than the model's raises ConfigurationError."""
     if len(dataset) == 0:
         raise ConfigurationError("cannot evaluate on an empty dataset")
+    if dataset.K != model.K:
+        raise ConfigurationError(
+            f"test set has {dataset.K} classes, but the model outputs {model.K}"
+        )
     probs, _ = forward_batch(model, dataset.X)
     acc = float(np.mean(np.argmax(probs, axis=1) == dataset.y_true))
     p = np.maximum(probs[np.arange(len(dataset)), dataset.y_true], 1e-300)

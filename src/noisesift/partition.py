@@ -5,12 +5,11 @@ two metrics (two or three clusters, with the cluster furthest on the
 noisy side of every metric taken as noisy).  A named catalog reproduces
 the standard method rows plus the centroid-distance ablation variants.
 
-`run_methods` runs a stage's methods in shares, one per usable CPU: it
-computes each distinct centroid-distance column once, orders the methods
-by fit cost (GMM before threshold, then more clusters, then more
-columns), deals them round-robin and runs every share but the first in a
-forked child.  Each method fits on its own columns with the one seed, so
-every partition is byte-identical at any CPU count.
+`run_methods` computes each distinct centroid-distance column of a
+stage's methods once, then runs the methods through `shares.run_shares`
+with their fit cost (GMM before threshold, then more clusters, then more
+columns) as cost.  Each method fits on its own columns with the one
+seed, so every partition is byte-identical at any CPU count.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from .metrics import (
     CentroidVariant,
     centroid_distance_from_traces,
 )
-from .shares import deal, run_shares, usable_cpus
+from .shares import run_shares
 
 # The note on every method that uses the plain JSD standing in for the
 # paper's weighted JSD.
@@ -228,20 +227,18 @@ def run_method(
     distances: dict[CentroidVariant, np.ndarray] | None = None,
 ) -> Partition:
     """Execute a MethodSpec against a MetricTable, with the TraceStore it
-    came from for the centroid-distance variants computed on demand;
-    `seed` seeds the GMM fit.  A variant's column is read from
-    `distances` when it is there and added to it when computed, so calls
-    that share one dict compute each variant once."""
-    if distances is None:
-        distances = {}
+    came from for the centroid-distance variants; `seed` seeds the GMM
+    fit.  A variant's column is read from `distances` when it is there and
+    computed otherwise; `distances` is never written."""
+    distances = distances or {}
     columns = []
     for m in spec.metrics:
-        if isinstance(m, CentroidVariant):
-            if m not in distances:
-                distances[m] = centroid_distance_from_traces(traces, m)
+        if not isinstance(m, CentroidVariant):
+            columns.append(table.values[m])
+        elif m in distances:
             columns.append(distances[m])
         else:
-            columns.append(table.values[m])
+            columns.append(centroid_distance_from_traces(traces, m))
     if spec.kind == "threshold":
         part = partition_threshold(table.ids, columns[0], spec.polarities[0], spec.name)
     else:
@@ -274,24 +271,18 @@ def run_methods(
     """run_method for every spec, in order, with one `seed` for every fit.
 
     Each distinct centroid-distance column is computed once, here, first.
-    The methods, costliest fit first, are then dealt round-robin into one
-    share per usable CPU (at most one per method); this process runs share
-    0 and a forked child each other share.  Each method fits on its own
-    columns with `seed` alone, so every partition is the one
-    `run_method(spec, table, traces, seed)` gives, whatever the CPU count.
-    If methods fail, the exception of the first failing one in `specs`
-    order is raised, as a loop over `specs` would raise it."""
+    `run_shares`, with `_fit_cost` as cost, then splits the methods into
+    shares, one per usable CPU.  Each method fits on its own columns with
+    `seed` alone, so every partition is the one `run_method(spec, table,
+    traces, seed)` gives, whatever the CPU count.  If methods fail, the
+    exception of the first failing one in `specs` order is raised, as a
+    loop over `specs` would raise it."""
     variants = dict.fromkeys(
         m for spec in specs for m in spec.metrics if isinstance(m, CentroidVariant)
     )
     distances = {v: centroid_distance_from_traces(traces, v) for v in variants}
-    order = sorted(range(len(specs)), key=lambda i: _fit_cost(specs[i]), reverse=True)
-    shares = deal(order, min(len(specs), usable_cpus()))
-    outcomes = [None] * len(specs)
-    results = run_shares(partial(_run_share, specs, table, traces, seed, distances), shares)
-    for share, result in zip(shares, results):
-        for i, outcome in zip(share, result):
-            outcomes[i] = outcome
+    costs = [_fit_cost(spec) for spec in specs]
+    outcomes = run_shares(partial(_run_share, specs, table, traces, seed, distances), costs)
     for outcome in outcomes:
         if isinstance(outcome, Exception):
             raise outcome

@@ -1,12 +1,13 @@
-"""Independent work split into shares, one per usable CPU.
+"""Independent items of work split into shares, one per usable CPU.
 
-`deal` splits an ordering round-robin into shares; `run_shares` runs the
-first share in the calling process and each other share in an
-`os.fork`ed child, which sends its result back over a pipe.  A child
-starts from a copy of the caller's memory, so a share function reads its
-inputs without copying them, and only the result crosses the pipe.  The
-children are always reaped: when the caller raises or is interrupted,
-every child still running is killed first.
+`run_shares` orders the items costliest first, deals them round-robin
+into shares, runs the first share in the calling process and each other
+share in an `os.fork`ed child, which sends its results back over a pipe,
+and returns the results in item order.  A child starts from a copy of
+the caller's memory, so a share function reads its inputs without
+copying them, and only the results cross the pipe.  The children are
+always reaped: when the caller raises or is interrupted, every child
+still running is killed first.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from typing import BinaryIO, Callable, Sequence, TypeVar
+from typing import Any, BinaryIO, Callable, Sequence, TypeVar
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -24,13 +24,6 @@ def usable_cpus() -> int:
     """The CPUs this process may run on; one where the OS cannot say."""
     affinity = getattr(os, "sched_getaffinity", None)
     return len(affinity(0)) if affinity else 1
-
-
-def deal(order: Sequence[T], n: int) -> list[list[T]]:
-    """`order` dealt round-robin into n shares: share k holds order[k],
-    order[k + n], ...  Dealing a costliest-first order gives share 0 the
-    costliest item of every round."""
-    return [list(order[k::n]) for k in range(n)]
 
 
 def _fork(fn: Callable, share) -> tuple[int, BinaryIO]:
@@ -71,22 +64,32 @@ def _no_result(share: int, pid: int, status: int) -> ChildProcessError:
     return ChildProcessError(f"share {share}: process {pid} ended without a result: it {how}")
 
 
-def run_shares(fn: Callable[[T], R], shares: Sequence[T]) -> list[R]:
-    """[fn(share) for share in shares], with shares[0] run in this process
-    and every other share in a forked child at the same time.
+def run_shares(fn: Callable[[list[int]], list[R]], costs: Sequence[Any]) -> list[R]:
+    """One result per item i in range(len(costs)), in item order.
+
+    The items, sorted by `costs[i]` costliest first (a stable sort), are
+    dealt round-robin into n shares, one per usable CPU and at most one
+    per item: share k holds order[k], order[k + n], ... of that order, so
+    share 0 gets the costliest item of every round and each share is
+    itself costliest first.  `fn(share)` takes a share's item indices and
+    returns one result per index, in that order.  This process runs share
+    0 and a forked child each other share, at the same time.
 
     An exception that `fn` raises is raised here: share 0's at once, a
     child's when that child is reaped, children in share order.  A child
     that does not exit with status 0 raises ChildProcessError naming it
     and its signal or exit status, before its output is read as a result.
     No child outlives the call.  One share starts no process."""
-    if not shares:
+    if not costs:
         return []
+    order = sorted(range(len(costs)), key=lambda i: costs[i], reverse=True)
+    n = min(len(costs), usable_cpus())
+    shares = [order[k::n] for k in range(n)]
     children = []  # (pid, pipe) of each child not yet reaped
     try:
         for share in shares[1:]:
             children.append(_fork(fn, share))
-        results = [fn(shares[0])]
+        outcomes = [fn(shares[0])]
         while children:
             pid, pipe = children[0]
             with pipe:
@@ -94,14 +97,18 @@ def run_shares(fn: Callable[[T], R], shares: Sequence[T]) -> list[R]:
             _, status = os.waitpid(pid, 0)
             del children[0]
             if status != 0:
-                raise _no_result(len(results), pid, status)
-            ok, result = pickle.loads(payload)
+                raise _no_result(len(outcomes), pid, status)
+            ok, outcome = pickle.loads(payload)
             if not ok:
-                raise result
-            results.append(result)
+                raise outcome
+            outcomes.append(outcome)
     finally:
         for pid, pipe in children:  # this process failed or was interrupted
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             pipe.close()
+    results = [None] * len(costs)
+    for share, outcome in zip(shares, outcomes):
+        for i, result in zip(share, outcome, strict=True):
+            results[i] = result
     return results

@@ -61,3 +61,41 @@ def use_cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
     return use
+
+
+@pytest.fixture
+def assert_no_child_left():
+    """A check that this process has no child process left, reaped or not."""
+
+    def check() -> None:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    return check
+
+
+@pytest.fixture
+def forked(monkeypatch):
+    """The pids of the children that `os.fork` starts from now on, until
+    the test ends or calls `refuse_fork`."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@pytest.fixture
+def refuse_fork(monkeypatch):
+    """A function that makes every later `os.fork` fail the test."""
+
+    def refused_fork():
+        raise AssertionError("a process was started")
+
+    return lambda: monkeypatch.setattr(os, "fork", refused_fork)

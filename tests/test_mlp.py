@@ -311,8 +311,17 @@ def test_load_traces_rejects_a_misshapen_or_missing_array(tmp_path, small_train)
         (lambda m, ds: forward_batch(m, ds.X[:, :-1]), "input dimension 3 != model dimension 4"),
         (lambda m, ds: input_gradient(m, ds.X[:1], [ds.K]), "label out of range"),
         (lambda m, ds: evaluate(m, ds.take(np.zeros(len(ds), dtype=bool))), "empty dataset"),
+        (
+            lambda m, ds: evaluate(m, replace(ds, cell_table=ds.cell_table[:-1])),
+            "test set has 8 classes, but the model outputs 9",
+        ),
     ],
-    ids=["forward-batch-narrow-input", "input-gradient-label-K", "evaluate-empty-set"],
+    ids=[
+        "forward-batch-narrow-input",
+        "input-gradient-label-K",
+        "evaluate-empty-set",
+        "evaluate-other-class-count",
+    ],
 )
 def test_model_functions_refuse_bad_inputs(small_train, call, match):
     model = init_model(small_train.d, [8], 4, small_train.K, seed=0)
@@ -458,14 +467,14 @@ def test_train_on_per_model_sets_is_bitwise_equal_to_the_plain_sgd_loop(
     _assert_bitwise_equal_to_the_reference(models, datasets, [_sgd_cfg(s) for s in range(len(datasets))])
 
 
-def test_trained_models_share_no_memory(small_train, monkeypatch):
+def test_trained_models_share_no_memory(small_train, use_cpus):
     models = [init_model(small_train.d, [8, 6], 4, small_train.K, seed=s) for s in (0, 1)]
     cfgs = [TrainConfig(epochs=1, seed=s) for s in (0, 1)]
     traced, _ = train_with_tracing(models[0], small_train, cfgs[0])
     inputs = [a for m in models for a in m.weights + m.biases]
     inputs += [small_train.X, small_train.y_assigned]
     for cpus in (1, 2):  # with two, the second model comes from a child
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(cpus)
         trained = train(models, [small_train] * 2, cfgs)
         arrays = [a for m in [*trained, traced] for a in m.weights + m.biases]
         for i, a in enumerate(arrays):
@@ -474,19 +483,9 @@ def test_trained_models_share_no_memory(small_train, monkeypatch):
                 assert not np.shares_memory(a, b)
 
 
-def _use_cpus(monkeypatch, n):
-    """Make `train` see n usable CPUs (never more than 3 in these tests)."""
-    monkeypatch.setattr(mlp.os, "sched_getaffinity", lambda pid: set(range(n)))
-
-
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 @pytest.mark.parametrize("case", sorted(PER_MODEL_SETS))
 def test_train_on_one_to_three_cpus_is_bitwise_equal_to_the_plain_sgd_loop(
-    small_train, monkeypatch, case
+    small_train, use_cpus, assert_no_child_left, case
 ):
     datasets = _per_model_sets(small_train, case)
     models = [
@@ -496,50 +495,41 @@ def test_train_on_one_to_three_cpus_is_bitwise_equal_to_the_plain_sgd_loop(
     expected = _reference_train(models, datasets, cfgs)
     results = []
     for cpus in (1, 2, 3):
-        _use_cpus(monkeypatch, cpus)
+        use_cpus(cpus)
         results.append(train(models, datasets, cfgs))
-        _assert_no_child_left()
+        assert_no_child_left()
     for trained in results:  # each equal to the reference, so to each other
         for got, want in zip(trained, expected, strict=True):
             _assert_same_weights(got, want)
 
 
-def test_train_forks_one_child_per_further_share(small_train, monkeypatch):
-    forked = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def refused_fork():
-        raise AssertionError("a process was started")
-
+def test_train_forks_one_child_per_further_share(
+    small_train, monkeypatch, use_cpus, assert_no_child_left, forked, refuse_fork
+):
     models = [init_model(small_train.d, [6], 4, small_train.K, seed=s) for s in range(5)]
     cfgs = [TrainConfig(epochs=1, seed=s) for s in range(5)]
-    monkeypatch.setattr(mlp.os, "fork", counting_fork)
-    _use_cpus(monkeypatch, 3)
+    use_cpus(3)
     train(models, [small_train] * 5, cfgs)
     assert len(forked) == 2
     train(models[:2], [small_train] * 2, cfgs[:2])
     assert len(forked) == 3
-    _assert_no_child_left()
+    assert_no_child_left()
 
     # One CPU, one model, tracing, or no affinity call: all in this process.
-    monkeypatch.setattr(mlp.os, "fork", refused_fork)
+    refuse_fork()
     train(models[:1], [small_train], cfgs[:1])
     train_with_tracing(models[0], small_train, cfgs[0])
-    _use_cpus(monkeypatch, 1)
+    use_cpus(1)
     train(models, [small_train] * 5, cfgs)
-    monkeypatch.delattr(mlp.os, "sched_getaffinity")
+    monkeypatch.delattr(os, "sched_getaffinity")
     train(models, [small_train] * 5, cfgs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_divergence_in_any_share_raises_at_the_one_share_epoch(small_train, monkeypatch, cpus):
+def test_divergence_in_any_share_raises_at_the_one_share_epoch(
+    small_train, use_cpus, assert_no_child_left, cpus
+):
     models = [init_model(small_train.d, [8], 4, small_train.K, seed=s) for s in range(4)]
     models[1].weights[0] *= 10  # diverges first; it is share 1's first model
     cfgs = [TrainConfig(epochs=20, learning_rate=1.0, seed=s) for s in range(4)]
@@ -549,13 +539,13 @@ def test_divergence_in_any_share_raises_at_the_one_share_epoch(small_train, monk
             train(models, [small_train] * len(models), cfgs)
         return info.value.epoch
 
-    _use_cpus(monkeypatch, 1)
+    use_cpus(1)
     alone = [diverged_at([m], [c]) for m, c in zip(models, cfgs)]
     one_share = diverged_at(models, cfgs)
     assert one_share == min(alone) == alone[1] < alone[0]
-    _use_cpus(monkeypatch, cpus)
+    use_cpus(cpus)
     assert diverged_at(models, cfgs) == one_share
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def _child_raises():
@@ -590,7 +580,8 @@ def _parent_raises():
     ids=["child-raises", "child-exits", "parent-interrupted", "parent-raises"],
 )
 def test_a_failing_share_makes_train_raise_and_leaves_no_child(
-    small_train, monkeypatch, tmp_path, cpus, in_child, in_parent, raised, match
+    small_train, monkeypatch, use_cpus, assert_no_child_left, tmp_path,
+    cpus, in_child, in_parent, raised, match
 ):
     parent = os.getpid()
     sgd_epochs = mlp._sgd_epochs
@@ -603,7 +594,7 @@ def test_a_failing_share_makes_train_raise_and_leaves_no_child(
         yield from sgd_epochs(*args)
 
     monkeypatch.setattr(mlp, "_sgd_epochs", failing_sgd_epochs)
-    _use_cpus(monkeypatch, cpus)
+    use_cpus(cpus)
     models = [init_model(small_train.d, [6], 4, small_train.K, seed=s) for s in range(3)]
     cfgs = [TrainConfig(epochs=2, seed=s) for s in range(3)]
     unwound = tmp_path / "unwound"
@@ -616,7 +607,7 @@ def test_a_failing_share_makes_train_raise_and_leaves_no_child(
                 f.write(f"{os.getpid()}\n")
     assert time.monotonic() - start < 30  # a sleeping child is killed, not awaited
     assert unwound.read_text().split() == [str(parent)]
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_forward_batch_on_a_stack_matches_each_slice(small_train):

@@ -22,6 +22,7 @@ from noisesift.artifacts import save_arrays
 from noisesift.errors import ConfigurationError, DegenerateDataError, UnknownMethodError
 from noisesift.gmm import GmmConfig, fit_gmm, responsibilities
 from noisesift.metrics import (
+    ACD_VARIANT,
     COLUMNS,
     SCD_VARIANT,
     CentroidVariant,
@@ -346,11 +347,6 @@ def tiny_run(tmp_path_factory):
     return config, out, load_metric_table(out), load_traces(out)
 
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _failing_fits(monkeypatch, table, traces, errors: dict, log):
     """Make `partition.fit_gmm` raise errors[name] on the fit of each named
     method, known by its cluster count and its points, and append
@@ -377,14 +373,16 @@ def _failing_fits(monkeypatch, table, traces, errors: dict, log):
     monkeypatch.setattr(partition, "fit_gmm", failing_fit)
 
 
-def test_run_methods_on_one_to_three_cpus_equals_the_one_process_loop(tiny_run, use_cpus):
+def test_run_methods_on_one_to_three_cpus_equals_the_one_process_loop(
+    tiny_run, use_cpus, assert_no_child_left
+):
     _, _, table, traces = tiny_run
     specs = builtin_methods()
     want = [run_method(spec, table, traces, seed=3) for spec in specs]
     for cpus in (1, 2, 3):
         use_cpus(cpus)
         got = run_methods(specs, table, traces, seed=3)
-        _assert_no_child_left()
+        assert_no_child_left()
         for g, w in zip(got, want, strict=True):
             assert g.method_name == w.method_name
             for a, b in ((g.ids, w.ids), (g.noisy, w.noisy)):
@@ -392,32 +390,33 @@ def test_run_methods_on_one_to_three_cpus_equals_the_one_process_loop(tiny_run, 
             assert json.dumps(g.parameters) == json.dumps(w.parameters), (cpus, w.method_name)
 
 
-def test_run_methods_forks_one_child_per_further_share(tiny_run, use_cpus, monkeypatch):
+def test_run_method_leaves_a_distances_dict_without_its_variant_unchanged(tiny_run):
+    _, _, table, traces = tiny_run
+    spec = lookup_method("2d-GMM_acc-SCD")
+    acd = centroid_distance_from_traces(traces, ACD_VARIANT)
+    distances = {ACD_VARIANT: acd}  # without the SCD column the method needs
+    got = run_method(spec, table, traces, distances=distances)
+    assert list(distances) == [ACD_VARIANT] and distances[ACD_VARIANT] is acd
+    want = run_method(spec, table, traces)
+    np.testing.assert_array_equal(got.noisy, want.noisy)
+    assert got.parameters == want.parameters
+
+
+def test_run_methods_forks_one_child_per_further_share(
+    tiny_run, use_cpus, assert_no_child_left, forked, refuse_fork
+):
     _, _, table, traces = tiny_run
     specs = builtin_methods()
-    forked = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            forked.append(pid)
-        return pid
-
-    def refused_fork():
-        raise AssertionError("a process was started")
-
-    monkeypatch.setattr(os, "fork", counting_fork)
     use_cpus(2)
     run_methods(specs, table, traces)
     assert len(forked) == 1
     use_cpus(3)
     run_methods(specs, table, traces)
     assert len(forked) == 3
-    _assert_no_child_left()
+    assert_no_child_left()
 
     # No method, one method or one CPU: all in this process.
-    monkeypatch.setattr(os, "fork", refused_fork)
+    refuse_fork()
     assert run_methods([], table, traces) == []
     run_methods(specs[:1], table, traces)
     use_cpus(1)
@@ -445,7 +444,7 @@ def test_run_methods_computes_each_centroid_distance_once_in_this_process(
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_run_methods_raises_the_first_failure_in_config_order(
-    tiny_run, use_cpus, monkeypatch, tmp_path, cpus
+    tiny_run, use_cpus, assert_no_child_left, monkeypatch, tmp_path, cpus
 ):
     # 1d-GMM_AUL is fifth in config order. At 2 and 3 CPUs it runs in a
     # forked share, while the two methods after it, both costlier, run
@@ -458,7 +457,7 @@ def test_run_methods_raises_the_first_failure_in_config_order(
     use_cpus(cpus)
     with pytest.raises(ValueError, match="^1d-GMM_AUL failed$"):
         run_methods(builtin_methods(), table, traces)
-    _assert_no_child_left()
+    assert_no_child_left()
     failed = dict(line.split() for line in log.read_text().splitlines())
     assert failed.keys() == set(names)
     assert failed["2d-GMM_acc-SCD"] == str(os.getpid())
@@ -466,7 +465,9 @@ def test_run_methods_raises_the_first_failure_in_config_order(
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
-def test_an_interrupted_run_methods_leaves_no_child(tiny_run, use_cpus, monkeypatch, cpus):
+def test_an_interrupted_run_methods_leaves_no_child(
+    tiny_run, use_cpus, assert_no_child_left, monkeypatch, cpus
+):
     _, _, table, traces = tiny_run
     parent = os.getpid()
 
@@ -481,7 +482,7 @@ def test_an_interrupted_run_methods_leaves_no_child(tiny_run, use_cpus, monkeypa
     with pytest.raises(KeyboardInterrupt):
         run_methods(builtin_methods(), table, traces)
     assert time.monotonic() - start < 30  # a sleeping child is killed, not awaited
-    _assert_no_child_left()
+    assert_no_child_left()
 
 
 def test_a_degenerate_fit_in_a_forked_share_falls_back_and_the_run_completes(
