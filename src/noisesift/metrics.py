@@ -15,7 +15,7 @@ import numpy as np
 
 from .artifacts import load_arrays, save_arrays
 from .errors import ConfigurationError
-from .mlp import TraceStore
+from .mlp import TraceStore, predicted_as_assigned
 
 
 # The adaptive centroid's confidence cut: an in-class sample counts when
@@ -101,13 +101,13 @@ def trajectory_metrics(
     """(first_pred_epoch, acc_over_training, aul, aum) per sample; `loss`
     is `traces.loss`, derived once by the caller.
 
-    first_pred_epoch is the sentinel T+1 for samples never predicted as
-    their assigned class.  AUM is the assigned-class margin
-    (1/T) sum_t (p_assigned - max other).
+    Predicted means `predicted_as_assigned`, never at a tie; first_pred_epoch
+    is T+1 for samples never predicted.  AUM is the mean of that rule's
+    margin, (1/T) sum_t (p_assigned - max other).
     """
     raise_if_missing(traces)
     T = traces.T
-    correct = traces.pred == traces.y_assigned[None, :]
+    correct = predicted_as_assigned(traces.p_assigned, traces.p_max_other)
     acc = correct.mean(axis=0)
     ever = correct.any(axis=0)
     first = np.where(ever, correct.argmax(axis=0) + 1, T + 1).astype(np.int64)
@@ -165,7 +165,7 @@ def centroid_distance_from_traces(
     dist, _ = centroid_distance(
         feats,
         traces.y_assigned,
-        traces.pred[traces.T - 1],
+        traces.pred_end,
         traces.p_assigned[traces.T - 1],
         variant,
     )
@@ -182,7 +182,7 @@ def compute_metric_table(traces: TraceStore) -> MetricTable:
     values = {
         # A copy, so that the table does not keep the whole (T, N) loss.
         "loss_end": loss[last].copy(),
-        # The last row of traces.p_pred, without building the other rows.
+        # The predicted class's probability at the last epoch.
         "confidence_end": np.maximum(traces.p_assigned[last], traces.p_max_other[last]),
         "first_pred_epoch": first.astype(float),
         "acc_over_training": acc,

@@ -95,18 +95,23 @@ class TrainConfig:
             raise ConfigurationError("seed must be >= 0")
 
 
+def predicted_as_assigned(p_assigned: np.ndarray, p_max_other: np.ndarray) -> np.ndarray:
+    """Predicted as the assigned class: the margin AUM averages is > 0, so a tie is not."""
+    return p_assigned > p_max_other
+
+
 @dataclass
 class TraceStore:
     """Per-epoch per-sample records plus two feature snapshots.
 
-    Arrays with a leading T axis are indexed by epoch-1.  The loss and the
-    predicted-class probability are derived from the two recorded
+    Arrays with a leading T axis are indexed by epoch-1.  The loss and
+    `predicted_as_assigned` are derived from the two recorded
     probabilities, so each has one definition.
     """
 
     ids: np.ndarray               # (N,)
     y_assigned: np.ndarray        # (N,)
-    pred: np.ndarray              # (T, N) int
+    pred_end: np.ndarray          # (N,) argmax class at epoch T
     p_assigned: np.ndarray        # (T, N)
     p_max_other: np.ndarray       # (T, N) largest prob excluding assigned
     train_acc: np.ndarray         # (T,)
@@ -118,11 +123,6 @@ class TraceStore:
     def loss(self) -> np.ndarray:
         """(T, N) cross-entropy against the assigned label."""
         return -np.log(np.maximum(self.p_assigned, 1e-300))
-
-    @property
-    def p_pred(self) -> np.ndarray:
-        """(T, N) probability of the predicted (argmax) class."""
-        return np.maximum(self.p_assigned, self.p_max_other)
 
     @property
     def T(self) -> int:
@@ -487,7 +487,6 @@ def train_with_tracing(
     N, T = len(dataset), cfg.epochs
     X, y = dataset.X, dataset.y_assigned
 
-    pred = np.empty((T, N), dtype=np.int64)
     p_assigned = np.empty((T, N))
     p_max_other = np.empty((T, N))
     train_acc = np.empty(T)
@@ -503,12 +502,13 @@ def train_with_tracing(
         probs, acts = forward_batch(model, X, work=work)  # model: views the loop updates
         e = t - 1
         probs.take(assigned, out=p_assigned[e])
-        np.argmax(probs, axis=1, out=pred[e])
+        if t == T:
+            pred_end = probs.argmax(axis=1)
         # Softmax outputs are >= +0, so a 0 in the assigned slot leaves the
         # others' maximum unchanged, and it is 0 when there is no other class.
         probs.put(assigned, 0.0)  # probs is not read again this epoch
         np.maximum.reduce(probs, axis=1, out=p_max_other[e])
-        train_acc[e] = float(np.mean(pred[e] == y))
+        train_acc[e] = float(np.mean(predicted_as_assigned(p_assigned[e], p_max_other[e])))
         # Softmax output is in [0, 1] or NaN, so this is the loss's finiteness.
         if not np.isfinite(p_assigned[e]).all():
             raise TrainingDivergedError(t)
@@ -524,7 +524,7 @@ def train_with_tracing(
     traces = TraceStore(
         ids=dataset.ids.copy(),
         y_assigned=y.copy(),
-        pred=pred,
+        pred_end=pred_end,
         p_assigned=p_assigned,
         p_max_other=p_max_other,
         train_acc=train_acc,
@@ -582,7 +582,7 @@ def load_model(path: str | Path) -> Model:
 _TRACE_SHAPES = {
     "ids": ("N",),
     "y_assigned": ("N",),
-    "pred": ("T", "N"),
+    "pred_end": ("N",),
     "p_assigned": ("T", "N"),
     "p_max_other": ("T", "N"),
     "train_acc": ("T",),

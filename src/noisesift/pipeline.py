@@ -4,6 +4,7 @@ stage verifies every stage whose files it reads, then loads them itself."""
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import itertools
@@ -98,7 +99,9 @@ def _check_schema(cfg: dict, schema: dict, where: str = "") -> None:
 
 
 def _deep_merge(base: dict, override: dict) -> dict:
-    out = dict(base)
+    """`override` merged key by key over a deep copy of `base`, so that the
+    result shares no dict or list with `base`."""
+    out = copy.deepcopy(base)
     for k, v in override.items():
         if isinstance(v, dict) and isinstance(out.get(k), dict):
             out[k] = _deep_merge(out[k], v)

@@ -349,7 +349,7 @@ def test_criterion_6_numerical_kernels():
     # probability 1/2 at the last (only) epoch.
     one = np.zeros(1, dtype=np.int64)
     traces = TraceStore(
-        ids=one, y_assigned=one, pred=one[None, :], p_assigned=np.array([[0.5]]),
+        ids=one, y_assigned=one, pred_end=one, p_assigned=np.array([[0.5]]),
         p_max_other=np.array([[0.5]]), train_acc=np.ones(1),
         features_mid=np.zeros((1, 1)), features_end=np.zeros((1, 1)), mid_epoch=1,
     )

@@ -44,7 +44,7 @@ def _one_epoch_traces(probs, assigned):
     return TraceStore(
         ids=rows,
         y_assigned=assigned,
-        pred=probs.argmax(axis=1)[None, :],
+        pred_end=probs.argmax(axis=1),
         p_assigned=probs[rows, assigned][None, :],
         p_max_other=others.max(axis=1)[None, :],
         train_acc=np.zeros(1),
@@ -76,23 +76,27 @@ def test_jsd_matches_brute_force(k, seed):
         assert abs(got[i] - _brute_jsd(p[i], onehot)) < 1e-12
 
 
+# The predicted class of each toy sample at each epoch.
+_TOY_PRED = np.array([[0, 1, 2, 0], [1, 1, 2, 0], [1, 1, 2, 3]])
+
+
 def _toy_traces():
-    """Hand-sized TraceStore with T=3, N=4 for brute-force comparisons."""
-    pred = np.array([[0, 1, 2, 0], [1, 1, 2, 0], [1, 1, 2, 3]])
+    """Hand-sized TraceStore with T=3, N=4 for brute-force comparisons,
+    recording the predictions `_TOY_PRED`."""
     y_assigned = np.array([1, 0, 2, 3])
     p_assigned = np.exp(
         -np.array([[1.0, 2.0, 0.5, 3.0], [0.8, 1.5, 0.4, 2.5], [0.5, 1.0, 0.3, 2.0]])
     )
     # Below p_assigned where the prediction is right, above it elsewhere.
     p_max_other = np.where(
-        pred == y_assigned[None, :], p_assigned - 0.1, np.clip(p_assigned + 0.05, 0, 1)
+        _TOY_PRED == y_assigned[None, :], p_assigned - 0.1, np.clip(p_assigned + 0.05, 0, 1)
     )
     feats_mid = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
     feats_end = feats_mid * 2.0
     return TraceStore(
         ids=np.array([10, 11, 12, 13]),
         y_assigned=y_assigned,
-        pred=pred,
+        pred_end=_TOY_PRED[-1],
         p_assigned=p_assigned,
         p_max_other=p_max_other,
         train_acc=np.array([0.25, 0.5, 0.5]),
@@ -107,7 +111,7 @@ def test_trajectory_metrics_against_loops():
     first, acc, aul, aum = trajectory_metrics(traces, traces.loss)
     T, N = traces.T, traces.N
     for i in range(N):
-        hits = [t for t in range(T) if traces.pred[t, i] == traces.y_assigned[i]]
+        hits = [t for t in range(T) if _TOY_PRED[t, i] == traces.y_assigned[i]]
         expected_first = (hits[0] + 1) if hits else T + 1
         assert first[i] == expected_first
         assert acc[i] == pytest.approx(len(hits) / T)
@@ -234,7 +238,7 @@ def test_metric_table_roundtrip(tmp_path):
 
 def test_compute_metric_table_refuses_traces_with_no_epochs():
     traces = _toy_traces()
-    for name in ("pred", "p_assigned", "p_max_other", "train_acc"):
+    for name in ("p_assigned", "p_max_other", "train_acc"):
         setattr(traces, name, getattr(traces, name)[:0])
     with pytest.raises(ConfigurationError, match="no records"):
         compute_metric_table(traces)

@@ -22,6 +22,7 @@ from noisesift import (
 )
 from noisesift import mlp
 from noisesift.errors import ConfigurationError, TrainingDivergedError
+from noisesift.metrics import trajectory_metrics
 from noisesift.mlp import (
     _backward,
     forward_batch,
@@ -190,19 +191,22 @@ def test_trace_shapes_and_probability_identities(small_train):
     trained, traces = train_with_tracing(model, small_train, cfg)
     N = len(small_train)
     assert traces.p_assigned.shape == (4, N)
-    assert traces.loss.shape == traces.p_pred.shape == (4, N)
+    p_pred = np.maximum(traces.p_assigned, traces.p_max_other)
+    assert traces.loss.shape == p_pred.shape == (4, N)
+    assert traces.pred_end.shape == (N,)
     assert traces.features_mid.shape == (N, 4)
-    # The last epoch's records are those of the trained model; p_pred is
-    # its max probability and loss the negative log of p_assigned.
+    # The last epoch's records are those of the trained model; the larger
+    # of the two probabilities is its max probability and loss the
+    # negative log of p_assigned.
     probs, _ = forward_batch(trained, small_train.X)
     p_assigned = probs[np.arange(N), small_train.y_assigned]
     np.testing.assert_array_equal(traces.p_assigned[-1], p_assigned)
-    np.testing.assert_array_equal(traces.p_pred[-1], probs.max(axis=1))
-    np.testing.assert_array_equal(traces.pred[-1], probs.argmax(axis=1))
+    np.testing.assert_array_equal(p_pred[-1], probs.max(axis=1))
+    np.testing.assert_array_equal(traces.pred_end, probs.argmax(axis=1))
     np.testing.assert_allclose(traces.loss, -np.log(traces.p_assigned), rtol=1e-12)
-    agree = traces.pred == traces.y_assigned[None, :]
+    agree = traces.pred_end == traces.y_assigned
     np.testing.assert_array_equal(
-        traces.p_max_other < traces.p_assigned, agree
+        traces.p_max_other[-1] < traces.p_assigned[-1], agree
     )
 
 
@@ -219,15 +223,28 @@ def test_traces_equal_an_allocating_full_pass_at_each_epoch(small_train, hidden_
         forward_batch(view.copy(), X) for _, [view] in _sgd_epochs([model], [small_train], [cfg])
     ]
     _, traces = train_with_tracing(model, small_train, cfg)
-    assert traces.T == len(passes)
+    T = traces.T
+    assert T == len(passes)
     for e, (probs, _) in enumerate(passes):
-        assert np.array_equal(traces.pred[e], probs.argmax(axis=1))
         assert np.array_equal(traces.p_assigned[e], probs[rows, y])
         others = probs.copy()
         others[rows, y] = -np.inf
         assert np.array_equal(traces.p_max_other[e], others.max(axis=1))
+        assert traces.train_acc[e] == np.mean(traces.p_assigned[e] > traces.p_max_other[e])
+    assert np.array_equal(traces.pred_end, passes[-1][0].argmax(axis=1))
     assert np.array_equal(traces.features_mid, passes[traces.mid_epoch - 1][1][-1])
     assert np.array_equal(traces.features_end, passes[-1][1][-1])
+
+    # An exact tie counts as not predicted: sample 0 ties at every epoch,
+    # so it is never predicted; sample 1 ties at epoch 1 and is strictly
+    # ahead after it.
+    tied = replace(traces, p_max_other=traces.p_max_other.copy())
+    tied.p_max_other[:, 0] = tied.p_assigned[:, 0]
+    tied.p_max_other[0, 1] = tied.p_assigned[0, 1]
+    tied.p_max_other[1:, 1] = tied.p_assigned[1:, 1] / 2
+    first, acc, _, aum = trajectory_metrics(tied, tied.loss)
+    assert (first[0], acc[0], aum[0]) == (T + 1, 0.0, 0.0)
+    assert (first[1], acc[1]) == (2, (T - 1) / T)
 
 
 def test_trace_arrays_share_no_memory(small_train):
@@ -278,7 +295,7 @@ def test_traces_save_load_roundtrip(tmp_path, small_train):
     loaded = load_traces(tmp_path)
     np.testing.assert_array_equal(loaded.p_assigned, traces.p_assigned)
     np.testing.assert_array_equal(loaded.p_max_other, traces.p_max_other)
-    np.testing.assert_array_equal(loaded.pred, traces.pred)
+    np.testing.assert_array_equal(loaded.pred_end, traces.pred_end)
     np.testing.assert_array_equal(loaded.features_mid, traces.features_mid)
     np.testing.assert_array_equal(loaded.features_end, traces.features_end)
     np.testing.assert_array_equal(loaded.train_acc, traces.train_acc)
@@ -286,7 +303,7 @@ def test_traces_save_load_roundtrip(tmp_path, small_train):
     np.testing.assert_array_equal(loaded.y_assigned, traces.y_assigned)
     assert loaded.mid_epoch == traces.mid_epoch
     # 144 samples of 9 classes: the integer arrays take one byte per entry.
-    for name in ("ids", "y_assigned", "pred"):
+    for name in ("ids", "y_assigned", "pred_end"):
         assert np.load(tmp_path / f"traces_{name}.npy").dtype == np.uint8
         assert getattr(loaded, name).dtype == np.int64
 
@@ -300,8 +317,13 @@ def test_load_traces_rejects_a_misshapen_or_missing_array(tmp_path, small_train)
     with pytest.raises(ConfigurationError, match="traces_p_assigned.npy"):
         load_traces(tmp_path)
     save_traces(traces, tmp_path)
-    (tmp_path / "traces_pred.npy").unlink()
-    with pytest.raises(ConfigurationError, match="traces_pred.npy"):
+    (tmp_path / "traces_pred_end.npy").unlink()
+    with pytest.raises(ConfigurationError, match="traces_pred_end.npy"):
+        load_traces(tmp_path)
+    # The older layout, with every epoch's predicted class in a (T, N)
+    # traces_pred.npy in place of traces_pred_end.npy, is refused alike.
+    np.save(tmp_path / "traces_pred.npy", np.zeros((traces.T, traces.N), dtype=np.uint8))
+    with pytest.raises(ConfigurationError, match="traces_pred_end.npy"):
         load_traces(tmp_path)
 
 

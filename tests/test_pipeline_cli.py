@@ -489,6 +489,20 @@ def test_default_config_is_valid():
     assert DEFAULT_CONFIG["hardness"]["type"] == "imbalance"
 
 
+def test_a_loaded_config_shares_nothing_with_the_defaults(tmp_path):
+    digest = config_digest(DEFAULT_CONFIG)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"eval": {"h_threshold": 2}}))
+    cfg = load_config(path)
+    cfg["train"]["epochs"] = 5  # a section the file leaves out
+    cfg["train"]["hidden_sizes"].append(8)
+    cfg["eval"]["retrain_seeds"].append(9)  # a list in a section the file sets
+    assert experiment({}).train.epochs == 80
+    assert experiment({}).hidden_sizes == (32,)
+    assert DEFAULT_CONFIG["eval"]["retrain_seeds"] == [0, 1, 2]
+    assert config_digest(DEFAULT_CONFIG) == digest
+
+
 def _key_tree(cfg: dict) -> dict:
     return {k: _key_tree(v) if isinstance(v, dict) else None for k, v in cfg.items()}
 
