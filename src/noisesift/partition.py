@@ -10,6 +10,10 @@ stage's methods once, then runs the methods through `shares.run_shares`
 with their fit cost (GMM before threshold, then more clusters, then more
 columns) as cost.  Each method fits on its own columns with the one
 seed, so every partition is byte-identical at any CPU count.
+
+A stage's partitions are one artifact, `partitions`: the ids once, an
+(M, N) noisy mask with one row per method, and metadata mapping each
+method name, in the stage's order, to its parameters.
 """
 
 from __future__ import annotations
@@ -289,25 +293,24 @@ def run_methods(
     return outcomes
 
 
-def save_partition(part: Partition, directory: str | Path, prefix: str) -> list[Path]:
-    """Write <prefix>.json (name and parameters) and the ids and the noisy
-    flag, row for row."""
-    return save_arrays(
-        directory,
-        prefix,
-        {"method_name": part.method_name, "parameters": part.parameters},
-        ids=part.ids,
-        noisy=part.noisy,
-    )
+def save_partition(ids: np.ndarray, parts: list[Partition], directory: str | Path) -> list[Path]:
+    """Write `parts` as the `partitions` artifact, mask row m for parts[m].
+    A partition over other ids than `ids` raises ConfigurationError."""
+    if any(not np.array_equal(part.ids, ids) for part in parts):
+        raise ConfigurationError("a partition's ids differ from the stage's")
+    noisy = np.array([part.noisy for part in parts], dtype=bool).reshape(len(parts), len(ids))
+    meta = {part.method_name: part.parameters for part in parts}
+    return save_arrays(directory, "partitions", meta, ids=ids, noisy=noisy)
 
 
-def load_partition(directory: str | Path, prefix: str) -> Partition:
-    """Read a partition written by save_partition.  Metadata without a
-    string `method_name` or an object `parameters` raises
-    ConfigurationError naming `<prefix>.json`."""
-    meta, arrays = load_arrays(directory, prefix, {"ids": ("N",), "noisy": ("N",)})
-    if not isinstance(meta.get("method_name"), str) or not isinstance(meta.get("parameters"), dict):
+def load_partition(directory: str | Path) -> list[Partition]:
+    """The partitions written by save_partition, in their stored order.
+    Metadata with another key count than the mask's rows, or a value that
+    is not an object, raises ConfigurationError naming `partitions.json`."""
+    meta, arrays = load_arrays(directory, "partitions", {"ids": ("N",), "noisy": ("M", "N")})
+    if len(meta) != len(arrays["noisy"]) or not all(isinstance(v, dict) for v in meta.values()):
         raise ConfigurationError(
-            f"artifact {prefix}.json: method_name must be a string and parameters an object"
+            "artifact partitions.json must map one method name per mask row to an object"
         )
-    return Partition(method_name=meta["method_name"], parameters=meta["parameters"], **arrays)
+    rows = zip(meta.items(), arrays["noisy"])
+    return [Partition(arrays["ids"], noisy, name, params) for (name, params), noisy in rows]

@@ -183,7 +183,7 @@ def experiment(cfg: dict) -> Experiment:
         raise ConfigurationError("eval.retrain needs at least one of eval.retrain_seeds")
     if not 0 <= ev["h_threshold"] < grid.levels:
         raise ConfigurationError(f"eval.h_threshold must be in [0, grid.levels = {grid.levels})")
-    # A method's partition files and report row are keyed by its name.
+    # A method's partition and its report row are keyed by its name.
     names = cfg["methods"]
     for i, name in enumerate(names):
         if name in names[:i]:
@@ -349,9 +349,6 @@ class Run:
             if _sha256(p) != digest:
                 raise StageError(needed_by, f"artifact {rel} fails its checksum")
 
-    def _partition_prefix(self, method_name: str) -> str:
-        return "partition_" + method_name.replace("/", "_")
-
 
 # ---------------------------------------------------------------------------
 # stages
@@ -422,11 +419,8 @@ def stage_partition(run: Run) -> None:
     run.require_stage("metrics", "partition")
     table = load_metric_table(run.directory)
     traces = load_traces(run.directory)
-    specs = run.experiment.methods
-    files: list[Path] = []
-    for spec, part in zip(specs, run_methods(specs, table, traces, seed=run.experiment.seed)):
-        files += save_partition(part, run.directory, run._partition_prefix(spec.name))
-    run.mark_complete("partition", files)
+    parts = run_methods(run.experiment.methods, table, traces, seed=run.experiment.seed)
+    run.mark_complete("partition", save_partition(table.ids, parts, run.directory))
 
 
 def stage_eval(run: Run) -> None:
@@ -437,7 +431,9 @@ def stage_eval(run: Run) -> None:
 
     # Baseline row: the untouched dataset.
     parts = [Partition(train.ids, np.zeros(len(train), dtype=bool), "Original dataset")]
-    parts += [load_partition(run.directory, run._partition_prefix(m.name)) for m in exp.methods]
+    parts += load_partition(run.directory)
+    if [p.method_name for p in parts[1:]] != [m.name for m in exp.methods]:
+        raise StageError("eval", "the stored partitions are not the config's methods, in order")
     reports = [score_partition(part, train, exp.h_threshold) for part in parts]
     if exp.retrain:
         models = [exp.new_model(cfg) for cfg in exp.retrain]
@@ -470,6 +466,10 @@ def _sig4(v) -> str:
 def stage_report(run: Run) -> None:
     run.require_stage("eval", "report")
     rows = json.loads((run.directory / "eval.json").read_text())
+    if not isinstance(rows, list) or not all(
+        isinstance(r, dict) and r.keys() >= set(REPORT_COLUMNS) for r in rows
+    ):
+        raise StageError("report", "artifact eval.json must list objects with every report column")
 
     report_csv = run.directory / "report.csv"
     with open(report_csv, "w", newline="") as f:

@@ -53,7 +53,7 @@ def run_hashes(root: Path, hardness: str) -> dict[str, str]:
     cfg_path.write_text(json.dumps(golden_config(hardness)))
     run_dir = run_pipeline(cfg_path, root / "run")
     files = [run_dir / name for name in PINNED]
-    files += sorted(run_dir.glob("partition_*")) + sorted(run_dir.glob("train_*.npy"))
+    files += sorted(run_dir.glob("partition*")) + sorted(run_dir.glob("train_*.npy"))
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
 
 

@@ -214,9 +214,9 @@ def test_partition_stage_computes_each_centroid_distance_once(tmp_path, monkeypa
     distance = partition.centroid_distance_from_traces
     save = pipeline.save_partition
 
-    def save_and_keep(part, *args):
-        parts[part.method_name] = part
-        return save(part, *args)
+    def save_and_keep(ids, saved, *args):
+        parts.update((part.method_name, part) for part in saved)
+        return save(ids, saved, *args)
 
     monkeypatch.setattr(
         partition,
@@ -226,6 +226,10 @@ def test_partition_stage_computes_each_centroid_distance_once(tmp_path, monkeypa
     monkeypatch.setattr(pipeline, "save_partition", save_and_keep)
     run_pipeline(config, out_dir=out, stage="partition")
     monkeypatch.undo()
+    # All 15 partitions are one artifact of three files.
+    assert sorted(p.name for p in out.glob("partition*")) == [
+        "partitions.json", "partitions_ids.npy", "partitions_noisy.npy",
+    ]
     specs = builtin_methods()
     assert len(variants) == len(set(variants)) == 5
     used = {m for spec in specs for m in spec.metrics if isinstance(m, CentroidVariant)}
@@ -238,38 +242,31 @@ def test_partition_stage_computes_each_centroid_distance_once(tmp_path, monkeypa
 
 
 def test_partition_save_load_roundtrip(tmp_path, rng):
+    """The partitions come back in their saved order, with their names,
+    masks and parameters; the ids are stored once."""
     ids = np.arange(50)
     values = rng.normal(size=50)
-    part = partition_threshold(ids, values, HIGH_IS_NOISY, method_name="t")
-    save_partition(part, tmp_path, "p")
-    loaded = load_partition(tmp_path, "p")
-    np.testing.assert_array_equal(loaded.ids, part.ids)
-    np.testing.assert_array_equal(loaded.noisy, part.noisy)
-    assert loaded.method_name == part.method_name
+    parts = [
+        partition_threshold(ids, values, HIGH_IS_NOISY, method_name="t"),
+        partition_gmm(ids, [values], (LOW_IS_NOISY,), 2, method_name="g"),
+        partition_threshold(ids, -values, HIGH_IS_NOISY, method_name="a"),
+    ]
+    save_partition(ids, parts, tmp_path)
+    assert np.load(tmp_path / "partitions_noisy.npy").shape == (3, 50)
+    loaded = load_partition(tmp_path)
+    assert [p.method_name for p in loaded] == ["t", "g", "a"]
+    for got, want in zip(loaded, parts):
+        np.testing.assert_array_equal(got.ids, ids)
+        np.testing.assert_array_equal(got.noisy, want.noisy)
+        assert got.parameters == want.parameters
 
 
-def test_partition_with_an_older_cluster_label_file_loads(tmp_path, rng):
-    """Older run directories hold a third array, <prefix>_cluster_label.npy,
-    next to each partition, and per-axis polarities in its parameters;
-    load_partition reads only ids and noisy and keeps the parameters as
-    they are."""
-    pts = np.vstack(
-        [
-            np.column_stack([rng.normal(0.9, 0.02, 60), rng.normal(1.0, 0.1, 60)]),
-            np.column_stack([rng.normal(0.1, 0.02, 40), rng.normal(5.0, 0.1, 40)]),
-        ]
-    )
-    ids = np.arange(100)
-    part = partition_gmm(ids, [pts[:, 0], pts[:, 1]], (LOW_IS_NOISY, HIGH_IS_NOISY), 2)
-    part.parameters.update(polarity_x=LOW_IS_NOISY, polarity_y=HIGH_IS_NOISY, clusters=2)
-    meta = {"method_name": part.method_name, "parameters": part.parameters}
-    save_arrays(
-        tmp_path, "p2", meta, ids=part.ids, noisy=part.noisy, cluster_label=np.zeros(100, np.int64)
-    )
-    loaded = load_partition(tmp_path, "p2")
-    np.testing.assert_array_equal(loaded.ids, part.ids)
-    np.testing.assert_array_equal(loaded.noisy, part.noisy)
-    assert (loaded.method_name, loaded.parameters) == (part.method_name, part.parameters)
+def test_save_partition_refuses_a_partition_over_other_ids(tmp_path):
+    ids = np.arange(4)
+    parts = [Partition(ids, np.zeros(4, bool), "a"), Partition(ids[::-1], np.zeros(4, bool), "b")]
+    with pytest.raises(ConfigurationError, match="ids differ"):
+        save_partition(ids, parts, tmp_path)
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -289,14 +286,16 @@ def test_save_partition_arrays_match_per_id_lookup(tmp_path, part, ids_on_disk):
     """The saved arrays are the partition's own, row for row, in its id
     order (not sorted), and nothing else is written.  The ids are stored in
     their narrowest dtype and come back as int64."""
-    paths = save_partition(part, tmp_path, "p")
+    paths = save_partition(part.ids, [part], tmp_path)
     written = sorted(p.name for p in tmp_path.iterdir())
-    assert sorted(p.name for p in paths) == written == ["p.json", "p_ids.npy", "p_noisy.npy"]
-    on_disk = np.load(tmp_path / "p_ids.npy")
+    assert sorted(p.name for p in paths) == written == [
+        "partitions.json", "partitions_ids.npy", "partitions_noisy.npy",
+    ]
+    on_disk = np.load(tmp_path / "partitions_ids.npy")
     assert on_disk.dtype == ids_on_disk
     np.testing.assert_array_equal(on_disk, part.ids)
-    np.testing.assert_array_equal(np.load(tmp_path / "p_noisy.npy"), part.noisy)
-    loaded = load_partition(tmp_path, "p")
+    np.testing.assert_array_equal(np.load(tmp_path / "partitions_noisy.npy"), [part.noisy])
+    [loaded] = load_partition(tmp_path)
     np.testing.assert_array_equal(loaded.ids, part.ids)
     np.testing.assert_array_equal(loaded.noisy, part.noisy)
     assert (loaded.ids.dtype, loaded.noisy.dtype) == (np.int64, bool)
@@ -304,26 +303,26 @@ def test_save_partition_arrays_match_per_id_lookup(tmp_path, part, ids_on_disk):
 
 @pytest.mark.parametrize(
     "meta",
-    [{"parameters": {}}, {"method_name": "2d-GMM_acc-SCD", "parameters": [1]}],
-    ids=["no-method-name", "parameters-a-list"],
+    [{}, {"2d-GMM_acc-SCD": [1]}, {"Thres_Loss": {}, "2d-GMM_acc-SCD": {}}],
+    ids=["no-method-name", "parameters-a-list", "one-name-too-many"],
 )
 def test_partition_metadata_is_checked_when_loaded(tmp_path, meta):
-    prefix = "partition_2d-GMM_acc-SCD"
-    save_arrays(tmp_path, prefix, meta, ids=np.arange(4), noisy=np.zeros(4, dtype=bool))
-    with pytest.raises(ConfigurationError, match=rf"{prefix}\.json"):
-        load_partition(tmp_path, prefix)
+    """One mask row needs exactly one method name, mapped to an object."""
+    save_arrays(tmp_path, "partitions", meta, ids=np.arange(4), noisy=np.zeros((1, 4), bool))
+    with pytest.raises(ConfigurationError, match=r"partitions\.json"):
+        load_partition(tmp_path)
 
 
 def test_a_non_boolean_noisy_mask_is_refused(tmp_path):
     """A 0/1 integer mask would index rows -1 and -2 under `~noisy`, so it is
-    refused when built and when loaded from an integer `_noisy.npy`."""
+    refused when built and when loaded from an integer `partitions_noisy.npy`."""
     ids = np.arange(36)
     mask = np.isin(ids, [4, 17, 30]).astype(np.int64)
     with pytest.raises(ConfigurationError, match="noisy mask has dtype int64"):
         Partition(ids, mask, "int-mask")
-    save_arrays(tmp_path, "p", {"method_name": "int-mask", "parameters": {}}, ids=ids, noisy=mask)
+    save_arrays(tmp_path, "partitions", {"int-mask": {}}, ids=ids, noisy=mask[None])
     with pytest.raises(ConfigurationError, match="noisy mask has dtype int64"):
-        load_partition(tmp_path, "p")
+        load_partition(tmp_path)
 
 
 TINY_CONFIG = {
@@ -497,8 +496,8 @@ def test_a_degenerate_fit_in_a_forked_share_falls_back_and_the_run_completes(
     run_pipeline(config, out_dir=run_dir)
     [(name, pid)] = [line.split() for line in log.read_text().splitlines()]
     assert name == "1d-GMM_AUL" and pid != str(os.getpid())  # fitted in share 1
-    meta = json.loads((run_dir / "partition_1d-GMM_AUL.json").read_text())
-    assert meta["parameters"]["fallback"] == "median-threshold-on-last-metric"
+    meta = json.loads((run_dir / "partitions.json").read_text())
+    assert meta["1d-GMM_AUL"]["fallback"] == "median-threshold-on-last-metric"
     manifest = json.loads((run_dir / "manifest.json").read_text())
     assert set(manifest["stages"]) == set(pipeline.STAGES)
     assert (run_dir / "report.csv").exists()

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -13,10 +14,12 @@ import pytest
 from click.testing import CliRunner
 
 from noisesift import pipeline
+from noisesift.artifacts import save_arrays
 from noisesift.cli import main
 from noisesift.data import GridSpec, load_dataset
 from noisesift.errors import ConfigurationError, StageError
 from noisesift.mlp import init_model, load_traces, save_traces
+from noisesift.partition import load_partition
 from noisesift.pipeline import (
     _SCHEMA,
     DEFAULT_CONFIG,
@@ -61,8 +64,9 @@ EXPECTED_ARTIFACTS = (
     "model_w0.npy",
     "traces_p_assigned.npy",
     "metrics.csv",
-    "partition_Thres_Loss_noisy.npy",
-    "partition_2d-GMM_acc-SCD_noisy.npy",
+    "partitions.json",
+    "partitions_ids.npy",
+    "partitions_noisy.npy",
     "eval.json",
     "report.csv",
     "report.md",
@@ -75,8 +79,10 @@ def test_full_pipeline_produces_all_artifacts(tmp_path):
     run_dir = run_pipeline(cfg_path, tmp_path / "run")
     for name in EXPECTED_ARTIFACTS:
         assert (run_dir / name).exists(), name
-    # A partition is its JSON, ids and noisy mask; no cluster labels.
-    assert not list(run_dir.glob("*_cluster_label.npy"))
+    # The stage's partitions are one JSON, the ids once and one mask row per method.
+    assert len(list(run_dir.glob("partition*"))) == 3
+    n = len(load_dataset(run_dir, "train"))
+    assert np.load(run_dir / "partitions_noisy.npy").shape == (2, n)
     rows = json.loads((run_dir / "eval.json").read_text())
     methods = [r["method"] for r in rows]
     assert methods == ["Original dataset", "Thres_Loss", "2d-GMM_acc-SCD"]
@@ -113,7 +119,7 @@ def test_a_run_directory_with_int64_files_still_loads(tmp_path):
                 entry["files"][rel] = hashlib.sha256(path.read_bytes()).hexdigest()
                 widened += 1
     (run_dir / "manifest.json").write_text(json.dumps(manifest))
-    assert widened == 4 + 4 + 3 + 2  # train and test columns, trace arrays, partition ids
+    assert widened == 4 + 4 + 3 + 1  # train and test columns, trace arrays, partition ids
     outputs = ("report.csv", "cells.csv", "metrics.csv")
     before = {name: (run_dir / name).read_bytes() for name in outputs}
     run = Run.open(run_dir)
@@ -140,6 +146,93 @@ def test_a_run_directory_with_cells_csv_under_report_still_loads(tmp_path):
     assert {name: (run_dir / name).read_bytes() for name in outputs} == before
     assert "cells.csv" in run.manifest["stages"]["metrics"]["files"]
     assert sorted(run.manifest["stages"]["report"]["files"]) == ["report.csv", "report.md"]
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """A finished run of the small config: (its config path, its directory)."""
+    root = tmp_path_factory.mktemp("finished")
+    cfg_path = _small_config(root)
+    return cfg_path, run_pipeline(cfg_path, root / "run")
+
+
+def _rewrite(run_dir, stage, name, text):
+    """Write `text` to a run file and its digest to the manifest, so that
+    the checksum guard passes the edit."""
+    (run_dir / name).write_text(text)
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    manifest["stages"][stage]["files"][name] = hashlib.sha256(text.encode()).hexdigest()
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+
+
+def test_a_run_with_no_methods_reports_the_original_dataset_only(tmp_path):
+    run_dir = run_pipeline(_small_config(tmp_path, methods=[]), tmp_path / "run")
+    assert json.loads((run_dir / "partitions.json").read_text()) == {}
+    noisy = np.load(run_dir / "partitions_noisy.npy")
+    assert (noisy.shape, noisy.dtype) == ((0, len(load_dataset(run_dir, "train"))), bool)
+    lines = (run_dir / "report.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("Original dataset,")
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda m: {"Thres_AUM": m["Thres_Loss"], "2d-GMM_acc-SCD": m["2d-GMM_acc-SCD"]},
+        lambda m: dict(reversed(m.items())),
+    ],
+    ids=["renamed", "reordered"],
+)
+def test_eval_refuses_partitions_of_other_methods(tmp_path, finished_run, edit):
+    cfg_path, finished = finished_run
+    run_dir = shutil.copytree(finished, tmp_path / "run")
+    stored = json.loads((run_dir / "partitions.json").read_text())
+    _rewrite(run_dir, "partition", "partitions.json", json.dumps(edit(stored)))
+    with pytest.raises(StageError, match=r"\[eval\] .*config's methods"):
+        run_pipeline(cfg_path, run_dir, stage="eval", force=True)
+
+
+def test_a_run_directory_with_partition_files_per_method_is_mended_by_partition(
+    tmp_path, finished_run
+):
+    """Run directories written before a stage's partitions were one
+    artifact hold `partition_<method>.json`, `_ids.npy` and `_noisy.npy`
+    for each method: `eval` stops there, naming partitions.json, and
+    `--stage partition --force` mends the run; the old files stay, unread."""
+    cfg_path, finished = finished_run
+    run_dir = shutil.copytree(finished, tmp_path / "run")
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    old = []
+    for part in load_partition(run_dir):
+        meta = {"method_name": part.method_name, "parameters": part.parameters}
+        prefix = f"partition_{part.method_name}"
+        old += save_arrays(run_dir, prefix, meta, ids=part.ids, noisy=part.noisy)
+    for rel in manifest["stages"]["partition"]["files"]:
+        (run_dir / rel).unlink()
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in old}
+    manifest["stages"]["partition"]["files"] = digests
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ConfigurationError, match=r"partitions\.json"):
+        run_pipeline(cfg_path, run_dir, stage="eval", force=True)
+    base = ["run", "--config", str(cfg_path), "--out", str(run_dir), "--force", "--stage"]
+    for stage in ("partition", "eval", "report"):
+        result = CliRunner().invoke(main, [*base, stage])
+        assert result.exit_code == 0, result.output
+    for name in ("report.csv", "eval.json", "partitions.json", "partitions_noisy.npy"):
+        assert (run_dir / name).read_bytes() == (finished / name).read_bytes(), name
+    assert all(p.exists() for p in old)
+
+
+@pytest.mark.parametrize(
+    "rows", [[{"method": "x"}], {"rows": 1}, [1, 2]], ids=["missing-columns", "object", "numbers"]
+)
+def test_report_refuses_an_eval_json_of_another_shape(tmp_path, finished_run, rows):
+    cfg_path, finished = finished_run
+    run_dir = shutil.copytree(finished, tmp_path / "run")
+    _rewrite(run_dir, "eval", "eval.json", json.dumps(rows))
+    args = ["run", "--config", str(cfg_path), "--out", str(run_dir), "--stage", "report"]
+    result = CliRunner().invoke(main, [*args, "--force"])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: [report] artifact eval.json must list ")
 
 
 def test_pipeline_stages_are_idempotent(tmp_path):
@@ -399,7 +492,7 @@ def test_run_directory_rejects_foreign_config(tmp_path):
         pytest.param({"train": {"hidden_sizes": []}}, id="no-hidden-m-not-d"),
         # Retraining with no seed would report NaN accuracies.
         pytest.param({"eval": {"retrain": True, "retrain_seeds": []}}, id="retrain-no-seeds"),
-        # A second Thres_Loss would overwrite the first's partition files
+        # A second Thres_Loss would share the first's key in partitions.json
         # and add a second report row.
         pytest.param(
             {"methods": ["Thres_Loss", "Thres_Loss", "1d-GMM_Loss"]}, id="method-listed-twice"
